@@ -7,8 +7,10 @@ numpy float64 arrays; each operation records a backward rule, and calling
 is the finite-difference oracle the test suite uses against every rule.
 
 The engine is deliberately single-threaded and allocation-heavy: precision
-and determinism matter here, speed does not. Identical seeds give
-bit-identical trajectories.
+and determinism come before speed. Identical seeds give bit-identical
+trajectories. The one fused rule lives in ``text_encoder``: each LSTM
+direction is a single tape node with a hand-written BPTT backward, checked
+by ``grad_check`` and by the per-step reference oracle in the tests.
 """
 
 from __future__ import annotations
@@ -173,8 +175,9 @@ def matmul(a, b) -> Tensor:
     data = a.data @ b.data
     if not (a.requires_grad or b.requires_grad):
         return Tensor(data)
-    def bw(g):
-        return (g @ b.data.T, a.data.T @ g)
+    def bw(g):  # no product for a constant operand
+        return (g @ b.data.T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None)
     return Tensor(data, True, (a, b), bw)
 
 
@@ -326,7 +329,8 @@ def conv1d_valid(x, kernels, bias=None) -> Tensor:
         raise ShapeError(f"conv1d_valid input length {length} shorter than kernel {k}")
     taps = length - k + 1
     windows = np.lib.stride_tricks.sliding_window_view(x.data, (k, depth))[:, 0]  # (taps, k, d)
-    data = windows.reshape(taps, k * depth) @ kernels.data.reshape(n, k * depth).T
+    cols = windows.reshape(taps, k * depth)
+    data = cols @ kernels.data.reshape(n, k * depth).T
     parents = [x, kernels]
     if bias is not None:
         bias = _coerce(bias)
@@ -338,7 +342,7 @@ def conv1d_valid(x, kernels, bias=None) -> Tensor:
         gx = np.zeros_like(x.data)
         for dt in range(k):
             gx[dt:dt + taps] += g @ kernels.data[:, dt, :]
-        gk = np.einsum("tn,tkd->nkd", g, windows)
+        gk = (g.T @ cols).reshape(n, k, depth)
         if bias is not None:
             return (gx, gk, g.sum(axis=0))
         return (gx, gk)

@@ -1,9 +1,8 @@
 """End-to-end sentiment model: text encoder, attention fusion, classifier.
 
 The model owns every trainable parameter plus two frozen inputs: the
-pretrained word table and the emoji embedding matrix. The embedding matrix
-sits on the tape as a leaf so tests can verify which wirings route gradient
-to it, but it is never handed to the optimizer.
+pretrained word table and the emoji embedding matrix. Both are constants on
+the tape: no gradient is computed for them and the optimizer never sees them.
 """
 
 from __future__ import annotations
@@ -89,8 +88,7 @@ class SentimentModel:
         self.word_table = word_table
         self.embedding_ids = list(embeddings.ids)
         self._emoji_index = {e: i for i, e in enumerate(self.embedding_ids)}
-        # frozen leaf: gradients may flow to it for path checks, Adam never sees it
-        self.emoji_matrix = Tensor(embeddings.vectors.copy(), requires_grad=True)
+        self.emoji_matrix = Tensor(embeddings.vectors.copy())  # frozen, off the tape
         self.emoji_dim = embeddings.vectors.shape[1]
         self.wiring = apply_ablation(config.ablation, config.emoji_reads_fused_text)
         h = config.lstm_hidden
@@ -123,7 +121,7 @@ class SentimentModel:
         return list(seq.tokens[: self.config.max_len])
 
     def _emoji_rows(self, emojis: list[Token]) -> tuple[Tensor, Tensor]:
-        """Position-encoded rows and raw embedding rows, both on the tape."""
+        """Position-encoded rows and raw embedding rows; constants unless no emoji stands in."""
         if not emojis:
             return self.params.no_emoji, self.params.no_emoji
         raw_rows = []

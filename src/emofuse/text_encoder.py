@@ -137,23 +137,68 @@ class BiLstmParams:
         return self.forward.as_list() + self.backward.as_list()
 
 
-def _run_direction(inputs: Tensor, params: LstmDirectionParams, hidden: int, reverse: bool) -> list[Tensor]:
-    length = inputs.data.shape[0]
-    h = Tensor(np.zeros((1, hidden)))
-    c = Tensor(np.zeros((1, hidden)))
-    order = range(length - 1, -1, -1) if reverse else range(length)
-    outputs: list[Tensor | None] = [None] * length
-    for t in order:
-        x_t = inputs[t:t + 1]
-        gates = ad.matmul(x_t, params.w_x) + ad.matmul(h, params.w_h) + params.b
-        i_gate = ad.sigmoid(gates[:, 0 * hidden:1 * hidden])
-        f_gate = ad.sigmoid(gates[:, 1 * hidden:2 * hidden])
-        g_cell = ad.tanh(gates[:, 2 * hidden:3 * hidden])
-        o_gate = ad.sigmoid(gates[:, 3 * hidden:4 * hidden])
-        c = ad.mul(f_gate, c) + ad.mul(i_gate, g_cell)
-        h = ad.mul(o_gate, ad.tanh(c))
-        outputs[t] = h
-    return outputs  # aligned with input positions in both directions
+def _run_direction(inputs: Tensor, params: LstmDirectionParams, hidden: int, reverse: bool) -> Tensor:
+    """One LSTM direction over the whole sequence as a single tape node.
+
+    The input projection X @ W_x + b is one GEMM ahead of the recurrence;
+    backward runs BPTT in numpy to the pre-activation gradients dZ (L, 4h),
+    so each weight gradient is one GEMM over all time steps. Row t of the
+    (L, hidden) output is aligned with input position t in both directions.
+    """
+    x = inputs.data[::-1] if reverse else inputs.data  # processing order
+    w_h = params.w_h.data
+    length = x.shape[0]
+    z_in = x @ params.w_x.data + params.b.data
+    acts = np.empty((length, 4 * hidden))       # i, f, o sigmoids; g tanh
+    h_all = np.zeros((length + 1, hidden))       # h_all[t] is h_{t-1}
+    c_all = np.zeros((length + 1, hidden))       # c_all[t] is c_{t-1}
+    tanh_c = np.empty((length, hidden))
+    cell = slice(2 * hidden, 3 * hidden)
+    for t in range(length):
+        z = z_in[t] + h_all[t] @ w_h
+        a = acts[t]
+        a[:] = ad._sigmoid_values(z)
+        a[cell] = np.tanh(z[cell])
+        c_all[t + 1] = a[hidden:2 * hidden] * c_all[t] + a[:hidden] * a[cell]
+        tanh_c[t] = np.tanh(c_all[t + 1])
+        h_all[t + 1] = a[3 * hidden:] * tanh_c[t]
+    out = h_all[1:][::-1] if reverse else h_all[1:]
+    parents = (inputs, params.w_x, params.w_h, params.b)
+    if not any(p.requires_grad for p in parents):
+        return Tensor(out)
+
+    def bw(g):
+        g = g[::-1] if reverse else g
+        gates = acts.reshape(length, 4, hidden)
+        i_g, f_g, g_c, o_g = gates[:, 0], gates[:, 1], gates[:, 2], gates[:, 3]
+        # dZ = [dc, dc, dc, dh] * scale, with each gate's local derivative folded in
+        scale = np.stack([g_c * i_g * (1.0 - i_g),
+                          c_all[:-1] * f_g * (1.0 - f_g),
+                          i_g * (1.0 - g_c * g_c),
+                          tanh_c * o_g * (1.0 - o_g)], axis=1)
+        dc_dh = o_g * (1.0 - tanh_c * tanh_c)
+        dz = np.empty((length, 4, hidden))
+        dz_flat = dz.reshape(length, 4 * hidden)
+        w_h_t = w_h.T
+        dh_next = np.zeros(hidden)
+        dc_next = np.zeros(hidden)
+        for t in range(length - 1, -1, -1):
+            dh = g[t] + dh_next
+            dc = dh * dc_dh[t] + dc_next
+            np.multiply(scale[t, :3], dc, out=dz[t, :3])
+            np.multiply(scale[t, 3], dh, out=dz[t, 3])
+            dc_next = dc * f_g[t]
+            dh_next = dz_flat[t] @ w_h_t
+        dx = None
+        if inputs.requires_grad:
+            dx = dz_flat @ params.w_x.data.T
+            dx = dx[::-1] if reverse else dx
+        return (dx,
+                x.T @ dz_flat if params.w_x.requires_grad else None,
+                h_all[:-1].T @ dz_flat if params.w_h.requires_grad else None,
+                dz_flat.sum(axis=0) if params.b.requires_grad else None)
+
+    return Tensor(out, True, parents, bw)
 
 
 def bilstm_layer(inputs, params: BiLstmParams) -> Tensor:
@@ -163,8 +208,7 @@ def bilstm_layer(inputs, params: BiLstmParams) -> Tensor:
         raise ShapeError(f"bilstm_layer needs a nonempty (L, f) input, got shape {inputs.data.shape}")
     fwd = _run_direction(inputs, params.forward, params.hidden, reverse=False)
     bwd = _run_direction(inputs, params.backward, params.hidden, reverse=True)
-    rows = [ad.concat([f, b], axis=1) for f, b in zip(fwd, bwd)]
-    return ad.concat(rows, axis=0)
+    return ad.concat([fwd, bwd], axis=1)
 
 
 @dataclass

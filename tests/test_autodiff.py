@@ -39,6 +39,17 @@ class TestBackwardBasics:
         out = ad.mul(c, 3.0)
         assert out._parents == ()
 
+    def test_matmul_backward_skips_constant_operand(self):
+        rng = np.random.default_rng(0)
+        a_data, b_data = rng.standard_normal((2, 3)), rng.standard_normal((3, 4))
+        g = rng.standard_normal((2, 4))
+        ga, gb = ad.matmul(Tensor(a_data), Tensor(b_data, requires_grad=True))._backward(g)
+        assert ga is None
+        np.testing.assert_array_equal(gb, a_data.T @ g)
+        ga, gb = ad.matmul(Tensor(a_data, requires_grad=True), Tensor(b_data))._backward(g)
+        assert gb is None
+        np.testing.assert_array_equal(ga, g @ b_data.T)
+
 
 class TestShapeErrors:
     def test_matmul_mismatch_reports_both_shapes(self):

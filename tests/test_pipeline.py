@@ -137,6 +137,7 @@ class TestTrainClassifier:
         model = SentimentModel(tiny_config(), word_table, embeddings, np.random.default_rng(3))
         train_classifier(model, posts, np.random.default_rng(3))
         np.testing.assert_array_equal(model.emoji_matrix.data, embeddings.vectors)
+        assert model.emoji_matrix.grad is None
 
 
 class StubModel:

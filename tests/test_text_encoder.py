@@ -10,6 +10,7 @@ from emofuse.text_encoder import (
     BiLstmParams,
     LstmDirectionParams,
     TextEncoderParams,
+    _run_direction,
     bilstm_layer,
     emoji_input_features,
     encode_text,
@@ -114,6 +115,78 @@ def scalar_lstm_unroll(xs, wx, wh, b):
     return outputs
 
 
+def reference_direction(inputs, params, hidden, reverse):
+    """The per-time-step LSTM on the autodiff tape, one small node per op."""
+    length = inputs.data.shape[0]
+    h = Tensor(np.zeros((1, hidden)))
+    c = Tensor(np.zeros((1, hidden)))
+    order = range(length - 1, -1, -1) if reverse else range(length)
+    outputs = [None] * length
+    for t in order:
+        x_t = inputs[t:t + 1]
+        gates = ad.matmul(x_t, params.w_x) + ad.matmul(h, params.w_h) + params.b
+        i_gate = ad.sigmoid(gates[:, 0 * hidden:1 * hidden])
+        f_gate = ad.sigmoid(gates[:, 1 * hidden:2 * hidden])
+        g_cell = ad.tanh(gates[:, 2 * hidden:3 * hidden])
+        o_gate = ad.sigmoid(gates[:, 3 * hidden:4 * hidden])
+        c = ad.mul(f_gate, c) + ad.mul(i_gate, g_cell)
+        h = ad.mul(o_gate, ad.tanh(c))
+        outputs[t] = h
+    return ad.concat(outputs, axis=0)  # aligned with input positions in both directions
+
+
+def tape_size(out):
+    seen, stack = set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+class TestFusedDirection:
+    """The fused single-node direction against the per-step reference tape.
+
+    The fused op sums in a different order (one input GEMM, GEMM weight
+    gradients), so agreement is to a tolerance fixed in advance for float64.
+    """
+
+    @pytest.mark.parametrize("length", [1, 2, 7, 33])
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("input_grad", [False, True])
+    def test_matches_per_step_reference(self, length, reverse, input_grad):
+        rng = np.random.default_rng(length * 4 + 2 * reverse + input_grad)
+        hidden = 3
+        params = LstmDirectionParams.create(5, hidden, rng)
+        params.b.data[:] = rng.standard_normal(4 * hidden)
+        x = Tensor(rng.standard_normal((length, 5)), requires_grad=input_grad)
+        weights = rng.standard_normal((length, hidden))
+        tracked = [x] + params.as_list()
+        results = []
+        for run in (reference_direction, _run_direction):
+            for tensor in tracked:
+                tensor.grad = None
+            out = run(x, params, hidden, reverse)
+            ad.tensor_sum(ad.mul(out, weights)).backward()
+            results.append([out.data.copy()] + [t.grad for t in tracked])
+        expected, fused = results
+        if not input_grad:
+            assert expected[1] is None and fused[1] is None
+            expected, fused = expected[:1] + expected[2:], fused[:1] + fused[2:]
+        for want, got in zip(expected, fused):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+    def test_tape_size_independent_of_length(self):
+        rng = np.random.default_rng(9)
+        params = BiLstmParams.create(4, 3, rng)
+        sizes = []
+        for length in (3, 40):
+            x = Tensor(rng.standard_normal((length, 4)), requires_grad=True)
+            sizes.append(tape_size(bilstm_layer(x, params)))
+        assert sizes[0] == sizes[1]
+
+
 class TestBiLstmLayer:
     def test_zero_parameters_give_zero_outputs(self):
         params = BiLstmParams(
@@ -211,3 +284,16 @@ class TestBiLstmGradients:
         assert grad_check(f, x) < 1e-4
         for tensor in params.as_list():
             assert grad_check(lambda t: f(x), tensor) < 1e-4
+
+    def test_constant_input_passes_grad_check(self):
+        rng = np.random.default_rng(7)
+        params = BiLstmParams.create(3, 2, rng)
+        x = Tensor(rng.standard_normal((4, 3)))  # word vectors: no gradient wanted
+        weights = rng.standard_normal((4, 4))
+
+        def f(_):
+            return ad.mean(ad.mul(bilstm_layer(x, params), weights))
+
+        for tensor in params.as_list():
+            assert grad_check(f, tensor) < 1e-4
+        assert x.grad is None
