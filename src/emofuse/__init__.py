@@ -22,7 +22,7 @@ from .model import SentimentModel, apply_ablation, build_model
 from .pipeline import EvalReport, evaluate, train_classifier
 from .senses import SenseInventory, load_emojinet
 from .text_encoder import WordEmbeddingTable, positional_encoding
-from .tokenization import RawPost, Token, TokenSequence, build_vocab, tokenize
+from .tokenization import RawPost, Token, TokenSequence, tokenize
 from .vgae import EmojiEmbeddings, VgaeConfig, train_vgae
 
 __version__ = "0.1.0"
@@ -49,7 +49,6 @@ __all__ = [
     "apply_ablation",
     "build_cooc_graph",
     "build_model",
-    "build_vocab",
     "count_cooccurrences",
     "evaluate",
     "grad_check",

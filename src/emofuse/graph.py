@@ -50,7 +50,7 @@ def count_cooccurrences(posts: Iterable[TokenSequence]) -> CoocCounts:
     counts = CoocCounts()
     for seq in posts:
         counts.posts += 1
-        unique = sorted({t.surface for t in seq if t.kind == EMOJI})
+        unique = sorted({s for k, s in zip(seq.kinds, seq.surfaces) if k == EMOJI})
         for emoji in unique:
             counts.occurrences[emoji] += 1
         for a, b in combinations(unique, 2):

@@ -117,9 +117,6 @@ class SentimentModel:
     def trainable(self) -> list[Tensor]:
         return self.params.as_list()
 
-    def _truncate(self, seq: TokenSequence) -> list[Token]:
-        return list(seq.tokens[: self.config.max_len])
-
     def _emoji_rows(self, emojis: list[Token]) -> tuple[Tensor, Tensor]:
         """Position-encoded rows and raw embedding rows; constants unless no emoji stands in."""
         if not emojis:
@@ -141,8 +138,7 @@ class SentimentModel:
 
     def fused_features(self, seq: TokenSequence) -> FusedFeatures:
         """The attention channels for one tokenized post."""
-        truncated = TokenSequence(tuple(self._truncate(seq)))
-        words, emojis = split_modalities(truncated)
+        words, emojis = split_modalities(seq.tokens[: self.config.max_len])
         if not words:
             # emoji-only post: a single zero-embedding row stands in for text
             words = [Token(kind=WORD, surface="", position=0)]

@@ -1,19 +1,26 @@
-"""Post tokenization, modality splitting, vocabularies, and corpus loading.
+"""Post tokenization, modality splitting, and corpus loading.
 
 Posts are split into word and emoji tokens that keep their absolute position
 in the original stream, so the two modalities can be separated and later
 re-interleaved exactly. Emoji detection is range-based over the Unicode emoji
 blocks, with ZWJ sequences kept as single tokens and skin-tone modifiers
 folded into the base emoji.
+
+`tokenize` makes no Python-level pass over characters: one regular
+expression, compiled at import from `_EMOJI_RANGES`, finds the emoji runs;
+the text between them is split into words by a second one, and
+`str.translate` strips joiners and folds emoji surfaces. A `Token` is a
+named tuple; a `TokenSequence` stores only its kinds and surfaces and makes
+the tokens when it is read.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+import re
+from dataclasses import dataclass
+from typing import Iterable, Iterator, NamedTuple
 
 from .exceptions import CorpusError
 
@@ -37,29 +44,41 @@ _EMOJI_RANGES = (
     (0x1F1E6, 0x1F1FF),
 )
 _ZWJ = 0x200D
-_VARIATION_SELECTORS = {0xFE0E, 0xFE0F}
-_SKIN_TONES = set(range(0x1F3FB, 0x1F400))
+_VARIATION_SELECTORS = (0xFE0E, 0xFE0F)
+_SKIN_TONES = (0x1F3FB, 0x1F3FF)
 _REGIONAL_INDICATORS = (0x1F1E6, 0x1F1FF)
 
 
-def _is_regional_indicator(cp: int) -> bool:
-    return _REGIONAL_INDICATORS[0] <= cp <= _REGIONAL_INDICATORS[1]
+def _char_class(*ranges: tuple[int, int]) -> str:
+    return "[" + "".join(f"\\U{lo:08X}-\\U{hi:08X}" for lo, hi in ranges) + "]"
 
 
-def is_emoji_scalar(cp: int) -> bool:
-    return any(lo <= cp <= hi for lo, hi in _EMOJI_RANGES)
+def _delete_table(*ranges: tuple[int, int]) -> dict[int, None]:
+    return {cp: None for lo, hi in ranges for cp in range(lo, hi + 1)}
+
+
+_EMOJI = _char_class(*_EMOJI_RANGES)
+_REGIONAL = _char_class(_REGIONAL_INDICATORS)
+_MODIFIER = _char_class(_VARIATION_SELECTORS, _SKIN_TONES)
+# A flag is exactly two regional indicators; any other emoji scalar takes the
+# variation selectors, skin tones and ZWJ-joined emoji scalars that follow it.
+# The capturing group makes `split` alternate text, run, text, ..., text.
+_EMOJI_RUN = re.compile(f"({_REGIONAL}{_REGIONAL}|{_EMOJI}(?:{_MODIFIER}|{chr(_ZWJ)}{_EMOJI})*)")
+# CPython's `\w` is `str.isalnum()` plus "_", so a word is a maximal run of
+# alphanumeric characters.
+_WORD_RE = re.compile(r"[^\W_]+")
+# Between emoji runs a stray joiner or selector is dropped without splitting
+# the word around it.
+_STRAY = _delete_table((_ZWJ, _ZWJ), _VARIATION_SELECTORS)
+_FOLD = _delete_table(_VARIATION_SELECTORS, _SKIN_TONES)
 
 
 def fold_emoji(surface: str) -> str:
     """Canonical emoji key: variation selectors and skin tones stripped."""
-    return "".join(
-        ch for ch in surface
-        if ord(ch) not in _VARIATION_SELECTORS and ord(ch) not in _SKIN_TONES
-    )
+    return surface.translate(_FOLD)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # WORD or EMOJI
     surface: str
     position: int
@@ -67,13 +86,26 @@ class Token:
 
 @dataclass(frozen=True)
 class TokenSequence:
-    tokens: tuple[Token, ...]
+    """One post's tokens in stream order, at positions 0, 1, 2, ...
+
+    Kinds and surfaces are kept as two tuples of strings, which the garbage
+    collector stops tracking, and `Token`s are made as they are read. Stored
+    tokens would leave one tracked object per token alive for as long as a
+    corpus is held, and every full collection would walk them all.
+    """
+
+    kinds: tuple[str, ...]
+    surfaces: tuple[str, ...]
 
     def __len__(self):
-        return len(self.tokens)
+        return len(self.kinds)
 
-    def __iter__(self):
-        return iter(self.tokens)
+    def __iter__(self) -> Iterator[Token]:
+        return map(Token, self.kinds, self.surfaces, range(len(self.kinds)))
+
+    @property
+    def tokens(self) -> tuple[Token, ...]:
+        return tuple(self)
 
 
 @dataclass(frozen=True)
@@ -82,14 +114,11 @@ class RawPost:
     label: int | None = None
 
 
-def _flush_words(buffer: list[str], out: list[tuple[str, str]]):
-    if not buffer:
-        return
-    run = "".join(buffer).lower()
-    word = "".join(ch if ch.isalnum() else " " for ch in run)
-    for piece in word.split():
-        out.append((WORD, piece))
-    buffer.clear()
+def _words(text: str) -> list[str]:
+    # Lowercase each stretch between emoji runs, never the whole post: the
+    # lowercase of Σ depends on the letters around it, and case mapping
+    # looks through skin tones to find them.
+    return _WORD_RE.findall(text.translate(_STRAY).lower())
 
 
 def tokenize(text: str) -> TokenSequence:
@@ -97,50 +126,24 @@ def tokenize(text: str) -> TokenSequence:
 
     Positions are assigned contiguously from 0 in stream order. A ZWJ
     sequence of emoji scalars is one token; skin tones and variation
-    selectors never survive into the token surface.
+    selectors never survive into the token surface, and a run that folds
+    to nothing (a lone skin tone) yields no token.
     """
-    raw: list[tuple[str, str]] = []
-    word_buffer: list[str] = []
-    chars = text
-    i = 0
-    n = len(chars)
-    while i < n:
-        cp = ord(chars[i])
-        if is_emoji_scalar(cp):
-            _flush_words(word_buffer, raw)
-            parts = [chars[i]]
-            i += 1
-            # flags are exactly two regional indicators
-            if _is_regional_indicator(cp) and i < n and _is_regional_indicator(ord(chars[i])):
-                raw.append((EMOJI, parts[0] + chars[i]))
-                i += 1
-                continue
-            while i < n:
-                nxt = ord(chars[i])
-                if nxt in _VARIATION_SELECTORS or nxt in _SKIN_TONES:
-                    parts.append(chars[i])
-                    i += 1
-                    continue
-                if nxt == _ZWJ and i + 1 < n and is_emoji_scalar(ord(chars[i + 1])):
-                    parts.append(chars[i])
-                    parts.append(chars[i + 1])
-                    i += 2
-                    continue
-                break
-            surface = fold_emoji("".join(parts))
-            if surface:
-                raw.append((EMOJI, surface))
-        elif cp in _VARIATION_SELECTORS or cp == _ZWJ:
-            i += 1  # stray joiner outside an emoji sequence
-        else:
-            word_buffer.append(chars[i])
-            i += 1
-    _flush_words(word_buffer, raw)
-    tokens = tuple(Token(kind, surface, pos) for pos, (kind, surface) in enumerate(raw))
-    return TokenSequence(tokens)
+    parts = _EMOJI_RUN.split(text)
+    surfaces = _words(parts[0])
+    kinds = [WORD] * len(surfaces)
+    for k in range(1, len(parts), 2):
+        emoji = parts[k].translate(_FOLD)
+        if emoji:
+            surfaces.append(emoji)
+            kinds.append(EMOJI)
+        words = _words(parts[k + 1])
+        surfaces += words
+        kinds += [WORD] * len(words)
+    return TokenSequence(tuple(kinds), tuple(surfaces))
 
 
-def split_modalities(seq: TokenSequence) -> tuple[list[Token], list[Token]]:
+def split_modalities(seq: Iterable[Token]) -> tuple[list[Token], list[Token]]:
     """Separate word tokens from emoji tokens, both keeping original positions."""
     words = [t for t in seq if t.kind == WORD]
     emojis = [t for t in seq if t.kind == EMOJI]
@@ -196,50 +199,3 @@ def load_unlabeled_corpus(path) -> Iterator[str]:
                     yield line
     except OSError as err:
         raise CorpusError(f"cannot read corpus {path}: {err}") from err
-
-
-PAD_INDEX = 0
-UNK_INDEX = 1
-PAD_TOKEN = "<pad>"
-UNK_TOKEN = "<unk>"
-
-
-@dataclass
-class Vocab:
-    """Bijective word/index maps with reserved padding and unknown slots."""
-
-    word_to_index: dict[str, int] = field(default_factory=dict)
-    index_to_word: list[str] = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.index_to_word)
-
-    def index(self, word: str) -> int:
-        return self.word_to_index.get(word, UNK_INDEX)
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.word_to_index
-
-
-def build_vocab(corpus: Iterable[TokenSequence], min_count: int = 1) -> Vocab:
-    """Retain words seen at least min_count times.
-
-    Index order is deterministic: descending frequency, ties broken
-    lexicographically, after the reserved padding/unknown indices 0 and 1.
-    """
-    if min_count < 1:
-        raise ValueError(f"min_count must be >= 1, got {min_count}")
-    counts: Counter[str] = Counter()
-    for seq in corpus:
-        counts.update(t.surface for t in seq if t.kind == WORD)
-    vocab = Vocab()
-    vocab.index_to_word = [PAD_TOKEN, UNK_TOKEN]
-    vocab.word_to_index = {PAD_TOKEN: PAD_INDEX, UNK_TOKEN: UNK_INDEX}
-    retained = sorted(
-        (w for w, c in counts.items() if c >= min_count),
-        key=lambda w: (-counts[w], w),
-    )
-    for word in retained:
-        vocab.word_to_index[word] = len(vocab.index_to_word)
-        vocab.index_to_word.append(word)
-    return vocab

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -140,19 +142,21 @@ class TestGradCheck:
         assert err < 1e-10
 
     @pytest.mark.parametrize("op", ["exp", "log", "tanh", "layer_norm", "concat",
-                                    "slice", "transpose", "conv", "max_over_time", "mean"])
+                                    "slice", "transpose", "conv", "conv_kernels", "conv_bias",
+                                    "max_over_time", "mean"])
     def test_every_op_passes_grad_check(self, op):
-        rng = np.random.default_rng(hash(op) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(op.encode()))
         if op == "log":
             x = Tensor(rng.uniform(0.5, 3.0, (3, 4)), requires_grad=True)
         else:
             x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         gain = Tensor(rng.uniform(0.5, 1.5, 4))
         bias = Tensor(rng.standard_normal(4))
-        kernels = Tensor(rng.standard_normal((2, 2, 4)))
-        cbias = Tensor(rng.standard_normal(2))
+        kernels = Tensor(rng.standard_normal((2, 2, 4)), requires_grad=op == "conv_kernels")
+        cbias = Tensor(rng.standard_normal(2), requires_grad=op == "conv_bias")
         other = Tensor(rng.standard_normal((3, 4)))
         weights = Tensor(rng.standard_normal((3, 4)))
+        conv_weights = rng.standard_normal((2, 2))  # (L - width + 1, filters)
 
         functions = {
             "exp": lambda t: ad.mean(ad.exp(t)),
@@ -164,10 +168,13 @@ class TestGradCheck:
             "slice": lambda t: ad.mean(ad.mul(t[1:, :2], weights.data[1:, :2])),
             "transpose": lambda t: ad.mean(ad.mul(ad.transpose(t), weights.data.T)),
             "conv": lambda t: ad.mean(ad.conv1d_valid(t, kernels, cbias)),
+            "conv_kernels": lambda k: ad.mean(ad.mul(ad.conv1d_valid(x, k, cbias), conv_weights)),
+            "conv_bias": lambda b: ad.mean(ad.mul(ad.conv1d_valid(x, kernels, b), conv_weights)),
             "max_over_time": lambda t: ad.tensor_sum(ad.max_over_time(t)),
             "mean": lambda t: ad.mean(ad.mul(t, weights)),
         }
-        assert grad_check(functions[op], x) < 1e-5
+        checked = {"conv_kernels": kernels, "conv_bias": cbias}.get(op, x)
+        assert grad_check(functions[op], checked) < 1e-5
 
 
 class TestMaxOverTime:
