@@ -10,6 +10,7 @@ text encoder, attention fusion, convolutional classifier). The CLI in
 from .autodiff import Tensor, grad_check
 from .config import RunConfig, load_config
 from .exceptions import (
+    CheckpointError,
     ConfigError,
     CorpusError,
     EmofuseError,
@@ -28,6 +29,7 @@ from .vgae import EmojiEmbeddings, VgaeConfig, train_vgae
 __version__ = "0.1.0"
 
 __all__ = [
+    "CheckpointError",
     "ConfigError",
     "CoocGraph",
     "CorpusError",

@@ -8,19 +8,23 @@ is the finite-difference oracle the test suite uses against every rule.
 
 The engine is deliberately single-threaded and allocation-heavy: precision
 and determinism come before speed. Identical seeds give bit-identical
-trajectories. The one fused rule lives in ``text_encoder``: each LSTM
-direction is a single tape node with a hand-written BPTT backward, checked
-by ``grad_check`` and by the per-step reference oracle in the tests.
+trajectories. Fused rules live beside the models that use them, each
+checked by ``grad_check``: in ``text_encoder`` each LSTM direction is a
+single tape node with a hand-written BPTT backward (also checked against
+the per-step reference oracle in the tests); in ``vgae`` the decoder, the
+reconstruction cross-entropy and the KL term are one node each.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ShapeError
+from .exceptions import CheckpointError, ShapeError
 
 
 class Tensor:
@@ -191,12 +195,12 @@ def relu(a) -> Tensor:
 
 
 def _sigmoid_values(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + e) for x >= 0 and e / (1 + e) below, with e = exp(-|x|): no overflow.
+
+    The numerator max(e, x >= 0) picks the branch without masked indexing.
+    """
+    e = np.exp(-np.abs(x))
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def sigmoid(a) -> Tensor:
@@ -543,21 +547,37 @@ def save_tensors(path, tensors):
 
 
 def load_tensors(path):
-    """Read a container written by save_tensors; returns name -> float64 array."""
+    """Read a container written by save_tensors; returns name -> float64 array.
+
+    A file that is not such a container, or ends early, raises
+    CheckpointError naming the file. No read asks for more bytes than the
+    file has left, so a corrupt size field cannot trigger a huge allocation.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(4)
+        left = os.fstat(fh.fileno()).st_size
+
+        def read(size):
+            nonlocal left
+            if size > left:
+                raise CheckpointError(f"tensor container {path} is truncated")
+            left -= size
+            return fh.read(size)
+
+        magic = read(4)
         if magic != _MAGIC:
-            raise ValueError(f"not a tensor container: bad magic {magic!r} in {path}")
-        version, count = struct.unpack("<II", fh.read(8))
+            raise CheckpointError(f"not a tensor container: bad magic {magic!r} in {path}")
+        version, count = struct.unpack("<II", read(8))
         if version != _VERSION:
-            raise ValueError(f"unsupported tensor container version {version} in {path}")
+            raise CheckpointError(f"unsupported tensor container version {version} in {path}")
         out = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim)) if ndim else ()
-            size = int(np.prod(shape)) if shape else 1
-            payload = fh.read(8 * size)
+            (name_len,) = struct.unpack("<I", read(4))
+            try:
+                name = read(name_len).decode("utf-8")
+            except UnicodeDecodeError as err:
+                raise CheckpointError(f"tensor container {path} has a malformed name: {err}") from None
+            (ndim,) = struct.unpack("<I", read(4))
+            shape = struct.unpack(f"<{ndim}I", read(4 * ndim)) if ndim else ()
+            payload = read(8 * math.prod(shape))
             out[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
         return out

@@ -21,5 +21,9 @@ class ConfigError(EmofuseError):
     """A run configuration is missing, malformed, or internally inconsistent."""
 
 
+class CheckpointError(EmofuseError):
+    """A tensor container is not one, is truncated, or is otherwise malformed."""
+
+
 class TrainingError(EmofuseError):
     """Training cannot proceed (degenerate inputs, invalid labels, ...)."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +65,10 @@ def _check_labels(posts: list[RawPost], num_classes: int):
 
 
 def train_classifier(model: SentimentModel, posts: list[RawPost], rng) -> list[EpochStats]:
-    """Train in place for config.epochs; returns the per-epoch history."""
+    """Train in place for config.epochs; returns the per-epoch history.
+
+    An epoch whose mean loss is not finite raises TrainingError.
+    """
     if not posts:
         raise TrainingError("cannot train on an empty dataset")
     config = model.config
@@ -95,6 +99,8 @@ def train_classifier(model: SentimentModel, posts: list[RawPost], rng) -> list[E
             loss=total_loss / len(posts),
             accuracy=correct / len(posts),
         )
+        if not math.isfinite(stats.loss):
+            raise TrainingError(f"classifier loss is {stats.loss} at epoch {stats.epoch}/{config.epochs}")
         history.append(stats)
         logger.info("classifier epoch %d/%d loss %.6f acc %.4f",
                     stats.epoch, config.epochs, stats.loss, stats.accuracy)

@@ -5,13 +5,17 @@ graph and node attributes to a Gaussian posterior per node (a shared first
 layer feeding separate mean and log-variance heads). The decoder scores
 every node pair by the sigmoid of the latent inner product. Training
 maximizes the ELBO: re-weighted binary cross-entropy against the binarized
-edge set plus the KL pull toward the standard normal. The inference
-embedding for each node is its posterior mean.
+edge set plus the KL pull toward the standard normal. The cross-entropy is
+computed from the logits z z^T with a stable softplus (the form of
+TensorFlow's weighted_cross_entropy_with_logits in the reference VGAE), so
+a saturated sigmoid never reaches log(0). The inference embedding for each
+node is its posterior mean.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,23 +82,82 @@ class EmojiEmbeddings:
         return cls(ids=ids, vectors=vectors)
 
 
-def gcn_layer(a_norm, h, w, activation=None) -> Tensor:
-    """One graph convolution: activation(a_norm @ h @ w), no bias."""
-    out = ad.matmul(ad.matmul(a_norm, h), w)
-    return activation(out) if activation is not None else out
+def encode(a_norm, ax, params: VgaeParams) -> LatentPosterior:
+    """Shared relu first layer, then linear mean and log-variance heads.
+
+    `ax` is the node attributes propagated once, a_norm @ x. It does not
+    depend on the parameters, so training computes it once for all epochs.
+    Both heads read the one second propagation a_norm @ hidden.
+    """
+    propagated = ad.matmul(a_norm, ad.relu(ad.matmul(ax, params.w_in)))
+    return LatentPosterior(mu=ad.matmul(propagated, params.w_mu),
+                           logvar=ad.matmul(propagated, params.w_logvar))
 
 
-def encode(a_norm, x, params: VgaeParams) -> LatentPosterior:
-    """Shared relu first layer, then linear mean and log-variance heads."""
-    hidden = gcn_layer(a_norm, x, params.w_in, activation=ad.relu)
-    mu = gcn_layer(a_norm, hidden, params.w_mu)
-    logvar = gcn_layer(a_norm, hidden, params.w_logvar)
-    return LatentPosterior(mu=mu, logvar=logvar)
+class EdgeProbabilities(Tensor):
+    """What `decode` returns: sigmoid(S) for the logits S = z z^T.
+
+    It keeps `logits` and the `latents` z, so `vgae_loss` scores the edges
+    from the logits and sends its gradient straight to z.
+    """
+
+    __slots__ = ("logits", "latents")
 
 
-def decode(z) -> Tensor:
+def decode(z) -> EdgeProbabilities:
     """Edge probabilities sigmoid(z @ z.T); symmetric, entries in (0, 1)."""
-    return ad.sigmoid(ad.matmul(z, ad.transpose(z)))
+    z = ad.as_tensor(z)
+    if z.data.ndim != 2:
+        raise ShapeError(f"decode expects an N x latent matrix, got shape {z.data.shape}")
+    logits = z.data @ z.data.T
+    probs = ad._sigmoid_values(logits)
+    if z.requires_grad:
+        def bw(g):
+            d_logits = g * probs * (1.0 - probs)
+            return ((d_logits + d_logits.T) @ z.data,)
+        out = EdgeProbabilities(probs, True, (z,), bw)
+    else:
+        out = EdgeProbabilities(probs)
+    out.logits, out.latents = logits, z
+    return out
+
+
+def _bce_from_logits(edges: EdgeProbabilities, y: np.ndarray, pos_weight: float,
+                     scale: float) -> Tensor:
+    """scale * sum(pos_weight * y * softplus(-S) + (1 - y) * softplus(S)), one tape node.
+
+    softplus(-S) = -log sigmoid(S) and softplus(S) = -log(1 - sigmoid(S)), so
+    this is the re-weighted cross-entropy, finite for every finite logit.
+    softplus(t) is np.logaddexp(0, t) written out as max(t, 0) + log1p(exp(-|t|)),
+    which is several times faster on an N x N matrix.
+    """
+    logits = edges.logits
+    signed = (1.0 - 2.0 * y) * logits  # -S on positives, S elsewhere
+    softplus = np.maximum(signed, 0.0) + np.log1p(np.exp(-np.abs(logits)))
+    weights = 1.0 + (pos_weight - 1.0) * y  # pos_weight on positives, 1 elsewhere
+    value = scale * np.vdot(weights, softplus)
+    z = edges.latents
+    if not z.requires_grad:
+        return Tensor(value)
+    probs = edges.data
+
+    def bw(g):
+        # dS = scale * ((1 - y) sigmoid(S) - pos_weight * y * sigmoid(-S)); dz = (dS + dS^T) z
+        d_logits = (g * scale) * (weights * probs - pos_weight * y)
+        return ((d_logits + d_logits.T) @ z.data,)
+    return Tensor(value, True, (z,), bw)
+
+
+def _kl_term(posterior: LatentPosterior, n: int) -> Tensor:
+    """-(1 / 2N) * sum(1 + logvar - mu^2 - exp(logvar)), one tape node."""
+    mu, logvar = posterior.mu, posterior.logvar
+    var = np.exp(logvar.data)
+    scale = -1.0 / (2.0 * n)
+    value = scale * np.sum(1.0 + logvar.data - mu.data * mu.data - var)
+    if not (mu.requires_grad or logvar.requires_grad):
+        return Tensor(value)
+    return Tensor(value, True, (mu, logvar),
+                  lambda g: ((-2.0 * scale * g) * mu.data, (scale * g) * (1.0 - var)))
 
 
 def vgae_loss(a_hat, a_bin: np.ndarray, posterior: LatentPosterior) -> Tensor:
@@ -104,6 +167,9 @@ def vgae_loss(a_hat, a_bin: np.ndarray, posterior: LatentPosterior) -> Tensor:
     (N^2 - E) / E and the whole cross-entropy scaled by N^2 / (2 (N^2 - E)),
     which keeps sparse graphs from collapsing to the all-zeros decoder. The
     KL term is -(1 / 2N) * sum(1 + logvar - mu^2 - exp(logvar)).
+
+    `decode`'s output is scored from its logits; any other probability
+    tensor is scored from the probabilities themselves.
     """
     a_hat = ad.as_tensor(a_hat)
     n = a_bin.shape[0]
@@ -118,15 +184,15 @@ def vgae_loss(a_hat, a_bin: np.ndarray, posterior: LatentPosterior) -> Tensor:
     pos_weight = (total - positives) / positives
     norm = total / (2.0 * (total - positives))
     y = a_bin
-    # masks sit inside the logs so a saturated but correct entry contributes
-    # exactly 0 instead of 0 * log(0)
-    pos_term = ad.log(ad.mul(a_hat, y) + (1.0 - y))
-    neg_term = ad.log(ad.mul(1.0 - a_hat, 1.0 - y) + y)
-    bce = ad.mean(ad.mul(pos_term, -pos_weight) - neg_term)
-    mu, logvar = posterior.mu, posterior.logvar
-    kl_terms = 1.0 + logvar - ad.mul(mu, mu) - ad.exp(logvar)
-    kl = ad.mul(ad.tensor_sum(kl_terms), -1.0 / (2.0 * n))
-    return ad.mul(bce, norm) + kl
+    if isinstance(a_hat, EdgeProbabilities):
+        bce = _bce_from_logits(a_hat, y, pos_weight, norm / total)
+    else:
+        # masks sit inside the logs so a saturated but correct entry contributes
+        # exactly 0 instead of 0 * log(0)
+        pos_term = ad.log(ad.mul(a_hat, y) + (1.0 - y))
+        neg_term = ad.log(ad.mul(1.0 - a_hat, 1.0 - y) + y)
+        bce = ad.mul(ad.mean(ad.mul(pos_term, -pos_weight) - neg_term), norm)
+    return bce + _kl_term(posterior, n)
 
 
 @dataclass
@@ -137,40 +203,51 @@ class VgaeConfig:
     lr: float = 0.01
 
 
+def _encoder_inputs(graph: CoocGraph) -> tuple[Tensor, Tensor]:
+    """The constant encoder inputs: a_norm and the propagated attributes a_norm @ x."""
+    a_norm = Tensor(normalize_adjacency(graph.adjacency))
+    return a_norm, ad.matmul(a_norm, Tensor(graph.attributes))
+
+
 def train_vgae(graph: CoocGraph, config: VgaeConfig, rng) -> tuple[EmojiEmbeddings, VgaeParams, list[float]]:
     """Full-batch Adam over the ELBO; returns (embeddings, params, loss history).
 
     Each epoch runs encode, reparameterized sampling, decode, and one
     optimizer step. The returned embedding matrix is the posterior mean
-    under the final parameters, deterministic for a fixed seed.
+    under the final parameters, deterministic for a fixed seed. A
+    non-finite loss or embedding raises TrainingError.
     """
     if graph.size == 0:
         raise TrainingError("cannot train on an empty graph")
-    a_norm = Tensor(normalize_adjacency(graph.adjacency))
+    a_norm, ax = _encoder_inputs(graph)
     a_bin = binarize_edges(graph.adjacency)
-    x = Tensor(graph.attributes)
     params = VgaeParams.create(graph.attributes.shape[1], config.hidden, config.latent, rng)
     param_list = params.as_list()
     opt = ad.AdamState.for_params(param_list, lr=config.lr)
     history: list[float] = []
     for epoch in range(config.epochs):
         ad.zero_grads(param_list)
-        posterior = encode(a_norm, x, params)
+        posterior = encode(a_norm, ax, params)
         z = ad.gaussian_sample(posterior.mu, posterior.logvar, rng=rng)
         loss = vgae_loss(decode(z), a_bin, posterior)
+        value = loss.item()
+        if not math.isfinite(value):
+            raise TrainingError(f"vgae loss is {value} at epoch {epoch + 1}/{config.epochs}")
         loss.backward()
         ad.adam_step(param_list, opt)
-        history.append(loss.item())
+        history.append(value)
         logger.info("vgae epoch %d/%d loss %.6f", epoch + 1, config.epochs, history[-1])
-    final = encode(a_norm, x, params)
+    final = encode(a_norm, ax, params)
+    if not np.isfinite(final.mu.data).all():
+        raise TrainingError(f"vgae embeddings are not finite after {config.epochs} epochs")
     embeddings = EmojiEmbeddings(ids=list(graph.node_ids), vectors=final.mu.data.copy())
     return embeddings, params, history
 
 
 def embed_nodes(graph: CoocGraph, params: VgaeParams) -> EmojiEmbeddings:
     """Posterior means for the graph under fixed parameters."""
-    a_norm = Tensor(normalize_adjacency(graph.adjacency))
-    posterior = encode(a_norm, Tensor(graph.attributes), params)
+    a_norm, ax = _encoder_inputs(graph)
+    posterior = encode(a_norm, ax, params)
     return EmojiEmbeddings(ids=list(graph.node_ids), vectors=posterior.mu.data.copy())
 
 

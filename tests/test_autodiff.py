@@ -5,7 +5,7 @@ import pytest
 
 from emofuse import autodiff as ad
 from emofuse.autodiff import AdamState, Tensor, adam_step, grad_check, load_tensors, save_tensors
-from emofuse.exceptions import ShapeError
+from emofuse.exceptions import CheckpointError, EmofuseError, ShapeError
 
 
 class TestBackwardBasics:
@@ -81,6 +81,19 @@ class TestElementwise:
     def test_sigmoid_extremes_stay_finite(self):
         out = ad.sigmoid(Tensor([-800.0, 800.0]))
         assert np.isfinite(out.data).all()
+
+    def test_sigmoid_values_match_two_branch_formula(self):
+        def two_branch(x):
+            out = np.empty_like(x)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+        edges = np.array([np.nan, -0.0, 0.0, -800.0, 800.0, np.inf, -np.inf, 5e-324, -5e-324, -36.0, 37.0])
+        random = np.random.default_rng(0).normal(0.0, 20.0, (40, 30))
+        for x in (edges, random):
+            np.testing.assert_array_equal(ad._sigmoid_values(x), two_branch(x))
 
 
 class TestGaussianSample:
@@ -260,8 +273,40 @@ class TestTensorContainer:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ntc"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(ValueError, match="magic"):
+        with pytest.raises(CheckpointError, match="magic"):
             load_tensors(path)
+
+    def test_unknown_version_rejected(self, tmp_path):
+        path = tmp_path / "future.ntc"
+        path.write_bytes(b"EFTS" + (2).to_bytes(4, "little") + bytes(4))
+        with pytest.raises(CheckpointError, match="version 2"):
+            load_tensors(path)
+
+    def test_every_truncation_raises_a_typed_error_naming_the_file(self, tmp_path):
+        full = tmp_path / "full.ntc"
+        save_tensors(full, {"w\u00e9ight": np.arange(6.0).reshape(2, 3), "bias": np.array([0.5]),
+                            "scalar": np.array(2.0)})
+        blob = full.read_bytes()
+        path = tmp_path / "cut.ntc"
+        for size in range(len(blob)):
+            path.write_bytes(blob[:size])
+            with pytest.raises(EmofuseError) as err:
+                load_tensors(path)
+            assert isinstance(err.value, CheckpointError)
+            assert str(path) in str(err.value)
+
+    def test_oversized_field_rejected_without_reading(self, tmp_path):
+        path = tmp_path / "huge.ntc"
+        save_tensors(path, {"w": np.zeros(2)})
+        valid = path.read_bytes()
+        # layout: magic 0-3, version and count 4-11, name length 12-15, "w" 16,
+        # ndim 17-20, shape 21-24, payload 25-40
+        for offset in (12, 17, 21):
+            blob = bytearray(valid)
+            blob[offset:offset + 4] = (0xFFFFFFFF).to_bytes(4, "little")
+            path.write_bytes(bytes(blob))
+            with pytest.raises(CheckpointError, match="truncated"):
+                load_tensors(path)
 
     def test_identical_content_identical_bytes(self, tmp_path):
         tensors = {"w": np.linspace(0, 1, 7)}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import INVENTORY_PATH, WORD_VECTORS_PATH, make_emoji_labeled_posts, write_jsonl
+from emofuse import vgae
 from emofuse.cli import cli_main
 from emofuse.vgae import EmojiEmbeddings
 
@@ -143,3 +144,25 @@ class TestCliPipeline:
         code = cli_main(["evaluate", "--config", "run.cfg", "--set", "test_data=bad_test.jsonl"])
         assert code != 0
         assert "classes" in capsys.readouterr().err
+
+    def test_nonfinite_vgae_loss_exits_1_without_embeddings(self, workspace, capsys, monkeypatch):
+        assert cli_main(["build-graph", "--config", "run.cfg"]) == 0
+        original = vgae.vgae_loss
+        monkeypatch.setattr(vgae, "vgae_loss", lambda *args: original(*args) * float("nan"))
+        assert cli_main(["train-vgae", "--config", "run.cfg"]) == 1
+        assert "error: vgae loss is nan at epoch 1/10" in capsys.readouterr().err
+        assert not (workspace / "out" / "embeddings.txt").exists()
+
+    def test_truncated_checkpoints_exit_1_with_the_file_named(self, workspace, capsys):
+        assert cli_main(["build-graph", "--config", "run.cfg"]) == 0
+        assert cli_main(["train-vgae", "--config", "run.cfg"]) == 0
+        assert cli_main(["train-classifier", "--config", "run.cfg"]) == 0
+        capsys.readouterr()
+        for name in ("vgae.ntc", "classifier.ntc"):
+            path = workspace / "out" / name
+            path.write_bytes(path.read_bytes()[:-3])
+        code = cli_main(["export-embeddings", "--config", "run.cfg", "--set", "checkpoint=out/vgae.ntc"])
+        assert code == 1
+        assert "error: tensor container out/vgae.ntc is truncated" in capsys.readouterr().err
+        assert cli_main(["evaluate", "--config", "run.cfg"]) == 1
+        assert "classifier.ntc is truncated" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from conftest import make_emoji_labeled_posts
 from emofuse.attention import FusionWiring
 from emofuse.config import RunConfig, apply_overrides, load_config
 from emofuse.exceptions import ConfigError, TrainingError
+from emofuse import pipeline
 from emofuse.model import SentimentModel, apply_ablation, build_model
 from emofuse.pipeline import evaluate, train_classifier, write_history_csv
 from emofuse.tokenization import RawPost, tokenize
@@ -130,6 +133,20 @@ class TestTrainClassifier:
                                np.random.default_rng(2))
         history = train_classifier(model, posts, np.random.default_rng(2))
         assert history[-1].loss < history[0].loss
+
+    def test_nonfinite_loss_raises_naming_the_epoch(self, word_table, monkeypatch):
+        posts = make_emoji_labeled_posts(8, seed=5)
+        original, calls = pipeline.cross_entropy_logits, []
+
+        def poisoned(logits, label):
+            calls.append(None)
+            loss = original(logits, label)
+            return loss * math.nan if len(calls) == len(posts) + 3 else loss  # a post of epoch 2
+        monkeypatch.setattr(pipeline, "cross_entropy_logits", poisoned)
+        model = SentimentModel(tiny_config(epochs=3), word_table, tiny_embeddings(),
+                               np.random.default_rng(0))
+        with pytest.raises(TrainingError, match="epoch 2/3"):
+            train_classifier(model, posts, np.random.default_rng(0))
 
     def test_emoji_matrix_stays_frozen(self, word_table):
         posts = make_emoji_labeled_posts(8, seed=4)

@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from conftest import make_emoji_labeled_posts
 from emofuse import autodiff as ad
+from emofuse import vgae
 from emofuse.autodiff import Tensor, grad_check
 from emofuse.exceptions import TrainingError
-from emofuse.graph import CoocGraph, binarize_edges, normalize_adjacency
+from emofuse.graph import CoocGraph, binarize_edges, build_cooc_graph, count_cooccurrences, normalize_adjacency
+from emofuse.tokenization import tokenize
 from emofuse.vgae import (
+    EdgeProbabilities,
     LatentPosterior,
     VgaeConfig,
     VgaeParams,
@@ -15,7 +19,6 @@ from emofuse.vgae import (
     edge_auc,
     embed_nodes,
     encode,
-    gcn_layer,
     train_vgae,
     vgae_loss,
 )
@@ -45,6 +48,34 @@ def scalar_loss_oracle(a_hat, a_bin, mu, logvar):
     return norm * bce + kl
 
 
+def softplus_limit(t):
+    """softplus(t) = log(1 + e^t) for |t| >= 50: t + e^-t or e^t, exact to double precision."""
+    assert abs(t) >= 50.0
+    return max(t, 0.0) + math.exp(-abs(t))
+
+
+def plain_sigmoid(t):
+    return 1.0 / (1.0 + math.exp(-t)) if t >= 0 else math.exp(t) / (1.0 + math.exp(t))
+
+
+def tape_nodes(root):
+    """Every tensor reachable from `root` through the recorded parents."""
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+def ring_target(n):
+    adjacency = np.zeros((n, n))
+    for i in range(n):
+        adjacency[i, (i + 1) % n] = adjacency[(i + 1) % n, i] = 1.0
+    return binarize_edges(adjacency)
+
+
 def make_cluster_graph(seed=100, n=20, p_in=0.8, p_out=0.05):
     rng = np.random.default_rng(seed)
     adjacency = np.zeros((n, n))
@@ -61,26 +92,6 @@ def make_cluster_graph(seed=100, n=20, p_in=0.8, p_out=0.05):
     attributes += rng.normal(0, 0.1, attributes.shape)
     return CoocGraph(node_ids=[f"e{i}" for i in range(n)], pair_counts={},
                      adjacency=adjacency, attributes=attributes)
-
-
-class TestGcnLayer:
-    def test_identity_propagation_is_dense_layer(self):
-        rng = np.random.default_rng(0)
-        h = Tensor(rng.standard_normal((3, 4)))
-        w = Tensor(rng.standard_normal((4, 2)))
-        out = gcn_layer(Tensor(np.eye(3)), h, w, activation=ad.relu)
-        np.testing.assert_allclose(out.data, np.maximum(h.data @ w.data, 0.0), atol=1e-15)
-
-    def test_zero_features_stay_zero(self):
-        out = gcn_layer(Tensor(np.eye(2)), Tensor(np.zeros((2, 3))), Tensor(np.ones((3, 2))))
-        assert not out.data.any()
-
-    def test_two_node_hand_product(self):
-        a_norm = np.array([[0.5, 0.5], [0.5, 0.5]])
-        h = np.array([[1.0, 2.0], [3.0, 4.0]])
-        w = np.array([[1.0], [1.0]])
-        out = gcn_layer(Tensor(a_norm), Tensor(h), Tensor(w))
-        np.testing.assert_allclose(out.data, a_norm @ h @ w, atol=1e-15)
 
 
 class TestEncode:
@@ -105,7 +116,7 @@ class TestEncode:
             w_mu=Tensor(np.array([[0.3], [0.7]])),
             w_logvar=Tensor(np.array([[-0.2], [0.1]])),
         )
-        posterior = encode(Tensor(a_norm), Tensor(x), params)
+        posterior = encode(Tensor(a_norm), Tensor(a_norm @ x), params)
         hidden = np.maximum(a_norm @ x @ params.w_in.data, 0.0)
         np.testing.assert_allclose(posterior.mu.data, a_norm @ hidden @ params.w_mu.data, atol=1e-15)
         np.testing.assert_allclose(posterior.logvar.data, a_norm @ hidden @ params.w_logvar.data, atol=1e-15)
@@ -132,6 +143,20 @@ class TestDecode:
         out = decode(Tensor(rng.standard_normal((6, 4))))
         np.testing.assert_allclose(out.data, out.data.T, atol=1e-12)
         assert (out.data > 0).all() and (out.data < 1).all()
+
+    def test_keeps_logits_and_latents(self):
+        z = Tensor(np.random.default_rng(6).standard_normal((4, 3)))
+        out = decode(z)
+        assert isinstance(out, EdgeProbabilities)
+        np.testing.assert_array_equal(out.logits, z.data @ z.data.T)
+        assert out.latents is z
+
+    def test_own_gradient_passes_grad_check(self):
+        # the rule other losses than vgae_loss use
+        rng = np.random.default_rng(8)
+        z = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        mix = rng.standard_normal((4, 4))
+        assert grad_check(lambda t: ad.tensor_sum(ad.mul(decode(t), mix)), z) < 1e-7
 
 
 class TestVgaeLoss:
@@ -189,6 +214,71 @@ class TestVgaeLoss:
             assert loss.item() >= base.item() - 1e-12
 
 
+class TestLossFromLogits:
+    def test_matches_probability_path(self):
+        rng = np.random.default_rng(12)
+        n = 6
+        a_bin = ring_target(n)
+        probs = decode(Tensor(rng.standard_normal((n, 3))))
+        posterior = LatentPosterior(mu=Tensor(rng.standard_normal((n, 3))),
+                                    logvar=Tensor(rng.standard_normal((n, 3)) * 0.3))
+        fused = vgae_loss(probs, a_bin, posterior).item()
+        plain = vgae_loss(Tensor(probs.data), a_bin, posterior).item()
+        assert fused == pytest.approx(plain, rel=1e-12)
+
+    def test_passes_grad_check_with_both_edge_classes(self):
+        rng = np.random.default_rng(13)
+        n = 6
+        a_bin = ring_target(n)
+        assert 0 < a_bin.sum() < n * n
+        z = Tensor(rng.standard_normal((n, 3)) * 1.5, requires_grad=True)
+        mu = Tensor(rng.standard_normal((n, 3)), requires_grad=True)
+        logvar = Tensor(rng.standard_normal((n, 3)) * 0.3, requires_grad=True)
+        posterior = LatentPosterior(mu=mu, logvar=logvar)
+        for target in (z, mu, logvar):
+            err = grad_check(lambda t: vgae_loss(decode(z), a_bin, posterior), target)
+            assert err < 1e-7
+
+    def test_loss_does_not_pass_through_probabilities(self):
+        rng = np.random.default_rng(14)
+        z = Tensor(rng.standard_normal((5, 2)), requires_grad=True)
+        probs = decode(z)
+        posterior = LatentPosterior(mu=z, logvar=Tensor(np.zeros((5, 2))))
+        nodes = tape_nodes(vgae_loss(probs, ring_target(5), posterior))
+        assert all(node is not probs for node in nodes)
+        assert len(nodes) == 5  # loss = bce + kl, then z and the constant logvar
+
+    def test_saturated_latents_give_analytic_loss_and_gradient(self):
+        # the 0-1 edge is a positive scored -800 (sigmoid exactly 0), the 0-2
+        # pair a negative scored +55 (sigmoid exactly 1); the rest saturate correctly
+        n = 3
+        a_bin = binarize_edges(np.array([[0, 1.0, 0], [1.0, 0, 1.0], [0, 1.0, 0]]))
+        gram = np.array([[2000.0, -800.0, 55.0], [-800.0, 2000.0, 60.0], [55.0, 60.0, 2000.0]])
+        z = Tensor(np.linalg.cholesky(gram), requires_grad=True)
+        s = z.data @ z.data.T
+        assert (np.abs(s) >= 50).all()
+        probs = decode(z)
+        assert probs.data[0, 1] == 0.0 and probs.data[0, 2] == 1.0
+        zeros = Tensor(np.zeros((n, 2)))
+        loss = vgae_loss(probs, a_bin, LatentPosterior(mu=zeros, logvar=zeros))
+
+        total, positives = n * n, a_bin.sum()
+        pos_weight = (total - positives) / positives
+        scale = 1.0 / (2.0 * (total - positives))  # norm / N^2
+        expected = scale * sum(
+            pos_weight * softplus_limit(-s[i, j]) if a_bin[i, j] else softplus_limit(s[i, j])
+            for i in range(n) for j in range(n))
+        assert math.isfinite(loss.item())
+        assert loss.item() == pytest.approx(expected, rel=1e-12)
+
+        loss.backward()
+        d_logits = np.array([[scale * (pos_weight * (plain_sigmoid(s[i, j]) - 1.0) if a_bin[i, j]
+                                       else plain_sigmoid(s[i, j])) for j in range(n)]
+                             for i in range(n)])
+        assert np.isfinite(z.grad).all()
+        np.testing.assert_allclose(z.grad, (d_logits + d_logits.T) @ z.data, rtol=1e-12, atol=1e-12)
+
+
 class TestVgaeGradients:
     def test_grad_check_on_five_node_graph(self):
         rng = np.random.default_rng(21)
@@ -203,7 +293,7 @@ class TestVgaeGradients:
         noise = rng.standard_normal((n, 2))
 
         def loss_for(params_override):
-            posterior = encode(a_norm, Tensor(x), params_override)
+            posterior = encode(a_norm, ad.matmul(a_norm, Tensor(x)), params_override)
             z = ad.gaussian_sample(posterior.mu, posterior.logvar, noise=noise)
             return vgae_loss(decode(z), a_bin, posterior)
 
@@ -242,6 +332,54 @@ class TestTrainVgae:
                           attributes=np.zeros((0, 4)))
         with pytest.raises(TrainingError):
             train_vgae(empty, VgaeConfig(epochs=1), np.random.default_rng(0))
+
+    def test_embeddings_equal_embed_nodes(self):
+        graph = make_cluster_graph()
+        embeddings, params, _ = train_vgae(graph, VgaeConfig(hidden=16, latent=8, epochs=5),
+                                           np.random.default_rng(5))
+        np.testing.assert_array_equal(embeddings.vectors, embed_nodes(graph, params).vectors)
+
+    def test_calls_each_stage_through_the_module_once_per_epoch(self, monkeypatch):
+        counts = {}
+        for name in ("encode", "decode", "vgae_loss"):
+            def counted(*args, _name=name, _original=getattr(vgae, name)):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _original(*args)
+            monkeypatch.setattr(vgae, name, counted)
+        train_vgae(make_cluster_graph(), VgaeConfig(hidden=8, latent=4, epochs=6),
+                   np.random.default_rng(0))
+        # encode runs once more, for the final posterior
+        assert counts == {"encode": 7, "decode": 6, "vgae_loss": 6}
+
+    def test_nonfinite_loss_raises_naming_the_epoch(self, monkeypatch):
+        original, calls = vgae.vgae_loss, []
+
+        def poisoned(*args):
+            calls.append(None)
+            loss = original(*args)
+            return ad.mul(loss, math.nan) if len(calls) == 3 else loss
+        monkeypatch.setattr(vgae, "vgae_loss", poisoned)
+        with pytest.raises(TrainingError, match="epoch 3/10"):
+            train_vgae(make_cluster_graph(), VgaeConfig(hidden=8, latent=4, epochs=10),
+                       np.random.default_rng(0))
+
+    def test_infinite_attribute_raises_before_embeddings_are_returned(self):
+        graph = make_cluster_graph()
+        graph.attributes[0, 0] = np.inf
+        with np.errstate(all="ignore"), pytest.raises(TrainingError, match="epoch 1/4"):
+            train_vgae(graph, VgaeConfig(hidden=8, latent=4, epochs=4), np.random.default_rng(0))
+        with np.errstate(all="ignore"), pytest.raises(TrainingError, match="after 0 epochs"):
+            train_vgae(graph, VgaeConfig(hidden=8, latent=4, epochs=0), np.random.default_rng(0))
+
+
+def test_default_dims_sample_run_is_finite(inventory, word_table):
+    """The documented default VgaeConfig (256/300/50) on the sample data stays finite."""
+    posts = make_emoji_labeled_posts(400, 0)
+    graph = build_cooc_graph(count_cooccurrences(tokenize(p.text) for p in posts), inventory, word_table)
+    embeddings, _, history = train_vgae(graph, VgaeConfig(), np.random.default_rng(0))
+    assert len(history) == 50
+    assert all(math.isfinite(loss) for loss in history)
+    assert np.isfinite(embeddings.vectors).all()
 
 
 class TestEdgeAuc:
