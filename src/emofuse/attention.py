@@ -78,11 +78,6 @@ class AttentionUnitParams:
             norm2_bias=ad.zeros_parameter((d,)),
         )
 
-    def as_list(self):
-        return [self.wq, self.wk, self.wv, self.ffn_w1, self.ffn_b1,
-                self.ffn_w2, self.ffn_b2, self.norm1_gain, self.norm1_bias,
-                self.norm2_gain, self.norm2_bias]
-
 
 def _feed_forward(x, p: AttentionUnitParams) -> Tensor:
     hidden = ad.relu(ad.matmul(x, p.ffn_w1) + p.ffn_b1)
@@ -135,12 +130,6 @@ class FusionParams:
             unit_emoji=AttentionUnitParams.create(d, d_ff, rng),
             unit_cross=AttentionUnitParams.create(d, d_ff, rng),
         )
-
-    def as_list(self):
-        return ([self.proj_text, self.proj_emoji, self.proj_skip]
-                + self.unit_text.as_list()
-                + self.unit_emoji.as_list()
-                + self.unit_cross.as_list())
 
 
 @dataclass(frozen=True)

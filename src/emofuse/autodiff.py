@@ -17,6 +17,7 @@ reconstruction cross-entropy and the KL term are one node each.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import struct
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import CheckpointError, ShapeError
+from .exceptions import CheckpointError, ConfigError, ShapeError
 
 
 class Tensor:
@@ -441,6 +442,47 @@ def zeros_parameter(shape) -> Tensor:
 
 def ones_parameter(shape) -> Tensor:
     return Tensor(np.ones(shape), requires_grad=True)
+
+
+def named_parameters(root, prefix=""):
+    """Yield (name, Tensor) for every tensor reachable from a params object.
+
+    Dataclass fields are walked in declaration order and list items by
+    index; other fields (sizes such as ``BiLstmParams.hidden``) are skipped.
+    A name is the dotted attribute path under `prefix`, e.g.
+    ``encoder.layer1.forward.w_x`` or ``cnn.banks.0.1.kernels``. This one
+    order is the optimizer's slot order and the checkpoint's key order.
+    """
+    if isinstance(root, Tensor):
+        yield prefix, root
+        return
+    if dataclasses.is_dataclass(root):
+        children = [(f.name, getattr(root, f.name)) for f in dataclasses.fields(root)]
+    elif isinstance(root, list):
+        children = [(str(i), item) for i, item in enumerate(root)]
+    else:
+        return
+    for name, child in children:
+        yield from named_parameters(child, f"{prefix}.{name}" if prefix else name)
+
+
+def load_parameters(root, tensors, source, prefix=""):
+    """Copy `tensors[name]` into every parameter `named_parameters` yields.
+
+    Raises ConfigError naming `source` and the tensor when a name is missing
+    or a shape differs; nothing is copied unless every tensor fits.
+    """
+    pairs = []
+    for name, param in named_parameters(root, prefix):
+        stored = tensors.get(name)
+        if stored is None:
+            raise ConfigError(f"{source}: missing tensor {name}")
+        if stored.shape != param.data.shape:
+            raise ConfigError(f"{source}: tensor {name} has shape {stored.shape}, "
+                              f"expected {param.data.shape}")
+        pairs.append((param, stored))
+    for param, stored in pairs:
+        param.data = stored.copy()
 
 
 def zero_grads(params):

@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .autodiff import Tensor, load_tensors, save_tensors
+from .autodiff import load_parameters, load_tensors, named_parameters, save_tensors
 from .clustering import cluster_similarity, write_similarity_tsv
 from .config import RunConfig, apply_overrides, config_from_dict, load_config
 from .exceptions import ConfigError, EmofuseError
@@ -36,6 +36,7 @@ GRAPH_CHECKPOINT = "vgae.ntc"
 EMBEDDINGS_FILE = "embeddings.txt"
 CLASSIFIER_CHECKPOINT = "classifier.ntc"
 CLASSIFIER_META = "classifier_meta.json"
+VGAE_PREFIX = "vgae"  # graph checkpoint keys are vgae.w_in, vgae.w_mu, vgae.w_logvar
 
 
 def _load_run_config(args) -> RunConfig:
@@ -81,7 +82,8 @@ def cmd_train_vgae(args) -> int:
     embeddings, params, history = train_vgae(graph, vgae_config, rng)
     embeddings_path = _out_path(config, EMBEDDINGS_FILE)
     embeddings.save(embeddings_path)
-    save_tensors(_out_path(config, GRAPH_CHECKPOINT), params.named())
+    save_tensors(_out_path(config, GRAPH_CHECKPOINT),
+                 {name: p.data for name, p in named_parameters(params, VGAE_PREFIX)})
     write_loss_csv(_out_path(config, "vgae_history.csv"), history)
     final_loss = history[-1] if history else float("nan")
     print(f"vgae: {len(embeddings.ids)} embeddings of dim {embeddings.dimension} "
@@ -93,15 +95,9 @@ def cmd_export_embeddings(args) -> int:
     config = _load_run_config(args)
     _require(config, "graph_dir", "checkpoint")
     graph = load_graph(config.graph_dir)
-    tensors = load_tensors(config.checkpoint)
-    try:
-        params = VgaeParams(
-            w_in=Tensor(tensors["vgae.w_in"]),
-            w_mu=Tensor(tensors["vgae.w_mu"]),
-            w_logvar=Tensor(tensors["vgae.w_logvar"]),
-        )
-    except KeyError as err:
-        raise ConfigError(f"checkpoint {config.checkpoint} missing tensor {err}") from err
+    params = VgaeParams.create(graph.attributes.shape[1], config.vgae_hidden, config.vgae_latent,
+                               np.random.default_rng(config.seed))
+    load_parameters(params, load_tensors(config.checkpoint), config.checkpoint, VGAE_PREFIX)
     embeddings = embed_nodes(graph, params)
     path = config.embeddings or _out_path(config, EMBEDDINGS_FILE)
     embeddings.save(path)
@@ -143,7 +139,7 @@ def load_classifier(checkpoint_path, meta_path, word_table: WordEmbeddingTable) 
     if matrix is None or matrix.shape[0] != len(ids):
         raise ConfigError(f"checkpoint {checkpoint_path} has no emoji matrix matching its id list")
     model = build_model(config, word_table, EmojiEmbeddings(ids=ids, vectors=matrix))
-    model.load_state(tensors)
+    model.load_state(tensors, checkpoint_path)
     return model
 
 

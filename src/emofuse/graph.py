@@ -9,6 +9,7 @@ sense vectors; node attributes are the averaged keyword word vectors.
 from __future__ import annotations
 
 import logging
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
@@ -174,7 +175,7 @@ def load_graph(directory) -> CoocGraph:
     try:
         with open(nodes_path, "r", encoding="utf-8") as fh:
             node_ids = [line.rstrip("\n") for line in fh if line.strip()]
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise CorpusError(f"cannot read graph nodes {nodes_path}: {err}") from err
     n = len(node_ids)
     adjacency = np.zeros((n, n), dtype=np.float64)
@@ -185,14 +186,24 @@ def load_graph(directory) -> CoocGraph:
             for line_no, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
+                where = f"{edges_path}:{line_no}"
                 parts = line.rstrip("\n").split("\t")
                 if len(parts) != 4:
-                    raise CorpusError(f"{edges_path}:{line_no}: expected 4 tab-separated fields")
-                i, j, count, weight = int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
+                    raise CorpusError(f"{where}: expected 4 tab-separated fields")
+                try:
+                    i, j, count, weight = int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
+                except ValueError:
+                    raise CorpusError(f"{where}: expected integers i, j, pair_count and a weight") from None
+                if not 0 <= i < j < n:
+                    raise CorpusError(f"{where}: edge ({i}, {j}) needs 0 <= i < j < {n}")
+                if count < 0:
+                    raise CorpusError(f"{where}: pair count {count} is negative")
+                if not (math.isfinite(weight) and weight >= 0.0):
+                    raise CorpusError(f"{where}: weight {weight} is not a finite non-negative number")
                 pair_counts[(i, j)] = count
                 adjacency[i, j] = weight
                 adjacency[j, i] = weight
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise CorpusError(f"cannot read graph edges {edges_path}: {err}") from err
     attr_ids, attributes = read_vector_table(os.path.join(directory, ATTRIBUTES_FILE))
     if attr_ids != node_ids:

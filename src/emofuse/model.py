@@ -49,34 +49,6 @@ class ModelParams:
     fusion: FusionParams
     cnn: TextCnnParams
 
-    def as_list(self):
-        return (self.encoder.as_list() + [self.no_emoji]
-                + self.fusion.as_list() + self.cnn.as_list())
-
-    def named(self) -> dict[str, np.ndarray]:
-        names = self._names()
-        tensors = self.as_list()
-        return {name: t.data for name, t in zip(names, tensors)}
-
-    def _names(self) -> list[str]:
-        names = []
-        for layer in ("lstm1", "lstm2"):
-            for direction in ("fwd", "bwd"):
-                for part in ("wx", "wh", "b"):
-                    names.append(f"encoder.{layer}.{direction}.{part}")
-        names.append("no_emoji")
-        names.extend(["fusion.proj_text", "fusion.proj_emoji", "fusion.proj_skip"])
-        unit_parts = ("wq", "wk", "wv", "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2",
-                      "norm1_gain", "norm1_bias", "norm2_gain", "norm2_bias")
-        for unit in ("unit_text", "unit_emoji", "unit_cross"):
-            names.extend(f"fusion.{unit}.{part}" for part in unit_parts)
-        for c, channel in enumerate(self.cnn.banks):
-            for bank in channel:
-                names.append(f"cnn.ch{c}.k{bank.width}.kernels")
-                names.append(f"cnn.ch{c}.k{bank.width}.bias")
-        names.extend(["cnn.dense_w", "cnn.dense_b"])
-        return names
-
 
 class SentimentModel:
     """One trainable classifier instance bound to its frozen feature tables."""
@@ -113,9 +85,6 @@ class SentimentModel:
                 rng=rng,
             ),
         )
-
-    def trainable(self) -> list[Tensor]:
-        return self.params.as_list()
 
     def _emoji_rows(self, emojis: list[Token]) -> tuple[Tensor, Tensor]:
         """Position-encoded rows and raw embedding rows; constants unless no emoji stands in."""
@@ -158,25 +127,19 @@ class SentimentModel:
     # --- persistence ---------------------------------------------------------
 
     def state_tensors(self) -> dict[str, np.ndarray]:
-        tensors = dict(self.params.named())
+        tensors = {name: p.data for name, p in ad.named_parameters(self.params)}
         tensors["emoji_matrix"] = self.emoji_matrix.data
         return tensors
 
-    def load_state(self, tensors: dict[str, np.ndarray]):
-        named = self.params.named()
-        missing = sorted(set(named) - set(tensors))
-        if missing:
-            raise ConfigError(f"checkpoint missing tensors: {', '.join(missing[:5])}")
-        for name, current in zip(self.params._names(), self.params.as_list()):
-            stored = tensors[name]
-            if stored.shape != current.data.shape:
-                raise ConfigError(
-                    f"checkpoint tensor {name} has shape {stored.shape}, expected {current.data.shape}")
-            current.data = stored.copy()
-        if "emoji_matrix" in tensors:
-            if tensors["emoji_matrix"].shape != self.emoji_matrix.data.shape:
-                raise ConfigError("checkpoint emoji matrix shape mismatch")
-            self.emoji_matrix.data = tensors["emoji_matrix"].copy()
+    def load_state(self, tensors: dict[str, np.ndarray], source: str = "state"):
+        """Load `state_tensors` output; `source` names the file in errors."""
+        matrix = tensors.get("emoji_matrix")
+        if matrix is not None and matrix.shape != self.emoji_matrix.data.shape:
+            raise ConfigError(f"{source}: tensor emoji_matrix has shape {matrix.shape}, "
+                              f"expected {self.emoji_matrix.data.shape}")
+        ad.load_parameters(self.params, tensors, source)
+        if matrix is not None:
+            self.emoji_matrix.data = matrix.copy()
 
 
 def build_model(config: RunConfig, word_table: WordEmbeddingTable,

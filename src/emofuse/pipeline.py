@@ -75,7 +75,7 @@ def train_classifier(model: SentimentModel, posts: list[RawPost], rng) -> list[E
     _check_labels(posts, config.num_classes)
     sequences = [tokenize(p.text) for p in posts]
     labels = [p.label for p in posts]
-    params = model.trainable()
+    params = [p for _, p in ad.named_parameters(model.params)]
     opt = ad.AdamState.for_params(params, lr=config.lr)
     history: list[EpochStats] = []
     for epoch in range(config.epochs):

@@ -31,9 +31,6 @@ class EmojiSenseEntry:
     description: str
     keywords: tuple[str, ...]
     senses: tuple[str, ...]
-    image_refs: tuple[str, ...] = ()
-    related: tuple[str, ...] = ()
-    category: str = ""
 
     @property
     def degraded(self) -> bool:
@@ -72,8 +69,9 @@ def _parse_codepoints(value: str) -> str:
 def load_emojinet(path) -> SenseInventory:
     """Load a JSON array of sense-inventory entries keyed by emoji.
 
-    Raises InventoryError for I/O problems, duplicate emoji keys, or entries
-    missing mandatory fields. Entries with empty senses load but are flagged
+    Raises InventoryError for I/O problems, duplicate emoji keys, entries
+    missing mandatory fields, or keywords/senses that are not lists. Other
+    keys are ignored. Entries with empty senses load but are flagged
     degraded.
     """
     try:
@@ -97,6 +95,9 @@ def load_emojinet(path) -> SenseInventory:
             raise InventoryError(f"inventory entry {pos} has an empty unicode field")
         if key in inventory.entries:
             raise InventoryError(f"duplicate inventory key {key!r} at entry {pos}")
+        for list_key in ("keywords", "senses"):
+            if not isinstance(item[list_key], list):
+                raise InventoryError(f"inventory entry {pos} ({key!r}): {list_key} must be a list")
         entry = EmojiSenseEntry(
             codepoints=key,
             name=str(item["name"]),
@@ -104,9 +105,6 @@ def load_emojinet(path) -> SenseInventory:
             description=str(item["description"]),
             keywords=tuple(str(k) for k in item["keywords"]),
             senses=tuple(str(s) for s in item["senses"]),
-            image_refs=tuple(str(x) for x in item.get("images", ())),
-            related=tuple(str(x) for x in item.get("related", ())),
-            category=str(item.get("category", "")),
         )
         if entry.degraded:
             logger.warning("inventory entry %s is degraded (empty senses or keywords)", key)

@@ -3,9 +3,9 @@
 The word side looks up pretrained vectors and runs two stacked bidirectional
 LSTM layers, concatenating the embedding layer and both LSTM outputs along
 the feature axis (a skip connection, so later stages see every level). The
-emoji side adds a fixed sinusoidal positional encoding to each emoji's
-embedding, using the emoji's absolute position in the original mixed token
-stream.
+emoji side's fixed sinusoidal positional encoding is defined here too; the
+model adds it to each emoji's embedding at the emoji's absolute position in
+the original mixed token stream.
 
 Sequence features are stored time-major: shape (length, features).
 """
@@ -69,36 +69,6 @@ def positional_encoding(pos: int, d_model: int, base: float = 1000.0) -> np.ndar
     return out
 
 
-@dataclass(frozen=True)
-class EmojiInputFeatures:
-    """Emoji embedding rows plus positional encodings, duplicates preserved."""
-
-    features: np.ndarray  # N x d_model
-    positions: tuple[int, ...]
-
-    @property
-    def count(self) -> int:
-        return self.features.shape[0]
-
-
-def emoji_input_features(emojis: list[Token], embeddings, base: float = 1000.0) -> EmojiInputFeatures:
-    """Embedding-plus-position row per emoji token (zeros for unknown emojis).
-
-    Posts without emojis yield an empty (0, d) matrix; the model layer swaps
-    in its learned placeholder there so attention always has a context.
-    """
-    dim = embeddings.dimension
-    rows = np.zeros((len(emojis), dim), dtype=np.float64)
-    positions = []
-    for k, token in enumerate(emojis):
-        vec = embeddings.get(token.surface)
-        if vec is not None:
-            rows[k] = vec
-        rows[k] += positional_encoding(token.position, dim, base)
-        positions.append(token.position)
-    return EmojiInputFeatures(features=rows, positions=tuple(positions))
-
-
 @dataclass
 class LstmDirectionParams:
     """Packed gate weights, order (input, forget, cell, output) along columns."""
@@ -115,9 +85,6 @@ class LstmDirectionParams:
             b=ad.zeros_parameter((4 * hidden,)),
         )
 
-    def as_list(self):
-        return [self.w_x, self.w_h, self.b]
-
 
 @dataclass
 class BiLstmParams:
@@ -132,9 +99,6 @@ class BiLstmParams:
             backward=LstmDirectionParams.create(f_in, hidden, rng),
             hidden=hidden,
         )
-
-    def as_list(self):
-        return self.forward.as_list() + self.backward.as_list()
 
 
 def _run_direction(inputs: Tensor, params: LstmDirectionParams, hidden: int, reverse: bool) -> Tensor:
@@ -222,9 +186,6 @@ class TextEncoderParams:
             layer1=BiLstmParams.create(word_dim, hidden, rng),
             layer2=BiLstmParams.create(2 * hidden, hidden, rng),
         )
-
-    def as_list(self):
-        return self.layer1.as_list() + self.layer2.as_list()
 
 
 @dataclass

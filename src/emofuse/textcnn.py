@@ -63,14 +63,6 @@ class TextCnnParams:
     def max_kernel(self) -> int:
         return max(bank.width for channel in self.banks for bank in channel)
 
-    def as_list(self):
-        out = []
-        for channel in self.banks:
-            for bank in channel:
-                out.extend([bank.kernels, bank.bias])
-        out.extend([self.dense_w, self.dense_b])
-        return out
-
 
 def conv_channel(x, bank: ConvBank) -> Tensor:
     """relu feature maps of one kernel bank over one channel, full depth per tap."""

@@ -14,27 +14,39 @@ from .exceptions import CorpusError
 
 
 def read_vector_table(path) -> tuple[list[str], np.ndarray]:
-    """Read (ids, matrix) from the text format; rows align with ids."""
+    """Read (ids, matrix) from the text format; rows align with ids.
+
+    A malformed header, a row of the wrong width, a non-numeric field or a
+    nan/inf value raises CorpusError naming the file and line. Rows are
+    collected as they are read, so the header's count never sizes an
+    allocation.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().split()
-            if len(header) != 2:
-                raise CorpusError(f"{path}: header must be '<count> <dimension>'")
             try:
-                count, dim = int(header[0]), int(header[1])
+                count, dim = (int(field) for field in fh.readline().split())
             except ValueError:
-                raise CorpusError(f"{path}: header must be '<count> <dimension>'") from None
+                raise CorpusError(f"{path}: line 1: header must be '<count> <dimension>'") from None
+            if count < 0 or dim < 0:
+                raise CorpusError(f"{path}: line 1: header count {count} or dimension {dim} is negative")
             ids: list[str] = []
-            rows = np.empty((count, dim), dtype=np.float64)
-            for i in range(count):
+            rows: list[np.ndarray] = []
+            for line_no in range(2, count + 2):
                 parts = fh.readline().split()
                 if len(parts) != dim + 1:
-                    raise CorpusError(f"{path}: line {i + 2} has {len(parts)} fields, expected {dim + 1}")
+                    raise CorpusError(f"{path}: line {line_no} has {len(parts)} fields, expected {dim + 1}")
+                try:
+                    rows.append(np.array([float(x) for x in parts[1:]], dtype=np.float64))
+                except ValueError:
+                    raise CorpusError(f"{path}: line {line_no} has a non-numeric value") from None
                 ids.append(parts[0])
-                rows[i] = [float(x) for x in parts[1:]]
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise CorpusError(f"cannot read vector table {path}: {err}") from err
-    return ids, rows
+    matrix = np.array(rows, dtype=np.float64).reshape(count, dim)
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        raise CorpusError(f"{path}: line {bad[0] + 2} has a nan or inf value")
+    return ids, matrix
 
 
 def write_vector_table(path, ids, matrix):

@@ -43,13 +43,6 @@ class VgaeParams:
             w_logvar=ad.parameter((hidden, latent), rng),
         )
 
-    def as_list(self) -> list[Tensor]:
-        return [self.w_in, self.w_mu, self.w_logvar]
-
-    def named(self) -> dict[str, np.ndarray]:
-        return {"vgae.w_in": self.w_in.data, "vgae.w_mu": self.w_mu.data,
-                "vgae.w_logvar": self.w_logvar.data}
-
 
 @dataclass
 class LatentPosterior:
@@ -222,7 +215,7 @@ def train_vgae(graph: CoocGraph, config: VgaeConfig, rng) -> tuple[EmojiEmbeddin
     a_norm, ax = _encoder_inputs(graph)
     a_bin = binarize_edges(graph.adjacency)
     params = VgaeParams.create(graph.attributes.shape[1], config.hidden, config.latent, rng)
-    param_list = params.as_list()
+    param_list = [p for _, p in ad.named_parameters(params)]
     opt = ad.AdamState.for_params(param_list, lr=config.lr)
     history: list[float] = []
     for epoch in range(config.epochs):

@@ -26,7 +26,7 @@ import emofuse
 from emofuse import autodiff as ad
 from emofuse.attention import FusionParams, co_attention_unit, fuse, scaled_dot_attention, self_attention_unit
 from emofuse.attention import AttentionUnitParams
-from emofuse.autodiff import Tensor, grad_check
+from emofuse.autodiff import Tensor, grad_check, named_parameters
 from emofuse.clustering import cluster_similarity, write_similarity_tsv
 from emofuse.config import RunConfig
 from emofuse.graph import (
@@ -79,7 +79,8 @@ def test_criterion_1_gradient_integrity(word_table):
         return vgae_loss(decode(z), a_bin, posterior)
 
     worst["vgae_loss"] = max(
-        grad_check(lambda t: vgae_objective(None), tensor) for tensor in vparams.as_list())
+        grad_check(lambda t: vgae_objective(None), tensor)
+        for _, tensor in named_parameters(vparams))
 
     # (b) fuse at L=3, N_e=2, d=8
     rng = np.random.default_rng(22)
@@ -97,7 +98,7 @@ def test_criterion_1_gradient_integrity(word_table):
 
     worst["fuse"] = max(
         grad_check(lambda t: fuse_objective(None), tensor)
-        for tensor in fparams.as_list() + [emoji_raw])
+        for tensor in [t for _, t in named_parameters(fparams)] + [emoji_raw])
 
     # (c) classify at d=8, n=2 filters, kernel sizes (2, 3, 4)
     rng = np.random.default_rng(23)
@@ -108,7 +109,8 @@ def test_criterion_1_gradient_integrity(word_table):
         return cross_entropy_logits(classify_logits(channels, cparams), 1)
 
     worst["classify"] = max(
-        grad_check(lambda t: classify_objective(None), tensor) for tensor in cparams.as_list())
+        grad_check(lambda t: classify_objective(None), tensor)
+        for _, tensor in named_parameters(cparams))
 
     # (d) two stacked Bi-LSTM layers at L=3, h=2
     rng = np.random.default_rng(24)
@@ -122,7 +124,7 @@ def test_criterion_1_gradient_integrity(word_table):
 
     worst["bilstm"] = max(
         grad_check(lambda t: lstm_objective(None), tensor)
-        for tensor in eparams.as_list() + [lstm_in])
+        for tensor in [t for _, t in named_parameters(eparams)] + [lstm_in])
 
     elapsed = time.time() - started
     for name, err in worst.items():

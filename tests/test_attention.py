@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from emofuse import autodiff as ad
-from emofuse.autodiff import Tensor, grad_check
+from emofuse.autodiff import Tensor, grad_check, named_parameters
 from emofuse.attention import (
     AttentionUnitParams,
     FusionParams,
@@ -214,7 +214,7 @@ class TestFuse:
             total = total + ad.mean(fused.emoji)
             return total + ad.mean(ad.mul(fused.cross, weights))
 
-        for tensor in params.as_list():
+        for _, tensor in named_parameters(params):
             err = grad_check(lambda t: f(None), tensor)
             assert err < 1e-4, f"fusion parameter failed grad check with {err}"
         assert grad_check(lambda t: f(None), raw) < 1e-4

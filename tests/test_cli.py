@@ -5,6 +5,7 @@ import pytest
 
 from conftest import INVENTORY_PATH, WORD_VECTORS_PATH, make_emoji_labeled_posts, write_jsonl
 from emofuse import vgae
+from emofuse.autodiff import load_tensors
 from emofuse.cli import cli_main
 from emofuse.vgae import EmojiEmbeddings
 
@@ -152,6 +153,19 @@ class TestCliPipeline:
         assert cli_main(["train-vgae", "--config", "run.cfg"]) == 1
         assert "error: vgae loss is nan at epoch 1/10" in capsys.readouterr().err
         assert not (workspace / "out" / "embeddings.txt").exists()
+
+    def test_export_with_mismatched_hidden_names_the_tensor(self, workspace, capsys):
+        assert cli_main(["build-graph", "--config", "run.cfg"]) == 0
+        assert cli_main(["train-vgae", "--config", "run.cfg"]) == 0
+        assert list(load_tensors(workspace / "out" / "vgae.ntc")) == [
+            "vgae.w_in", "vgae.w_mu", "vgae.w_logvar"]
+        capsys.readouterr()
+        code = cli_main(["export-embeddings", "--config", "run.cfg", "--set", "checkpoint=out/vgae.ntc",
+                         "--set", "vgae_hidden=8", "--set", "embeddings=out/exported.txt"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: out/vgae.ntc: tensor vgae.w_in has shape" in err
+        assert not (workspace / "out" / "exported.txt").exists()
 
     def test_truncated_checkpoints_exit_1_with_the_file_named(self, workspace, capsys):
         assert cli_main(["build-graph", "--config", "run.cfg"]) == 0

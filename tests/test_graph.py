@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from emofuse.exceptions import CorpusError, EmofuseError
 from emofuse.graph import (
+    CoocGraph,
     binarize_edges,
     build_adjacency,
     build_cooc_graph,
@@ -221,6 +223,57 @@ class TestGraphRoundTrip:
         i = graph.node_ids.index("\U0001FAE0")
         assert not graph.attributes[i].any()
         assert graph.adjacency.sum() == 0.0  # cosine against empty vector
+
+
+def write_two_node_graph(directory, edges_text):
+    """A saved two-node graph whose edges.tsv is then replaced by `edges_text`."""
+    graph = CoocGraph(node_ids=["a", "b"], pair_counts={(0, 1): 2},
+                      adjacency=np.array([[0.0, 0.5], [0.5, 0.0]]), attributes=np.zeros((2, 3)))
+    save_graph(graph, directory)
+    (directory / "edges.tsv").write_text(edges_text, encoding="utf-8")
+
+
+class TestLoadGraphErrors:
+    @pytest.mark.parametrize("line", [
+        "0\t5\t1\t0.5",     # index out of range
+        "-1\t1\t1\t0.5",    # negative index
+        "1\t0\t1\t0.5",     # i > j
+        "0\t0\t1\t0.5",     # i == j
+        "x\t1\t1\t0.5",     # index not an integer
+        "0\t1\t1.5\t0.5",   # count not an integer
+        "0\t1\t2\theavy",   # weight not a number
+        "0\t1\t-3\t0.5",    # negative count
+        "0\t1\t2\t-0.5",    # negative weight
+        "0\t1\t2\tnan",
+        "0\t1\t2\tinf",
+        "0\t1\t2",          # too few fields
+    ])
+    def test_bad_edge_line_names_file_and_line(self, tmp_path, line):
+        write_two_node_graph(tmp_path, "0\t1\t2\t0.5\n" + line + "\n")
+        with pytest.raises(CorpusError, match=r"edges\.tsv:2"):
+            load_graph(tmp_path)
+
+    def test_zero_weight_edge_loads(self, tmp_path):
+        write_two_node_graph(tmp_path, "0\t1\t2\t0.0\n")
+        assert load_graph(tmp_path).pair_counts == {(0, 1): 2}
+
+
+@given(st.one_of(st.text(alphabet="01235-.xnaif\t\n e", max_size=40), st.binary(max_size=40)))
+def test_edge_file_fuzz_raises_only_typed_errors(tmp_path_factory, content):
+    directory = tmp_path_factory.mktemp("fuzz_graph")
+    write_two_node_graph(directory, "")
+    path = directory / "edges.tsv"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content, encoding="utf-8")
+    try:
+        graph = load_graph(directory)
+    except EmofuseError:
+        return
+    for (i, j), count in graph.pair_counts.items():
+        assert 0 <= i < j < 2 and count >= 0
+    assert np.isfinite(graph.adjacency).all() and (graph.adjacency >= 0).all()
 
 
 def write_minimal_inventory(tmp_path):

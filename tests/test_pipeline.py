@@ -1,11 +1,16 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from conftest import make_emoji_labeled_posts
 from emofuse.attention import FusionWiring
-from emofuse.config import RunConfig, apply_overrides, load_config
+from emofuse import autodiff as ad
+from emofuse.autodiff import load_tensors, named_parameters, save_tensors
+from emofuse.cli import load_classifier
+from emofuse.config import ABLATIONS, RunConfig, apply_overrides, load_config
 from emofuse.exceptions import ConfigError, TrainingError
 from emofuse import pipeline
 from emofuse.model import SentimentModel, apply_ablation, build_model
@@ -111,8 +116,9 @@ class TestTrainClassifier:
                                    np.random.default_rng(1))
         history = train_classifier(model, posts, np.random.default_rng(0))
         assert history == []
-        for got, want in zip(model.trainable(), reference.trainable()):
-            np.testing.assert_array_equal(got.data, want.data)
+        for (name, got), (_, want) in zip(named_parameters(model.params),
+                                          named_parameters(reference.params)):
+            np.testing.assert_array_equal(got.data, want.data, err_msg=name)
 
     def test_empty_dataset_rejected(self, word_table):
         model = SentimentModel(tiny_config(), word_table, tiny_embeddings(),
@@ -245,3 +251,89 @@ class TestModelPersistence:
         assert lines[0] == "epoch,loss,accuracy"
         assert len(lines) == 3
         assert float(lines[1].split(",")[1]) == history[0].loss
+
+
+def parent_format_key(name, kernel_sizes):
+    """The key the earlier hand-kept name list gave a tensor (encoder.lstm1.fwd.wx, cnn.ch0.k3.bias)."""
+    match = re.fullmatch(r"encoder\.layer(\d)\.(forward|backward)\.(w_x|w_h|b)", name)
+    if match:
+        layer, direction, part = match.groups()
+        short = {"forward": "fwd", "backward": "bwd"}[direction]
+        return f"encoder.lstm{layer}.{short}.{part.replace('_', '')}"
+    match = re.fullmatch(r"cnn\.banks\.(\d+)\.(\d+)\.(kernels|bias)", name)
+    if match:
+        channel, size, part = match.groups()
+        return f"cnn.ch{channel}.k{kernel_sizes[int(size)]}.{part}"
+    return name
+
+
+class TestParameterRegistry:
+    """named_parameters is the one source of names, optimizer order and checkpoint keys."""
+
+    @pytest.mark.parametrize("ablation", ABLATIONS)
+    def test_names_unique_for_every_ablation(self, word_table, ablation):
+        model = SentimentModel(tiny_config(kernel_sizes=(2, 3, 4), ablation=ablation),
+                               word_table, tiny_embeddings(), np.random.default_rng(0))
+        walked = list(named_parameters(model.params))
+        names = [name for name, _ in walked]
+        assert len(set(names)) == len(names) == (63 if ablation == "N" else 69)
+        assert len({id(t) for _, t in walked}) == len(walked)
+        assert all(t.requires_grad for _, t in walked)
+        assert names[0] == "encoder.layer1.forward.w_x"
+        assert "cnn.banks.0.2.kernels" in names
+        assert names[-2:] == ["cnn.dense_w", "cnn.dense_b"]
+
+    def test_walk_order_is_adam_and_checkpoint_order(self, word_table, tmp_path, monkeypatch):
+        config = tiny_config(epochs=1, kernel_sizes=(2, 3))
+        model = SentimentModel(config, word_table, tiny_embeddings(), np.random.default_rng(2))
+        seen = []
+        adam_step = ad.adam_step
+
+        def recording_step(params, state):
+            seen.append((list(params), state))
+            adam_step(params, state)
+
+        monkeypatch.setattr(ad, "adam_step", recording_step)
+        train_classifier(model, make_emoji_labeled_posts(4, seed=3), np.random.default_rng(2))
+        walked = list(named_parameters(model.params))
+        params, state = seen[0]
+        assert len(params) == len(state.m) == len(walked)
+        for (_, tensor), slot, moment in zip(walked, params, state.m):
+            assert slot is tensor and moment.shape == tensor.data.shape
+        names = [name for name, _ in walked]
+        save_tensors(tmp_path / "c.ntc", model.state_tensors())
+        assert list(load_tensors(tmp_path / "c.ntc")) == names + ["emoji_matrix"]
+
+    def test_state_round_trip_reloads_the_same_bytes(self, word_table, tmp_path):
+        config = tiny_config(epochs=1)
+        model = SentimentModel(config, word_table, tiny_embeddings(), np.random.default_rng(4))
+        train_classifier(model, make_emoji_labeled_posts(4, seed=5), np.random.default_rng(4))
+        save_tensors(tmp_path / "a.ntc", model.state_tensors())
+        clone = build_model(config, word_table, tiny_embeddings(), seed=99)
+        clone.load_state(load_tensors(tmp_path / "a.ntc"), str(tmp_path / "a.ntc"))
+        save_tensors(tmp_path / "b.ntc", clone.state_tensors())
+        assert (tmp_path / "a.ntc").read_bytes() == (tmp_path / "b.ntc").read_bytes()
+
+    def test_parent_format_checkpoint_names_a_missing_key(self, word_table, tmp_path):
+        config = tiny_config(kernel_sizes=(3,))
+        model = SentimentModel(config, word_table, tiny_embeddings(), np.random.default_rng(0))
+        state = {parent_format_key(name, config.kernel_sizes): value
+                 for name, value in model.state_tensors().items()}
+        assert "cnn.ch0.k3.kernels" in state and "encoder.lstm1.fwd.wx" in state
+        path, meta = tmp_path / "classifier.ntc", tmp_path / "classifier_meta.json"
+        save_tensors(path, state)
+        meta.write_text(json.dumps({"config": config.as_dict(), "emoji_ids": model.embedding_ids}),
+                        encoding="utf-8")
+        with pytest.raises(ConfigError, match="missing tensor encoder.layer1.forward.w_x") as err:
+            load_classifier(path, meta, word_table)
+        assert str(path) in str(err.value)
+
+    def test_shape_mismatch_names_the_tensor_and_loads_nothing(self, word_table):
+        model = SentimentModel(tiny_config(), word_table, tiny_embeddings(), np.random.default_rng(0))
+        before = {name: t.data.copy() for name, t in named_parameters(model.params)}
+        state = {name: np.zeros_like(value) for name, value in model.state_tensors().items()}
+        state["fusion.unit_cross.wq"] = np.zeros((2, 2))
+        with pytest.raises(ConfigError, match=r"run\.ntc: tensor fusion\.unit_cross\.wq has shape"):
+            model.load_state(state, "run.ntc")
+        for name, tensor in named_parameters(model.params):
+            np.testing.assert_array_equal(tensor.data, before[name])

@@ -58,6 +58,19 @@ class TestLoadEmojinet:
         loaded = store.get("\U0001F355")
         assert loaded is not None and loaded.degraded
 
+    @pytest.mark.parametrize("key, value", [("keywords", 7), ("keywords", "pizza"),
+                                            ("senses", {"a": 1}), ("senses", None)])
+    def test_non_list_field_rejected_naming_the_entry(self, tmp_path, key, value):
+        bad = entry("U+1F355", ["pizza"])
+        bad[key] = value
+        path = write_inventory(tmp_path, [entry("U+1F600", ["grin"]), bad])
+        with pytest.raises(InventoryError, match=f"entry 1 .*{key}"):
+            load_emojinet(path)
+
+    def test_other_keys_are_ignored(self, tmp_path):
+        extra = dict(entry("U+1F355", ["pizza"]), images=3, related=None, category=[1])
+        assert load_emojinet(write_inventory(tmp_path, [extra])).get("\U0001F355") is not None
+
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(InventoryError):
             load_emojinet(tmp_path / "missing.json")

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from emofuse import autodiff as ad
-from emofuse.autodiff import Tensor, grad_check
+from emofuse.autodiff import Tensor, grad_check, named_parameters
+from emofuse.config import RunConfig
 from emofuse.exceptions import ShapeError
+from emofuse.model import SentimentModel
 from emofuse.text_encoder import (
     BiLstmParams,
     LstmDirectionParams,
     TextEncoderParams,
     _run_direction,
     bilstm_layer,
-    emoji_input_features,
     encode_text,
     positional_encoding,
 )
@@ -67,35 +68,36 @@ class TestPositionalEncoding:
 
 
 class TestEmojiInputFeatures:
-    def make_embeddings(self, dim=6):
+    """The position-encoded emoji rows the model feeds to fusion."""
+
+    def make_model(self, word_table, dim=6):
         rng = np.random.default_rng(1)
-        return EmojiEmbeddings(ids=["\U0001F600", "\U0001F622"],
-                               vectors=rng.standard_normal((2, dim)))
+        embeddings = EmojiEmbeddings(ids=["\U0001F600", "\U0001F622"],
+                                     vectors=rng.standard_normal((2, dim)))
+        config = RunConfig(num_classes=2, lstm_hidden=3, fusion_dim=6, ffn_dim=12,
+                           kernel_sizes=(2,), filters=2)
+        return SentimentModel(config, word_table, embeddings, rng), embeddings
 
-    def test_position_zero_adds_alternating_pattern(self):
-        emb = self.make_embeddings()
+    def test_position_zero_adds_alternating_pattern(self, word_table):
+        model, emb = self.make_model(word_table)
         _, emojis = split_modalities(tokenize("\U0001F600 hello"))
-        feats = emoji_input_features(emojis, emb)
+        feats, _ = model._emoji_rows(emojis)
         expected = emb.get("\U0001F600") + np.array([0, 1, 0, 1, 0, 1])
-        np.testing.assert_allclose(feats.features[0], expected, atol=1e-12)
+        np.testing.assert_allclose(feats.data[0], expected, atol=1e-12)
 
-    def test_no_emojis_empty_matrix(self):
-        feats = emoji_input_features([], self.make_embeddings())
-        assert feats.features.shape == (0, 6)
-
-    def test_same_emoji_two_positions_differ_by_pe(self):
-        emb = self.make_embeddings()
+    def test_same_emoji_two_positions_differ_by_pe(self, word_table):
+        model, _ = self.make_model(word_table)
         _, emojis = split_modalities(tokenize("\U0001F600 a b c d e f \U0001F600"))
-        feats = emoji_input_features(emojis, emb)
-        diff = feats.features[0] - feats.features[1]
+        feats, _ = model._emoji_rows(emojis)
+        diff = feats.data[0] - feats.data[1]
         expected = positional_encoding(0, 6) - positional_encoding(7, 6)
         np.testing.assert_allclose(diff, expected, atol=1e-12)
 
-    def test_unknown_emoji_is_pure_positional(self):
-        emb = self.make_embeddings()
+    def test_unknown_emoji_is_pure_positional(self, word_table):
+        model, _ = self.make_model(word_table)
         _, emojis = split_modalities(tokenize("\U0001F916"))  # robot, not in table
-        feats = emoji_input_features(emojis, emb)
-        np.testing.assert_allclose(feats.features[0], positional_encoding(0, 6), atol=1e-12)
+        feats, _ = model._emoji_rows(emojis)
+        np.testing.assert_allclose(feats.data[0], positional_encoding(0, 6), atol=1e-12)
 
 
 def scalar_lstm_unroll(xs, wx, wh, b):
@@ -162,7 +164,7 @@ class TestFusedDirection:
         params.b.data[:] = rng.standard_normal(4 * hidden)
         x = Tensor(rng.standard_normal((length, 5)), requires_grad=input_grad)
         weights = rng.standard_normal((length, hidden))
-        tracked = [x] + params.as_list()
+        tracked = [x] + [t for _, t in named_parameters(params)]
         results = []
         for run in (reference_direction, _run_direction):
             for tensor in tracked:
@@ -282,7 +284,7 @@ class TestBiLstmGradients:
             return ad.mean(ad.mul(h2, weights))
 
         assert grad_check(f, x) < 1e-4
-        for tensor in params.as_list():
+        for _, tensor in named_parameters(params):
             assert grad_check(lambda t: f(x), tensor) < 1e-4
 
     def test_constant_input_passes_grad_check(self):
@@ -294,6 +296,6 @@ class TestBiLstmGradients:
         def f(_):
             return ad.mean(ad.mul(bilstm_layer(x, params), weights))
 
-        for tensor in params.as_list():
+        for _, tensor in named_parameters(params):
             assert grad_check(f, tensor) < 1e-4
         assert x.grad is None

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from emofuse import autodiff as ad
-from emofuse.autodiff import Tensor, grad_check
+from emofuse.autodiff import Tensor, grad_check, named_parameters
 from emofuse.exceptions import ShapeError
 from emofuse.textcnn import (
     ConvBank,
@@ -131,7 +131,7 @@ class TestClassify:
         def f(_):
             return cross_entropy_logits(classify_logits(channels, params), 1)
 
-        for tensor in params.as_list():
+        for _, tensor in named_parameters(params):
             err = grad_check(lambda t: f(None), tensor)
             assert err < 1e-4, f"classifier parameter failed grad check with {err}"
 
