@@ -23,27 +23,61 @@ from .exceptions import ShapeError
 _MASK_OFFSET = -1e30  # exp underflows to exactly 0, so masked keys get weight 0
 
 
-def scaled_dot_attention(q, k, v, mask=None) -> Tensor:
-    """softmax(q k^T / sqrt(d)) v with optional key masking.
+def scaled_dot_attention(q, k, v, mask=None, q_segments: ad.Segments | None = None,
+                         k_segments: ad.Segments | None = None) -> Tensor:
+    """softmax(q k^T / sqrt(d)) v within each post of a chunk, as one tape node.
 
-    `mask` is a boolean array over key positions; False keys receive exactly
-    zero weight. Raises if every key is masked.
+    q packs every post's query rows and k, v its key rows, laid out by
+    `q_segments` and `k_segments` (default: one post each); a query attends
+    only to its own post's keys. `mask` (posts, key width), or (keys,) for
+    one post, replaces the key mask the key layout implies: False keys get
+    exactly zero weight. Raises if a post has every key masked. Backward
+    gathers the padded q, k and v again instead of keeping copies.
     """
     q, k, v = ad.as_tensor(q), ad.as_tensor(k), ad.as_tensor(v)
     if q.data.shape[1] != k.data.shape[1] or k.data.shape[0] != v.data.shape[0]:
         raise ShapeError(f"attention shapes incompatible: q {q.data.shape}, k {k.data.shape}, v {v.data.shape}")
-    d = q.data.shape[1]
-    scores = ad.mul(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(d))
+    q_segments = q_segments or ad.Segments([q.data.shape[0]])
+    k_segments = k_segments or ad.Segments([k.data.shape[0]])
+    if (q_segments.count != k_segments.count or q_segments.rows != q.data.shape[0]
+            or k_segments.rows != k.data.shape[0]):
+        raise ShapeError(f"attention segments ({q_segments.count} posts over {q_segments.rows} query rows, "
+                         f"{k_segments.count} over {k_segments.rows} key rows) do not fit q {q.data.shape}, "
+                         f"k {k.data.shape}")
+    single = q_segments.count == 1  # 2-D arrays, nothing gathered
     if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (k.data.shape[0],):
-            raise ShapeError(f"mask shape {mask.shape} does not cover {k.data.shape[0]} keys")
-        if not mask.any():
-            raise ValueError("scaled_dot_attention: every key is masked")
-        if not mask.all():
-            scores = scores + np.where(mask, 0.0, _MASK_OFFSET)
-    weights = ad.row_softmax(scores)
-    return ad.matmul(weights, v)
+        mask = np.asarray(mask, dtype=bool).reshape(k_segments.count, -1)
+        if mask.shape != (k_segments.count, k_segments.width):
+            raise ShapeError(f"mask shape {mask.shape} does not cover {k_segments.width} keys")
+        if not mask.any(axis=1).all():
+            raise ValueError("scaled_dot_attention: every key of a post is masked")
+    elif not single:
+        mask = k_segments.mask
+    scale = 1.0 / np.sqrt(q.data.shape[1])
+
+    def gather():
+        return q_segments.padded(q.data), k_segments.padded(k.data), k_segments.padded(v.data)
+
+    qp, kp, vp = gather()
+    scores = (qp @ kp.swapaxes(-1, -2)) * scale
+    if mask is not None and not mask.all():
+        scores += np.where(mask, 0.0, _MASK_OFFSET)[0 if single else slice(None), None]
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    data = q_segments.packed(weights @ vp)
+    if not (q.requires_grad or k.requires_grad or v.requires_grad):
+        return Tensor(data)
+
+    def bw(g):
+        qp, kp, vp = gather()
+        gp = q_segments.padded(g, zero_pad=True)
+        d_w = gp @ vp.swapaxes(-1, -2)
+        d_s = weights * (d_w - (d_w * weights).sum(axis=-1, keepdims=True)) * scale
+        return (q_segments.packed(d_s @ kp) if q.requires_grad else None,
+                k_segments.packed(d_s.swapaxes(-1, -2) @ qp) if k.requires_grad else None,
+                k_segments.packed(weights.swapaxes(-1, -2) @ gp) if v.requires_grad else None)
+
+    return Tensor(data, True, (q, k, v), bw)
 
 
 @dataclass
@@ -79,34 +113,33 @@ class AttentionUnitParams:
         )
 
 
-def _feed_forward(x, p: AttentionUnitParams) -> Tensor:
-    hidden = ad.relu(ad.matmul(x, p.ffn_w1) + p.ffn_b1)
-    return ad.matmul(hidden, p.ffn_w2) + p.ffn_b2
-
-
-def _attention_unit(query, context, p: AttentionUnitParams, context_mask=None) -> Tensor:
+def _attention_unit(query, context, p: AttentionUnitParams, mask=None, q_segments=None,
+                    k_segments=None) -> Tensor:
     attended = scaled_dot_attention(
         ad.matmul(query, p.wq), ad.matmul(context, p.wk), ad.matmul(context, p.wv),
-        mask=context_mask,
+        mask, q_segments, k_segments,
     )
-    a1 = ad.layer_norm(query + attended, p.norm1_gain, p.norm1_bias)
-    return ad.layer_norm(a1 + _feed_forward(a1, p), p.norm2_gain, p.norm2_bias)
+    a1 = ad.layer_norm(attended, p.norm1_gain, p.norm1_bias, residual=query)
+    hidden = ad.linear(a1, p.ffn_w1, p.ffn_b1, relu=True)
+    return ad.layer_norm(ad.linear(hidden, p.ffn_w2, p.ffn_b2), p.norm2_gain, p.norm2_bias, residual=a1)
 
 
-def self_attention_unit(x, p: AttentionUnitParams, mask=None) -> Tensor:
-    """Attend a d-projected sequence to itself; output keeps its length."""
+def self_attention_unit(x, p: AttentionUnitParams, mask=None, segments=None) -> Tensor:
+    """Attend a d-projected sequence, or each post of a chunk, to itself; output keeps its rows."""
     x = ad.as_tensor(x)
-    return _attention_unit(x, x, p, context_mask=mask)
+    return _attention_unit(x, x, p, mask, segments, segments)
 
 
-def co_attention_unit(query_side, context_side, p: AttentionUnitParams, context_mask=None) -> Tensor:
+def co_attention_unit(query_side, context_side, p: AttentionUnitParams, context_mask=None,
+                      query_segments=None, context_segments=None) -> Tensor:
     """Queries from one modality, keys/values from the other.
 
     The residual connects to the query side, so the output has the query
-    side's length. With query_side == context_side this is exactly the
-    self-attention unit.
+    side's rows. With query_side == context_side this is exactly the
+    self-attention unit. In a chunk, post i's queries read post i's context.
     """
-    return _attention_unit(ad.as_tensor(query_side), ad.as_tensor(context_side), p, context_mask)
+    return _attention_unit(ad.as_tensor(query_side), ad.as_tensor(context_side), p, context_mask,
+                           query_segments, context_segments)
 
 
 @dataclass
@@ -154,52 +187,58 @@ class FusionWiring:
 
 @dataclass
 class FusedFeatures:
-    """The classifier channels; `emoji` is None when the wiring drops it."""
+    """The classifier channels, packed like the chunk; `emoji` is None when the wiring drops it."""
 
-    text: Tensor         # L x d, self-attended text
-    emoji: Tensor | None  # N x d, text-conditioned emoji features
-    cross: Tensor        # L x d, emoji-conditioned text features
-    text_length: int
-    emoji_length: int
+    text: Tensor          # text rows x d, self-attended text
+    emoji: Tensor | None  # emoji rows x d, text-conditioned emoji features
+    cross: Tensor         # text rows x d, emoji-conditioned text features
+    text_segments: ad.Segments
+    emoji_segments: ad.Segments | None
 
-    def channels(self) -> list[tuple[Tensor, int]]:
-        out = [(self.text, self.text_length)]
+    def channels(self) -> list[tuple[Tensor, ad.Segments]]:
+        out = [(self.text, self.text_segments)]
         if self.emoji is not None:
-            out.append((self.emoji, self.emoji_length))
-        out.append((self.cross, self.text_length))
+            out.append((self.emoji, self.emoji_segments))
+        out.append((self.cross, self.text_segments))
         return out
 
 
-def fuse(stacked_text, lstm2, emoji_feats, emoji_raw, params: FusionParams,
-         wiring: FusionWiring = FusionWiring(), text_mask=None, emoji_mask=None) -> FusedFeatures:
+def fuse(text, lstm2, emoji_feats, emoji_raw, params: FusionParams,
+         wiring: FusionWiring = FusionWiring(), text_segments: ad.Segments | None = None,
+         emoji_segments: ad.Segments | None = None) -> FusedFeatures:
     """Produce the three classifier channels from both modalities.
 
-    `stacked_text` is the skip-connected text matrix, `lstm2` its top LSTM
+    `text` is the skip-connected text: one matrix, or its levels (the
+    embedding rows and both LSTM outputs), which are projected block by
+    block so their concatenation is never built. `lstm2` is the top LSTM
     level (feeding the bypass wiring), `emoji_feats` the position-encoded
     emoji rows and `emoji_raw` the same rows without position information.
-    Masks flag valid positions when sequences carry right padding.
+    Text and emoji rows pack a chunk's posts as the two layouts say
+    (default: one post each).
     """
-    stacked_text = ad.as_tensor(stacked_text)
-    text_len = stacked_text.data.shape[0]
-    p_text = ad.matmul(stacked_text, params.proj_text)
+    levels = [ad.as_tensor(t) for t in text] if isinstance(text, (list, tuple)) else [ad.as_tensor(text)]
+    text_segments = text_segments or ad.Segments([levels[0].data.shape[0]])
+    p_text = ad.linear(levels, params.proj_text)
     if wiring.self_attend_text:
-        w_text = self_attention_unit(p_text, params.unit_text, mask=text_mask)
+        w_text = self_attention_unit(p_text, params.unit_text, segments=text_segments)
     else:
         w_text = p_text
     if not wiring.use_emoji:
         return FusedFeatures(text=w_text, emoji=None, cross=w_text,
-                             text_length=text_len, emoji_length=0)
+                             text_segments=text_segments, emoji_segments=None)
     emoji_feats = ad.as_tensor(emoji_feats)
-    emoji_len = emoji_feats.data.shape[0]
+    emoji_segments = emoji_segments or ad.Segments([emoji_feats.data.shape[0]])
     p_emoji = ad.matmul(emoji_feats, params.proj_emoji)
     if wiring.bypass_emoji:
         w_emoji = ad.matmul(ad.as_tensor(emoji_raw), params.proj_emoji)
     else:
         emoji_context = w_text if wiring.emoji_reads_fused_text else p_text
-        w_emoji = co_attention_unit(p_emoji, emoji_context, params.unit_emoji, context_mask=text_mask)
+        w_emoji = co_attention_unit(p_emoji, emoji_context, params.unit_emoji,
+                                    query_segments=emoji_segments, context_segments=text_segments)
     if wiring.bypass_cross:
         w_cross = ad.matmul(ad.as_tensor(lstm2), params.proj_skip)
     else:
-        w_cross = co_attention_unit(p_text, p_emoji, params.unit_cross, context_mask=emoji_mask)
+        w_cross = co_attention_unit(p_text, p_emoji, params.unit_cross,
+                                    query_segments=text_segments, context_segments=emoji_segments)
     return FusedFeatures(text=w_text, emoji=w_emoji, cross=w_cross,
-                         text_length=text_len, emoji_length=emoji_len)
+                         text_segments=text_segments, emoji_segments=emoji_segments)

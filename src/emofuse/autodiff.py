@@ -8,16 +8,25 @@ is the finite-difference oracle the test suite uses against every rule.
 
 The engine is deliberately single-threaded and allocation-heavy: precision
 and determinism come before speed. Identical seeds give bit-identical
-trajectories. Fused rules live beside the models that use them, each
-checked by ``grad_check``: in ``text_encoder`` each LSTM direction is a
-single tape node with a hand-written BPTT backward (also checked against
-the per-step reference oracle in the tests); in ``vgae`` the decoder, the
-reconstruction cross-entropy and the KL term are one node each.
+trajectories. A leaf's gradient is added into its ``grad`` as soon as a
+rule returns it, so no second copy of the parameter gradients waits on the
+tape. ``linear`` and ``layer_norm`` fold a layer's bias, relu or residual
+into one node. A chunk of posts is packed along the rows of one matrix and
+laid out by ``Segments``; only rules that see post boundaries take it.
+Fused rules live beside the models that use them, each checked by
+``grad_check``: in ``text_encoder`` each LSTM recurrence is a single tape
+node with a hand-written BPTT backward (also checked against the per-step
+reference oracle in the tests); in ``attention`` the attention core of
+every post of a chunk is one node; in ``textcnn`` the convolution with its
+relu, the per-post max-pool and the cross-entropy are one node each; in
+``vgae`` the decoder, the reconstruction cross-entropy and the KL term are
+one node each.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import os
 import struct
@@ -79,19 +88,31 @@ class Tensor:
             for parent in node._parents:
                 if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
+        # Leaf gradients are added into `grad` as soon as a rule returns
+        # them; only non-leaf gradients wait in `grads` for their node's turn.
         grads = {id(self): np.ones((), dtype=np.float64)}
         for node in reversed(topo):
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            if node._parents:
-                for parent, pg in zip(node._parents, node._backward(g)):
-                    if not parent.requires_grad or pg is None:
-                        continue
+            if not node._parents:  # a leaf root
+                node.grad = g if node.grad is None else node.grad + g
+                continue
+            outs = node._backward(g)
+            for parent, pg in zip(node._parents, outs):
+                if pg is None or not parent.requires_grad:
+                    continue
+                if parent._parents:
                     acc = grads.get(id(parent))
                     grads[id(parent)] = pg if acc is None else acc + pg
-            elif node.requires_grad:
-                node.grad = g.copy() if node.grad is None else node.grad + g
+                elif parent.grad is not None:
+                    parent.grad += pg
+                elif pg is g or pg.base is not None or sum(o is pg for o in outs) > 1:
+                    # a rule may pass g through, hand out a view, or give one
+                    # array to several operands (add does): own a copy
+                    parent.grad = pg.copy()
+                else:
+                    parent.grad = pg
 
     # operator sugar; scalars and arrays coerce to constant tensors
     def __add__(self, other):
@@ -295,93 +316,177 @@ def tslice(a, key) -> Tensor:
     return Tensor(data, True, (a,), bw)
 
 
-def layer_norm(a, gain, bias, eps=1e-5) -> Tensor:
-    """Row-wise layer normalization over the last axis with learned gain/bias."""
+def layer_norm(a, gain, bias, residual=None, eps=1e-5) -> Tensor:
+    """Row-wise layer normalization of a (+ residual) over the last axis.
+
+    Folding the residual add in keeps its sum off the tape; both summands
+    get the same gradient.
+    """
     a, gain, bias = _coerce(a), _coerce(gain), _coerce(bias)
-    mu = a.data.mean(axis=-1, keepdims=True)
-    centered = a.data - mu
+    parents = (a, gain, bias)
+    x = a.data
+    if residual is not None:
+        residual = _coerce(residual)
+        x = x + residual.data
+        parents += (residual,)
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     normed = centered * inv_std
     data = normed * gain.data + bias.data
-    if not (a.requires_grad or gain.requires_grad or bias.requires_grad):
+    if not any(p.requires_grad for p in parents):
         return Tensor(data)
     def bw(g):
         d_normed = g * gain.data
-        da = (d_normed
+        dx = (d_normed
               - d_normed.mean(axis=-1, keepdims=True)
               - normed * (d_normed * normed).mean(axis=-1, keepdims=True)) * inv_std
         d_gain = _unbroadcast(g * normed, gain.data.shape)
         d_bias = _unbroadcast(g, bias.data.shape)
-        return (da, d_gain, d_bias)
-    return Tensor(data, True, (a, gain, bias), bw)
+        return (dx, d_gain, d_bias) + ((dx,) if residual is not None else ())
+    return Tensor(data, True, parents, bw)
 
 
-def conv1d_valid(x, kernels, bias=None) -> Tensor:
-    """Valid cross-correlation over the time axis.
+def linear(x, w, b=None, relu=False) -> Tensor:
+    """x @ w, plus the bias row b, then relu if asked: one node.
 
-    x is (L, d) with rows as time steps, kernels is (n, k, d), the optional
-    bias is (n,). Output is (L - k + 1, n); requires L >= k.
+    `x` may be a list of matrices with equal row counts, read as their
+    concatenation along columns, each multiplying its own block of w's
+    rows; the concatenation and its gradient are never built. The relu's
+    subgradient at 0 is 0.
     """
-    x, kernels = _coerce(x), _coerce(kernels)
-    if x.data.ndim != 2 or kernels.data.ndim != 3:
-        raise ShapeError(f"conv1d_valid expects (L,d) and (n,k,d), got {x.data.shape} and {kernels.data.shape}")
-    length, depth = x.data.shape
-    n, k, kd = kernels.data.shape
-    if kd != depth:
-        raise ShapeError(f"conv1d_valid depth mismatch: input {x.data.shape}, kernels {kernels.data.shape}")
-    if length < k:
-        raise ShapeError(f"conv1d_valid input length {length} shorter than kernel {k}")
-    taps = length - k + 1
-    windows = np.lib.stride_tricks.sliding_window_view(x.data, (k, depth))[:, 0]  # (taps, k, d)
-    cols = windows.reshape(taps, k * depth)
-    data = cols @ kernels.data.reshape(n, k * depth).T
-    parents = [x, kernels]
-    if bias is not None:
-        bias = _coerce(bias)
-        data = data + bias.data
-        parents.append(bias)
+    blocks = [_coerce(t) for t in x] if isinstance(x, (list, tuple)) else [_coerce(x)]
+    w = _coerce(w)
+    starts = [0]  # block i multiplies rows starts[i] to starts[i + 1] - 1 of w
+    for t in blocks:
+        if t.data.ndim != 2 or t.data.shape[0] != blocks[0].data.shape[0]:
+            break
+        starts.append(starts[-1] + t.data.shape[1])
+    if w.data.ndim != 2 or len(starts) != len(blocks) + 1 or starts[-1] != w.data.shape[0]:
+        raise ShapeError(f"linear shapes incompatible: {[t.data.shape for t in blocks]} @ {w.data.shape}")
+    data = blocks[0].data @ w.data[:starts[1]]
+    for t, lo, hi in zip(blocks[1:], starts[1:], starts[2:]):
+        data += t.data @ w.data[lo:hi]
+    parents = (*blocks, w)
+    if b is not None:
+        b = _coerce(b)
+        data += b.data
+        parents += (b,)
+    if relu:
+        np.maximum(data, 0.0, out=data)
     if not any(p.requires_grad for p in parents):
         return Tensor(data)
     def bw(g):
-        gx = np.zeros_like(x.data)
-        for dt in range(k):
-            gx[dt:dt + taps] += g @ kernels.data[:, dt, :]
-        gk = (g.T @ cols).reshape(n, k, depth)
-        if bias is not None:
-            return (gx, gk, g.sum(axis=0))
-        return (gx, gk)
-    return Tensor(data, True, tuple(parents), bw)
+        if relu:
+            g = g * (data > 0.0)
+        out = [g @ w.data[lo:hi].T if t.requires_grad else None
+               for t, lo, hi in zip(blocks, starts, starts[1:])]
+        gw = None
+        if w.requires_grad:
+            gw = np.empty_like(w.data)
+            for t, lo, hi in zip(blocks, starts, starts[1:]):
+                np.matmul(t.data.T, g, out=gw[lo:hi])
+        out.append(gw)
+        if b is not None:
+            out.append(g.sum(axis=0) if b.requires_grad else None)
+        return tuple(out)
+    return Tensor(data, True, parents, bw)
 
 
-def max_over_time(a, valid=None) -> Tensor:
-    """Maximum over the time axis (axis 0), optionally over the first `valid` rows.
+class Segments:
+    """Where each post of a chunk sits in a matrix that packs their rows.
 
-    A vector input yields a scalar; an (L, n) input yields one maximum per
-    column. Ties route the gradient to the earliest maximal row.
+    Post i owns rows offsets[i] to offsets[i] + lengths[i] - 1, the posts
+    one after another. Rules that see post boundaries take a Segments;
+    every other rule runs over the packed rows as one matrix. A one-post
+    layout is the identity: nothing is gathered or scattered.
     """
-    a = _coerce(a)
-    if a.data.ndim not in (1, 2) or a.data.shape[0] == 0:
-        raise ShapeError(f"max_over_time expects a nonempty vector or matrix, got shape {a.data.shape}")
-    rows = a.data.shape[0] if valid is None else int(valid)
-    if rows < 1 or rows > a.data.shape[0]:
-        raise ShapeError(f"max_over_time valid={valid} out of range for shape {a.data.shape}")
-    window = a.data[:rows]
-    idx = window.argmax(axis=0)  # first maximum on ties
-    if a.data.ndim == 1:
-        data = window[idx]
-    else:
-        data = window[idx, np.arange(a.data.shape[1])]
-    if not a.requires_grad:
-        return Tensor(data)
-    def bw(g):
-        full = np.zeros_like(a.data)
-        if a.data.ndim == 1:
-            full[idx] = g
-        else:
-            full[idx, np.arange(a.data.shape[1])] = g
-        return (full,)
-    return Tensor(data, True, (a,), bw)
+
+    def __init__(self, lengths):
+        lengths = [int(n) for n in lengths]
+        if not lengths or min(lengths) < 1:
+            raise ShapeError(f"segments need one or more positive lengths, got {lengths}")
+        self.lengths = np.array(lengths, dtype=np.intp)
+        self.count = len(lengths)
+        self.rows = sum(lengths)
+        self.width = max(lengths)
+        self._blocks = {}
+
+    @functools.cached_property
+    def offsets(self) -> np.ndarray:
+        """First packed row of each post."""
+        return np.cumsum(self.lengths) - self.lengths
+
+    @functools.cached_property
+    def mask(self) -> np.ndarray:
+        """(count, width): slot t of post i holds a row."""
+        return np.arange(self.width) < self.lengths[:, None]
+
+    @functools.cached_property
+    def _index(self) -> np.ndarray:
+        return np.where(self.mask, self.offsets[:, None] + np.arange(self.width), 0)
+
+    def padded(self, x: np.ndarray, zero_pad=False) -> np.ndarray:
+        """(rows, ...) -> (count, width, ...) with each post's rows first.
+
+        Pad slots repeat row 0 unless `zero_pad`. One post: x unchanged.
+        """
+        if self.count == 1:
+            return x
+        out = x[self._index]
+        if zero_pad:
+            out[~self.mask] = 0.0
+        return out
+
+    def packed(self, xp: np.ndarray) -> np.ndarray:
+        """The inverse of `padded`: pad slots dropped."""
+        return xp if self.count == 1 else xp[self.mask]
+
+    @functools.cached_property
+    def reversed_rows(self):
+        """An index that reverses each post's rows; it is its own inverse."""
+        if self.count == 1:
+            return slice(None, None, -1)
+        starts = self.offsets.repeat(self.lengths)
+        return 2 * starts + self.lengths.repeat(self.lengths) - 1 - np.arange(self.rows)
+
+    def time_major(self, x: np.ndarray, reverse: bool, zero_pad=False) -> np.ndarray:
+        """(rows, ...) -> (width, count, ...): [t, i] is step t of post i.
+
+        Step t is row t of the post, or with `reverse` row length - 1 - t,
+        so a backward recurrence starts at every post's own end. Slots past
+        a post's end come after all of its own steps, as in `padded`.
+        """
+        x = x[self.reversed_rows] if reverse else x
+        return x[:, None] if self.count == 1 else self.padded(x, zero_pad).swapaxes(0, 1)
+
+    def from_time_major(self, xp: np.ndarray, reverse: bool) -> np.ndarray:
+        """The inverse of `time_major`."""
+        x = xp[:, 0] if self.count == 1 else self.packed(xp.swapaxes(0, 1))
+        return x[self.reversed_rows] if reverse else x
+
+    def blocks(self, min_rows: int):
+        """Each post's rows followed by zero rows up to `min_rows`.
+
+        Returns the start of every post's block, the total row count, and
+        where each packed row lands (None when no post is padded, so the
+        packed matrix is the block matrix).
+        """
+        if min_rows not in self._blocks:
+            if self.count == 1:
+                total = max(self.rows, min_rows)
+                layout = (np.zeros(1, dtype=np.intp), total,
+                          None if total == self.rows else np.arange(self.rows))
+            else:
+                sizes = np.maximum(self.lengths, min_rows)
+                starts = np.cumsum(sizes) - sizes
+                total = int(sizes.sum())
+                dest = None if total == self.rows else (
+                    np.repeat(starts - self.offsets, self.lengths) + np.arange(self.rows))
+                layout = (starts, total, dest)
+            self._blocks[min_rows] = layout
+        return self._blocks[min_rows]
 
 
 def mean(a) -> Tensor:

@@ -130,11 +130,20 @@ def load_classifier(checkpoint_path, meta_path, word_table: WordEmbeddingTable) 
     try:
         with open(meta_path, "r", encoding="utf-8") as fh:
             meta = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read classifier metadata {meta_path}: {err}") from err
-    config = config_from_dict(meta["config"])
+    if not isinstance(meta, dict):
+        raise ConfigError(f"classifier metadata {meta_path} is not a JSON object")
+    if not isinstance(meta.get("config"), dict):
+        raise ConfigError(f"classifier metadata {meta_path} has no config object")
+    ids = meta.get("emoji_ids")
+    if not isinstance(ids, list) or not all(isinstance(e, str) for e in ids):
+        raise ConfigError(f"classifier metadata {meta_path}: emoji_ids must be a list of strings")
+    try:
+        config = config_from_dict(meta["config"]).validate()
+    except (ConfigError, TypeError, ValueError) as err:
+        raise ConfigError(f"classifier metadata {meta_path}: {err}") from None
     tensors = load_tensors(checkpoint_path)
-    ids = list(meta["emoji_ids"])
     matrix = tensors.get("emoji_matrix")
     if matrix is None or matrix.shape[0] != len(ids):
         raise ConfigError(f"checkpoint {checkpoint_path} has no emoji matrix matching its id list")

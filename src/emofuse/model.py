@@ -3,6 +3,8 @@
 The model owns every trainable parameter plus two frozen inputs: the
 pretrained word table and the emoji embedding matrix. Both are constants on
 the tape: no gradient is computed for them and the optimizer never sees them.
+There is one forward path, over a chunk of posts whose word rows and emoji
+rows are each packed into one matrix; a single post is a one-post chunk.
 """
 
 from __future__ import annotations
@@ -86,39 +88,60 @@ class SentimentModel:
             ),
         )
 
-    def _emoji_rows(self, emojis: list[Token]) -> tuple[Tensor, Tensor]:
-        """Position-encoded rows and raw embedding rows; constants unless no emoji stands in."""
-        if not emojis:
-            return self.params.no_emoji, self.params.no_emoji
-        raw_rows = []
-        zero_row = Tensor(np.zeros((1, self.emoji_dim)))
-        for token in emojis:
-            row_index = self._emoji_index.get(token.surface)
-            if row_index is None:
-                raw_rows.append(zero_row)
-            else:
-                raw_rows.append(self.emoji_matrix[row_index:row_index + 1])
-        raw = ad.concat(raw_rows, axis=0) if len(raw_rows) > 1 else raw_rows[0]
-        pe = np.stack([
-            positional_encoding(t.position, self.emoji_dim, self.config.pe_base)
-            for t in emojis
-        ])
-        return raw + pe, raw
+    def split(self, seq: TokenSequence) -> tuple[list[Token], list[Token]]:
+        """One post's word and emoji tokens within max_len; never without a word.
 
-    def fused_features(self, seq: TokenSequence) -> FusedFeatures:
-        """The attention channels for one tokenized post."""
+        An emoji-only post gets a single empty word, which reads as a zero
+        embedding row.
+        """
         words, emojis = split_modalities(seq.tokens[: self.config.max_len])
-        if not words:
-            # emoji-only post: a single zero-embedding row stands in for text
-            words = [Token(kind=WORD, surface="", position=0)]
-        encoded = encode_text(words, self.word_table, self.params.encoder)
-        emoji_feats, emoji_raw = self._emoji_rows(emojis) if self.wiring.use_emoji else (None, None)
-        return fuse(encoded.stacked, encoded.lstm2, emoji_feats, emoji_raw,
-                    self.params.fusion, self.wiring)
+        return words or [Token(kind=WORD, surface="", position=0)], emojis
 
-    def forward_logits(self, seq: TokenSequence) -> Tensor:
-        """Class scores for one tokenized post."""
-        fused = self.fused_features(seq)
+    def _emoji_rows(self, chunk: list[list[Token]]) -> tuple[Tensor, Tensor, ad.Segments]:
+        """Position-encoded and raw emoji rows of each post, packed, and their layout.
+
+        The rows are constants except where an emoji-free post has the
+        learned `no_emoji` row (without position information) instead.
+        """
+        segments = ad.Segments([len(emojis) or 1 for emojis in chunk])
+        if len(chunk) == 1 and not chunk[0]:
+            return self.params.no_emoji, self.params.no_emoji, segments
+        raw = np.zeros((segments.rows, self.emoji_dim))
+        pe = np.zeros((segments.rows, self.emoji_dim))
+        placeholder = np.zeros((segments.rows, 1))
+        row = 0
+        for emojis in chunk:
+            if not emojis:
+                placeholder[row] = 1.0
+                row += 1
+            for token in emojis:
+                index = self._emoji_index.get(token.surface)
+                if index is not None:  # an unknown emoji keeps a zero row
+                    raw[row] = self.emoji_matrix.data[index]
+                pe[row] = positional_encoding(token.position, self.emoji_dim, self.config.pe_base)
+                row += 1
+        raw_rows = Tensor(raw)
+        if placeholder.any():  # 0 + 1 * no_emoji and x + 0 * no_emoji are exact
+            raw_rows = raw_rows + ad.mul(placeholder, self.params.no_emoji)
+        return raw_rows + pe, raw_rows, segments
+
+    def fused_features(self, posts) -> FusedFeatures:
+        """The attention channels of a chunk: a list of tokenized posts, or one post."""
+        if isinstance(posts, TokenSequence):
+            posts = [posts]
+        parts = [self.split(seq) for seq in posts]
+        words = [token for post_words, _ in parts for token in post_words]
+        text_segments = ad.Segments([len(post_words) for post_words, _ in parts])
+        encoded = encode_text(words, self.word_table, self.params.encoder, text_segments)
+        emoji_feats = emoji_raw = emoji_segments = None
+        if self.wiring.use_emoji:
+            emoji_feats, emoji_raw, emoji_segments = self._emoji_rows([emojis for _, emojis in parts])
+        return fuse(encoded.levels, encoded.lstm2, emoji_feats, emoji_raw, self.params.fusion,
+                    self.wiring, text_segments, emoji_segments)
+
+    def forward_logits(self, posts) -> Tensor:
+        """Class scores (posts, classes) for a chunk: a list of tokenized posts, or one post."""
+        fused = self.fused_features(posts)
         return classify_logits(fused.channels(), self.params.cnn)
 
     def predict(self, seq: TokenSequence) -> int:

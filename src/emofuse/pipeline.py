@@ -1,9 +1,12 @@
 """Classifier training and evaluation over labeled corpora.
 
-Training is minibatch Adam on the softmax cross-entropy, one post per
-forward pass, with per-epoch loss and running accuracy recorded. A fixed
-seed fixes the parameter draws and the shuffle order, so two identical runs
-produce identical histories, checkpoints, and reports.
+Training is minibatch Adam on the softmax cross-entropy, with per-epoch loss
+and running accuracy recorded. Each minibatch is sorted by length and cut
+into chunks of at most CHUNK_ROWS packed text rows; one forward and one
+backward pass cover a whole chunk. A fixed seed fixes the parameter draws
+and the shuffle order, so two identical runs produce identical histories,
+checkpoints, and reports. Prediction runs the same forward pass on a
+one-post chunk.
 """
 
 from __future__ import annotations
@@ -22,6 +25,10 @@ from .textcnn import cross_entropy_logits
 from .tokenization import RawPost, tokenize
 
 logger = logging.getLogger("emofuse")
+
+# Packed text rows per training chunk. Larger chunks amortize more per-step
+# work but keep a larger tape alive: memory, not speed, sets this bound.
+CHUNK_ROWS = 192
 
 
 @dataclass
@@ -64,17 +71,34 @@ def _check_labels(posts: list[RawPost], num_classes: int):
             raise TrainingError(f"post {i} label {post.label} out of range for {num_classes} classes")
 
 
+def _chunks(batch, rows):
+    """Cut a minibatch, sorted by text rows (ties by post index), greedily into
+    chunks of at most CHUNK_ROWS rows; a longer post is a chunk of its own."""
+    chunk, used = [], 0
+    for i in sorted(batch, key=lambda i: (rows[i], i)):
+        if chunk and used + rows[i] > CHUNK_ROWS:
+            yield chunk
+            chunk, used = [], 0
+        chunk.append(i)
+        used += rows[i]
+    if chunk:
+        yield chunk
+
+
 def train_classifier(model: SentimentModel, posts: list[RawPost], rng) -> list[EpochStats]:
     """Train in place for config.epochs; returns the per-epoch history.
 
-    An epoch whose mean loss is not finite raises TrainingError.
+    The loss of a minibatch is the mean of its posts' losses, whichever
+    chunks they fall in. An epoch whose mean loss is not finite raises
+    TrainingError.
     """
     if not posts:
         raise TrainingError("cannot train on an empty dataset")
     config = model.config
     _check_labels(posts, config.num_classes)
     sequences = [tokenize(p.text) for p in posts]
-    labels = [p.label for p in posts]
+    rows = [len(model.split(seq)[0]) for seq in sequences]
+    labels = np.array([p.label for p in posts])
     params = [p for _, p in ad.named_parameters(model.params)]
     opt = ad.AdamState.for_params(params, lr=config.lr)
     history: list[EpochStats] = []
@@ -86,13 +110,13 @@ def train_classifier(model: SentimentModel, posts: list[RawPost], rng) -> list[E
             batch = order[start:start + config.batch_size]
             ad.zero_grads(params)
             scale = 1.0 / len(batch)
-            for idx in batch:
-                logits = model.forward_logits(sequences[idx])
-                loss = ad.mul(cross_entropy_logits(logits, labels[idx]), scale)
+            for chunk in _chunks(batch, rows):
+                logits = model.forward_logits([sequences[i] for i in chunk])
+                loss = ad.mul(cross_entropy_logits(logits, labels[chunk]), scale)
                 loss.backward()
                 total_loss += loss.item() * len(batch)
-                if int(logits.data.argmax()) == labels[idx]:
-                    correct += 1
+                correct += int((logits.data.argmax(axis=1) == labels[chunk]).sum())
+                del logits, loss  # free this chunk's tape before the next forward
             ad.adam_step(params, opt)
         stats = EpochStats(
             epoch=epoch + 1,

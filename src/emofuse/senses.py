@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import InventoryError
-from .tokenization import fold_emoji, tokenize, WORD
+from .tokenization import fold_emoji, not_utf8, tokenize, WORD
 
 logger = logging.getLogger("emofuse")
 
@@ -81,6 +81,8 @@ def load_emojinet(path) -> SenseInventory:
         raise InventoryError(f"cannot read inventory {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise InventoryError(f"inventory {path} is not valid JSON: {err}") from err
+    except UnicodeDecodeError as err:
+        raise InventoryError(f"inventory {not_utf8(path, err)}") from None
     if not isinstance(data, list):
         raise InventoryError(f"inventory {path} must be a JSON array of entries")
     inventory = SenseInventory()
@@ -154,9 +156,14 @@ def cosine_similarity(a: dict[str, float], b: dict[str, float]) -> float:
     dot = sum(w * b[t] for t, w in a.items() if t in b)
     norm_a = math.sqrt(sum(w * w for w in a.values()))
     norm_b = math.sqrt(sum(w * w for w in b.values()))
-    if norm_a == 0.0 or norm_b == 0.0:
+    if 1e-100 < norm_a < 1e100 and 1e-100 < norm_b < 1e100:
+        return dot / (norm_a * norm_b)
+    # squares of weights this small lose precision (or this large overflow):
+    # divide each vector by its largest weight and compute again
+    top_a, top_b = max(a.values()), max(b.values())
+    if top_a == 0.0 or top_b == 0.0:
         return 0.0
-    return dot / (norm_a * norm_b)
+    return cosine_similarity({t: w / top_a for t, w in a.items()}, {t: w / top_b for t, w in b.items()})
 
 
 def node_attribute(entry: EmojiSenseEntry, word_table) -> np.ndarray:

@@ -7,7 +7,9 @@ emoji side's fixed sinusoidal positional encoding is defined here too; the
 model adds it to each emoji's embedding at the emoji's absolute position in
 the original mixed token stream.
 
-Sequence features are stored time-major: shape (length, features).
+Sequence features are stored time-major: shape (length, features). A chunk
+of posts packs its posts' rows one after another in one matrix, laid out by
+an `autodiff.Segments`; only the LSTM recurrence sees the post boundaries.
 """
 
 from __future__ import annotations
@@ -28,21 +30,28 @@ class WordEmbeddingTable:
     """Immutable word -> vector map; unknown words read as zero vectors."""
 
     def __init__(self, ids, matrix):
-        self._rows = {word: matrix[i] for i, word in enumerate(ids)}
+        self._index = {word: i for i, word in enumerate(ids)}
+        self._matrix = matrix
         self.dimension = matrix.shape[1]
 
     def __len__(self):
-        return len(self._rows)
+        return len(self._index)
 
     def __contains__(self, word):
-        return word in self._rows
+        return word in self._index
 
     def get(self, word) -> np.ndarray | None:
-        return self._rows.get(word)
+        i = self._index.get(word)
+        return None if i is None else self._matrix[i]
 
-    def lookup(self, word) -> np.ndarray:
-        vec = self._rows.get(word)
-        return vec if vec is not None else np.zeros(self.dimension)
+    def rows(self, words) -> np.ndarray:
+        """The vectors of `words` as one (len(words), dimension) matrix, gathered at once."""
+        out = np.zeros((len(words), self.dimension))
+        found = [(at, self._index[word]) for at, word in enumerate(words) if word in self._index]
+        if found:
+            at, index = zip(*found)
+            out[list(at)] = self._matrix[list(index)]
+        return out
 
     @classmethod
     def load(cls, path) -> "WordEmbeddingTable":
@@ -101,77 +110,92 @@ class BiLstmParams:
         )
 
 
-def _run_direction(inputs: Tensor, params: LstmDirectionParams, hidden: int, reverse: bool) -> Tensor:
-    """One LSTM direction over the whole sequence as a single tape node.
+def _recurrence(z: Tensor, w_h: Tensor, hidden: int, segments: ad.Segments, reverse: bool) -> Tensor:
+    """The LSTM recurrence of one direction over a chunk, as one tape node.
 
-    The input projection X @ W_x + b is one GEMM ahead of the recurrence;
-    backward runs BPTT in numpy to the pre-activation gradients dZ (L, 4h),
-    so each weight gradient is one GEMM over all time steps. Row t of the
-    (L, hidden) output is aligned with input position t in both directions.
+    `z` holds each row's input pre-activations x W_x + b (rows, 4h); the
+    gates of all the chunk's posts advance together as one (posts, 4h)
+    matrix per time step. A post that has ended keeps stepping on filler
+    input, but those steps come after all of its own, so they change none
+    of its outputs, and their gradient is exactly zero. Backward runs BPTT
+    in numpy to the pre-activation gradients dZ, so W_h's gradient is one
+    GEMM over all steps and dZ goes back through the input GEMM. Output row
+    r is the hidden state at input row r in both directions; with `reverse`
+    each post starts at its own end.
     """
-    x = inputs.data[::-1] if reverse else inputs.data  # processing order
-    w_h = params.w_h.data
-    length = x.shape[0]
-    z_in = x @ params.w_x.data + params.b.data
-    acts = np.empty((length, 4 * hidden))       # i, f, o sigmoids; g tanh
-    h_all = np.zeros((length + 1, hidden))       # h_all[t] is h_{t-1}
-    c_all = np.zeros((length + 1, hidden))       # c_all[t] is c_{t-1}
-    tanh_c = np.empty((length, hidden))
-    cell = slice(2 * hidden, 3 * hidden)
-    for t in range(length):
-        z = z_in[t] + h_all[t] @ w_h
+    zp = segments.time_major(z.data, reverse)  # (steps, posts, 4h)
+    steps, posts = zp.shape[:2]
+    w = w_h.data
+    acts = np.empty((steps, posts, 4 * hidden))   # i, f, o sigmoids; g tanh
+    h_all = np.zeros((steps + 1, posts, hidden))  # h_all[t] is h_{t-1}
+    c_all = np.zeros((steps + 1, posts, hidden))  # c_all[t] is c_{t-1}
+    tanh_c = np.empty((steps, posts, hidden))
+    i_gate, f_gate, cell, o_gate = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
+    for t in range(steps):
+        zt = zp[t] + h_all[t] @ w
         a = acts[t]
-        a[:] = ad._sigmoid_values(z)
-        a[cell] = np.tanh(z[cell])
-        c_all[t + 1] = a[hidden:2 * hidden] * c_all[t] + a[:hidden] * a[cell]
-        tanh_c[t] = np.tanh(c_all[t + 1])
-        h_all[t + 1] = a[3 * hidden:] * tanh_c[t]
-    out = h_all[1:][::-1] if reverse else h_all[1:]
-    parents = (inputs, params.w_x, params.w_h, params.b)
-    if not any(p.requires_grad for p in parents):
+        a[...] = ad._sigmoid_values(zt)  # `...` indexing costs less than `:, `
+        a[..., cell] = np.tanh(zt[..., cell])
+        np.multiply(a[..., f_gate], c_all[t], out=c_all[t + 1])
+        c_all[t + 1] += a[..., i_gate] * a[..., cell]
+        np.tanh(c_all[t + 1], out=tanh_c[t])
+        np.multiply(a[..., o_gate], tanh_c[t], out=h_all[t + 1])
+    out = segments.from_time_major(h_all[1:], reverse)
+    if not (z.requires_grad or w_h.requires_grad):
         return Tensor(out)
 
     def bw(g):
-        g = g[::-1] if reverse else g
-        gates = acts.reshape(length, 4, hidden)
-        i_g, f_g, g_c, o_g = gates[:, 0], gates[:, 1], gates[:, 2], gates[:, 3]
+        gp = segments.time_major(g, reverse, zero_pad=True)
+        gates = acts.reshape(steps, posts, 4, hidden)
+        i_g, f_g, g_c, o_g = gates[:, :, 0], gates[:, :, 1], gates[:, :, 2], gates[:, :, 3]
         # dZ = [dc, dc, dc, dh] * scale, with each gate's local derivative folded in
         scale = np.stack([g_c * i_g * (1.0 - i_g),
                           c_all[:-1] * f_g * (1.0 - f_g),
                           i_g * (1.0 - g_c * g_c),
-                          tanh_c * o_g * (1.0 - o_g)], axis=1)
+                          tanh_c * o_g * (1.0 - o_g)], axis=2)
         dc_dh = o_g * (1.0 - tanh_c * tanh_c)
-        dz = np.empty((length, 4, hidden))
-        dz_flat = dz.reshape(length, 4 * hidden)
-        w_h_t = w_h.T
-        dh_next = np.zeros(hidden)
-        dc_next = np.zeros(hidden)
-        for t in range(length - 1, -1, -1):
-            dh = g[t] + dh_next
+        dz = np.empty((steps, posts, 4, hidden))
+        dz_flat = dz.reshape(steps, posts, 4 * hidden)
+        w_t = w.T
+        dh_next = np.zeros((posts, hidden))
+        dc_next = np.zeros((posts, hidden))
+        for t in range(steps - 1, -1, -1):
+            dh = gp[t] + dh_next
             dc = dh * dc_dh[t] + dc_next
-            np.multiply(scale[t, :3], dc, out=dz[t, :3])
-            np.multiply(scale[t, 3], dh, out=dz[t, 3])
+            np.multiply(scale[t, ..., :3, :], dc[..., None, :], out=dz[t, ..., :3, :])
+            np.multiply(scale[t, ..., 3, :], dh, out=dz[t, ..., 3, :])
             dc_next = dc * f_g[t]
-            dh_next = dz_flat[t] @ w_h_t
-        dx = None
-        if inputs.requires_grad:
-            dx = dz_flat @ params.w_x.data.T
-            dx = dx[::-1] if reverse else dx
-        return (dx,
-                x.T @ dz_flat if params.w_x.requires_grad else None,
-                h_all[:-1].T @ dz_flat if params.w_h.requires_grad else None,
-                dz_flat.sum(axis=0) if params.b.requires_grad else None)
+            dh_next = dz_flat[t] @ w_t
+        dw = None
+        if w_h.requires_grad:
+            dw = h_all[:-1].reshape(-1, hidden).T @ dz_flat.reshape(-1, 4 * hidden)
+        return (segments.from_time_major(dz_flat, reverse) if z.requires_grad else None, dw)
 
-    return Tensor(out, True, parents, bw)
+    return Tensor(out, True, (z, w_h), bw)
 
 
-def bilstm_layer(inputs, params: BiLstmParams) -> Tensor:
+def lstm_direction(inputs, params: LstmDirectionParams, hidden: int, reverse: bool,
+                   segments: ad.Segments | None = None) -> Tensor:
+    """One LSTM direction from zero states over every post of a chunk.
+
+    The input GEMM runs once over all packed rows; only the recurrence sees
+    post boundaries. `segments` defaults to one post of all the rows.
+    """
+    inputs = ad.as_tensor(inputs)
+    segments = segments or ad.Segments([inputs.data.shape[0]])
+    z = ad.linear(inputs, params.w_x, params.b)
+    return _recurrence(z, params.w_h, hidden, segments, reverse)
+
+
+def bilstm_layer(inputs, params: BiLstmParams, segments: ad.Segments | None = None) -> Tensor:
     """Both directions from zero states; output row t is [h_fwd(t), h_bwd(t)]."""
     inputs = ad.as_tensor(inputs)
     if inputs.data.ndim != 2 or inputs.data.shape[0] == 0:
         raise ShapeError(f"bilstm_layer needs a nonempty (L, f) input, got shape {inputs.data.shape}")
-    fwd = _run_direction(inputs, params.forward, params.hidden, reverse=False)
-    bwd = _run_direction(inputs, params.backward, params.hidden, reverse=True)
+    if segments is not None and segments.rows != inputs.data.shape[0]:
+        raise ShapeError(f"segments cover {segments.rows} rows, input has {inputs.data.shape[0]}")
+    fwd = lstm_direction(inputs, params.forward, params.hidden, False, segments)
+    bwd = lstm_direction(inputs, params.backward, params.hidden, True, segments)
     return ad.concat([fwd, bwd], axis=1)
 
 
@@ -190,24 +214,29 @@ class TextEncoderParams:
 
 @dataclass
 class EncodedText:
-    """Skip-connected text features; `stacked` concatenates all three levels."""
+    """Skip-connected text features: the embedding layer and both LSTM outputs."""
 
     embeddings: Tensor  # L x word_dim
     lstm1: Tensor       # L x 2h
     lstm2: Tensor       # L x 2h
-    stacked: Tensor     # L x (word_dim + 4h)
 
     @property
-    def length(self) -> int:
-        return self.embeddings.data.shape[0]
+    def levels(self) -> list[Tensor]:
+        """The skip-connected text, read side by side: L x (word_dim + 4h) in all."""
+        return [self.embeddings, self.lstm1, self.lstm2]
 
 
-def encode_text(words: list[Token], table: WordEmbeddingTable, params: TextEncoderParams) -> EncodedText:
-    """Embedding lookups, two stacked Bi-LSTM layers, and their concatenation."""
+def encode_text(words: list[Token], table: WordEmbeddingTable, params: TextEncoderParams,
+                segments: ad.Segments | None = None) -> EncodedText:
+    """Embedding lookups and two stacked Bi-LSTM layers over a chunk's packed words.
+
+    `words` holds every post's word tokens one post after another, as
+    `segments` (default: one post) lays them out. The word rows are
+    constants, so no gradient is computed for them.
+    """
     if not words:
         raise ShapeError("encode_text needs at least one word token")
-    x = Tensor(np.stack([table.lookup(t.surface) for t in words]))
-    h1 = bilstm_layer(x, params.layer1)
-    h2 = bilstm_layer(h1, params.layer2)
-    stacked = ad.concat([x, h1, h2], axis=1)
-    return EncodedText(embeddings=x, lstm1=h1, lstm2=h2, stacked=stacked)
+    x = Tensor(table.rows([t.surface for t in words]))
+    h1 = bilstm_layer(x, params.layer1, segments)
+    h2 = bilstm_layer(h1, params.layer2, segments)
+    return EncodedText(embeddings=x, lstm1=h1, lstm2=h2)

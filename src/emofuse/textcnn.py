@@ -4,7 +4,9 @@ Each channel runs banks of relu convolutions at several kernel widths; each
 feature map is max-pooled over time, the pooled features of all channels are
 concatenated, and a dense softmax layer produces the class distribution.
 Channels shorter than the widest kernel are zero-padded on the right, and
-taps that only exist because of padding never win the pooling.
+taps that only exist because of padding never win the pooling. A chunk's
+posts share each convolution: their rows are packed one after another, and
+each post is pooled over its own taps only.
 """
 
 from __future__ import annotations
@@ -64,46 +66,128 @@ class TextCnnParams:
         return max(bank.width for channel in self.banks for bank in channel)
 
 
-def conv_channel(x, bank: ConvBank) -> Tensor:
-    """relu feature maps of one kernel bank over one channel, full depth per tap."""
-    return ad.relu(ad.conv1d_valid(x, bank.kernels, bank.bias))
+def conv_relu(x, kernels, bias, blocks=None) -> Tensor:
+    """relu(valid cross-correlation over time + bias), one GEMM per kernel tap.
+
+    x is (rows, d), kernels (n, k, d), bias (n,); the output is (taps, n)
+    with tap t covering rows t to t + k - 1. `blocks` = (total, dest) first
+    places row r of x at row dest[r] of a zero matrix of `total` rows (the
+    chunk layout's zero padding). No im2col matrix is built; backward
+    rebuilds the padded input rather than keeping it.
+    """
+    x, kernels, bias = ad.as_tensor(x), ad.as_tensor(kernels), ad.as_tensor(bias)
+    n, k, depth = kernels.data.shape
+    total, dest = blocks if blocks is not None else (x.data.shape[0], None)
+    if x.data.ndim != 2 or x.data.shape[1] != depth:
+        raise ShapeError(f"conv_relu depth mismatch: input {x.data.shape}, kernels {kernels.data.shape}")
+    if total < k:
+        raise ShapeError(f"conv_relu input length {total} shorter than kernel {k}")
+    taps = total - k + 1
+
+    def padded():
+        if dest is None:
+            return x.data
+        xp = np.zeros((total, depth))
+        xp[dest] = x.data
+        return xp
+
+    xp = padded()
+    data = xp[:taps] @ kernels.data[:, 0].T
+    for dt in range(1, k):
+        data += xp[dt:dt + taps] @ kernels.data[:, dt].T
+    data += bias.data
+    np.maximum(data, 0.0, out=data)
+    if not (x.requires_grad or kernels.requires_grad or bias.requires_grad):
+        return Tensor(data)
+
+    def bw(g):
+        g = g * (data > 0.0)  # subgradient 0 at the kink
+        xp = padded()
+        gx = None
+        if x.requires_grad:
+            gxp = np.zeros((total, depth))
+            for dt in range(k):
+                gxp[dt:dt + taps] += g @ kernels.data[:, dt]
+            gx = gxp if dest is None else gxp[dest]
+        gk = None
+        if kernels.requires_grad:
+            gk = np.empty_like(kernels.data)
+            for dt in range(k):
+                np.matmul(g.T, xp[dt:dt + taps], out=gk[:, dt])
+        return (gx, gk, g.sum(axis=0) if bias.requires_grad else None)
+
+    return Tensor(data, True, (x, kernels, bias), bw)
 
 
-def max_over_time(feature_map, valid=None) -> Tensor:
-    """Maximum of a feature map along time; `valid` limits pooling to real taps."""
-    return ad.max_over_time(feature_map, valid=valid)
+def segment_max(a, starts, counts) -> Tensor:
+    """Column-wise maximum over rows starts[i] to starts[i] + counts[i] - 1, per segment.
 
+    The output is (segments, columns). Segments must not overlap. Ties
+    route the gradient to the earliest maximal row.
+    """
+    a = ad.as_tensor(a)
+    starts, counts = [int(s) for s in starts], [int(c) for c in counts]
+    if (a.data.ndim != 2 or len(starts) != len(counts) or not starts or min(counts) < 1
+            or min(starts) < 0 or max(s + c for s, c in zip(starts, counts)) > a.data.shape[0]):
+        raise ShapeError(f"segment_max: segments at {starts} of {counts} rows do not fit shape {a.data.shape}")
+    columns = np.arange(a.data.shape[1])
+    if len(starts) == 1:
+        first = starts[0]
+        rows = a.data[first:first + counts[0]].argmax(axis=0)[None] + first
+    else:
+        starts, counts = np.array(starts), np.array(counts)
+        ends = starts + counts
+        index = starts[:, None] + np.arange(counts.max())
+        inside = index < ends[:, None]
+        index = np.where(inside, index, 0)
+        window = a.data[index]  # (segments, width, columns)
+        window[~inside] = -np.inf
+        rows = np.take_along_axis(index, window.argmax(axis=1), axis=1)
+    data = a.data[rows, columns]  # argmax takes the first maximum on ties
+    if not a.requires_grad:
+        return Tensor(data)
 
-def _pad_rows(x: Tensor, target: int) -> Tensor:
-    have = x.data.shape[0]
-    if have >= target:
-        return x
-    return ad.concat([x, Tensor(np.zeros((target - have, x.data.shape[1])))], axis=0)
+    def bw(g):
+        full = np.zeros_like(a.data)
+        full[rows, columns] = g
+        return (full,)
+
+    return Tensor(data, True, (a,), bw)
 
 
 def classify_logits(channels, params: TextCnnParams) -> Tensor:
-    """Raw class scores for a list of (matrix, valid_length) channels.
+    """Raw class scores, one row per post, for a list of (matrix, layout) channels.
 
-    A tap starting at t is pooled only when it fits inside the channel's
-    valid length; if the channel is shorter than the kernel, the single tap
-    covering all real content is used. Appending padded columns therefore
-    never changes the output.
+    A layout is the `Segments` packing a chunk's posts into the matrix, or
+    one post's valid length, in which case the scores come back as a
+    vector. Every post's rows are followed by zero rows up to the widest
+    kernel; a tap starting at t is pooled only when it fits inside the
+    post's valid length, and if the post is shorter than the kernel, the
+    single tap covering all real content is used. Appending padded rows
+    therefore never changes the output.
     """
     if len(channels) != len(params.banks):
         raise ShapeError(f"classifier has {len(params.banks)} channel banks, got {len(channels)} channels")
     pooled = []
-    for (matrix, valid_length), channel_banks in zip(channels, params.banks):
+    single = False
+    max_kernel = params.max_kernel
+    for (matrix, layout), channel_banks in zip(channels, params.banks):
         matrix = ad.as_tensor(matrix)
-        if valid_length < 1 or valid_length > matrix.data.shape[0]:
-            raise ShapeError(f"valid length {valid_length} out of range for channel shape {matrix.data.shape}")
-        padded = _pad_rows(matrix, params.max_kernel)
+        rows = matrix.data.shape[0]
+        if isinstance(layout, ad.Segments):
+            segments, valid = layout, layout.lengths
+        else:
+            if layout < 1 or layout > rows:
+                raise ShapeError(f"valid length {layout} out of range for channel shape {matrix.data.shape}")
+            segments, valid, single = ad.Segments([rows]), np.array([layout]), True
+        if segments.rows != rows:
+            raise ShapeError(f"segments cover {segments.rows} rows, channel has {rows}")
+        starts, total, dest = segments.blocks(max_kernel)
         for bank in channel_banks:
-            maps = conv_channel(padded, bank)
-            valid_taps = max(valid_length - bank.width, 0) + 1
-            pooled.append(max_over_time(maps, valid=valid_taps))
-    features = ad.reshape(ad.concat(pooled, axis=0), (1, -1))
-    logits = ad.matmul(features, params.dense_w) + params.dense_b
-    return ad.reshape(logits, (-1,))
+            maps = conv_relu(matrix, bank.kernels, bank.bias, (total, dest))
+            pooled.append(segment_max(maps, starts, np.maximum(valid - bank.width, 0) + 1))
+    logits = ad.linear(ad.concat(pooled, axis=1), params.dense_w, params.dense_b)
+    return ad.reshape(logits, (-1,)) if single else logits
 
 
 def classify(channels, params: TextCnnParams) -> Tensor:
@@ -120,12 +204,31 @@ def cross_entropy(probs, label: int) -> Tensor:
     return ad.mul(ad.log(probs[label]), -1.0)
 
 
-def cross_entropy_logits(logits, label: int) -> Tensor:
-    """The same loss computed stably from raw scores via log-sum-exp."""
+def cross_entropy_logits(logits, labels) -> Tensor:
+    """Summed negative log likelihood of each row's label, from raw scores via log-sum-exp.
+
+    `logits` is (posts, classes) with one label per row, or one post's
+    score vector with an int label. One tape node.
+    """
     logits = ad.as_tensor(logits)
-    n = logits.data.shape[0]
-    if not 0 <= label < n:
-        raise ValueError(f"label {label} out of range for {n} classes")
-    shift = float(logits.data.max())  # constant shift, gradient-neutral
-    shifted = logits - shift
-    return ad.log(ad.tensor_sum(ad.exp(shifted))) - shifted[label]
+    scores = logits.data.reshape(-1, logits.data.shape[-1])
+    labels = np.atleast_1d(np.asarray(labels, dtype=np.intp))
+    posts, n = scores.shape
+    if labels.shape != (posts,):
+        raise ValueError(f"{labels.size} labels for {posts} rows of scores")
+    if labels.min() < 0 or labels.max() >= n:
+        raise ValueError(f"labels {labels.tolist()} out of range for {n} classes")
+    rows = np.arange(posts)
+    shifted = scores - scores.max(axis=1, keepdims=True)  # constant shift, gradient-neutral
+    e = np.exp(shifted)
+    sums = e.sum(axis=1)
+    data = (np.log(sums) - shifted[rows, labels]).sum()
+    if not logits.requires_grad:
+        return Tensor(data)
+
+    def bw(g):
+        d = e / sums[:, None]
+        d[rows, labels] -= 1.0
+        return ((g * d).reshape(logits.data.shape),)
+
+    return Tensor(data, True, (logits,), bw)

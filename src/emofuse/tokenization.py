@@ -150,6 +150,22 @@ def split_modalities(seq: Iterable[Token]) -> tuple[list[Token], list[Token]]:
     return words, emojis
 
 
+def not_utf8(path, err: UnicodeDecodeError) -> str:
+    """Say where `path` stops being UTF-8, as a byte offset into the file.
+
+    A text-mode read reports offsets within its buffer, so the file is
+    decoded again whole to find the first bad byte.
+    """
+    try:
+        with open(path, "rb") as fh:
+            fh.read().decode("utf-8")
+    except UnicodeDecodeError as whole:
+        err = whole
+    except OSError:
+        pass
+    return f"{path} is not UTF-8 text: byte {err.start}: {err.reason}"
+
+
 def load_labeled_dataset(path) -> tuple[list[RawPost], list[tuple[int, str]]]:
     """Read a JSON-lines corpus of {"text": ..., "label": ...} objects.
 
@@ -182,6 +198,8 @@ def load_labeled_dataset(path) -> tuple[list[RawPost], list[tuple[int, str]]]:
                 posts.append(RawPost(text=text, label=label))
     except OSError as err:
         raise CorpusError(f"cannot read labeled corpus {path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise CorpusError(not_utf8(path, err)) from None
     if saw_content and not posts:
         raise CorpusError(f"no valid posts in {path} ({len(errors)} malformed lines)")
     for line_no, message in errors:
@@ -199,3 +217,5 @@ def load_unlabeled_corpus(path) -> Iterator[str]:
                     yield line
     except OSError as err:
         raise CorpusError(f"cannot read corpus {path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise CorpusError(not_utf8(path, err)) from None

@@ -1,11 +1,15 @@
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
 from emofuse import autodiff as ad
-from emofuse.autodiff import AdamState, Tensor, adam_step, grad_check, load_tensors, save_tensors
+from emofuse.attention import scaled_dot_attention
+from emofuse.autodiff import AdamState, Segments, Tensor, adam_step, grad_check, load_tensors, save_tensors
 from emofuse.exceptions import CheckpointError, EmofuseError, ShapeError
+from emofuse.text_encoder import LstmDirectionParams, lstm_direction
+from emofuse.textcnn import conv_relu, cross_entropy_logits, segment_max
 
 
 class TestBackwardBasics:
@@ -156,7 +160,9 @@ class TestGradCheck:
 
     @pytest.mark.parametrize("op", ["exp", "log", "tanh", "layer_norm", "concat",
                                     "slice", "transpose", "conv", "conv_kernels", "conv_bias",
-                                    "max_over_time", "mean"])
+                                    "max_over_time", "mean", "linear", "linear_blocks",
+                                    "add_layer_norm", "lstm_direction", "segment_attention",
+                                    "conv_padded", "segment_max", "cross_entropy_rows"])
     def test_every_op_passes_grad_check(self, op):
         rng = np.random.default_rng(zlib.crc32(op.encode()))
         if op == "log":
@@ -170,6 +176,21 @@ class TestGradCheck:
         other = Tensor(rng.standard_normal((3, 4)))
         weights = Tensor(rng.standard_normal((3, 4)))
         conv_weights = rng.standard_normal((2, 2))  # (L - width + 1, filters)
+        # chunk rules: three posts of 3, 1 and 3 rows packed into 7
+        chunk = Segments([3, 1, 3])
+        keys = Segments([2, 3, 1])
+        packed = Tensor(rng.standard_normal((7, 4)), requires_grad=True)
+        packed_weights = rng.standard_normal((7, 4))
+        lstm = LstmDirectionParams.create(4, 2, rng)
+        lstm.b.data[:] = rng.standard_normal(8)
+        wide, wide_bias, wide_weights = Tensor(rng.standard_normal((4, 5))), rng.standard_normal(5), \
+            rng.standard_normal((3, 5))
+        block_w = Tensor(rng.standard_normal((8, 2)))
+        starts, total, dest = chunk.blocks(2)  # the 1-row post gets one zero row
+        tap_weights = rng.standard_normal((total - 1, 2))
+        pool_weights = rng.standard_normal((3, 4))
+        scores = Tensor(rng.standard_normal((7, 4)), requires_grad=True)
+        labels = np.array([1, 0, 3, 1, 2, 0, 3])
 
         functions = {
             "exp": lambda t: ad.mean(ad.exp(t)),
@@ -180,36 +201,99 @@ class TestGradCheck:
                                                np.concatenate([weights.data, weights.data]))),
             "slice": lambda t: ad.mean(ad.mul(t[1:, :2], weights.data[1:, :2])),
             "transpose": lambda t: ad.mean(ad.mul(ad.transpose(t), weights.data.T)),
-            "conv": lambda t: ad.mean(ad.conv1d_valid(t, kernels, cbias)),
-            "conv_kernels": lambda k: ad.mean(ad.mul(ad.conv1d_valid(x, k, cbias), conv_weights)),
-            "conv_bias": lambda b: ad.mean(ad.mul(ad.conv1d_valid(x, kernels, b), conv_weights)),
-            "max_over_time": lambda t: ad.tensor_sum(ad.max_over_time(t)),
+            "conv": lambda t: ad.mean(conv_relu(t, kernels, cbias)),
+            "conv_kernels": lambda k: ad.mean(ad.mul(conv_relu(x, k, cbias), conv_weights)),
+            "conv_bias": lambda b: ad.mean(ad.mul(conv_relu(x, kernels, b), conv_weights)),
+            "max_over_time": lambda t: ad.tensor_sum(segment_max(t, [0], [3])),
             "mean": lambda t: ad.mean(ad.mul(t, weights)),
+            "linear": lambda t: ad.mean(ad.mul(ad.linear(t, wide, wide_bias, relu=True), wide_weights)),
+            "linear_blocks": lambda t: ad.mean(ad.mul(ad.linear([t[:, :1], other, t[:, 1:]], block_w),
+                                                      wide_weights[:, :2])),
+            "add_layer_norm": lambda t: ad.mean(ad.mul(ad.layer_norm(other, gain, bias, residual=t),
+                                                       weights)),
+            "lstm_direction": lambda t: ad.mean(ad.mul(lstm_direction(t, lstm, 2, True, chunk),
+                                                       packed_weights[:, :2])),
+            "segment_attention": lambda t: ad.mean(ad.mul(scaled_dot_attention(
+                t, t[:6], ad.mul(t[:6], 2.0), q_segments=chunk, k_segments=keys), packed_weights)),
+            "conv_padded": lambda t: ad.mean(ad.mul(conv_relu(t, kernels, cbias, (total, dest)),
+                                                    tap_weights)),
+            "segment_max": lambda t: ad.mean(ad.mul(segment_max(t, [0, 3, 4], [3, 1, 2]), pool_weights)),
+            "cross_entropy_rows": lambda t: ad.mul(cross_entropy_logits(t, labels), 0.3),
         }
-        checked = {"conv_kernels": kernels, "conv_bias": cbias}.get(op, x)
+        checked = {"conv_kernels": kernels, "conv_bias": cbias, "lstm_direction": packed,
+                   "segment_attention": packed, "conv_padded": packed, "segment_max": packed,
+                   "cross_entropy_rows": scores}.get(op, x)
         assert grad_check(functions[op], checked) < 1e-5
 
 
 class TestMaxOverTime:
+    """Max-pooling over time is segment_max over one segment."""
+
     def test_vector_maximum(self):
-        assert ad.max_over_time(Tensor([3.0, 5.0])).item() == 5.0
+        assert segment_max(Tensor([[3.0], [5.0]]), [0], [2]).data[0, 0] == 5.0
 
     def test_column_wise(self):
-        out = ad.max_over_time(Tensor([[1.0, 9.0], [4.0, 2.0]]))
-        np.testing.assert_array_equal(out.data, [4.0, 9.0])
+        out = segment_max(Tensor([[1.0, 9.0], [4.0, 2.0]]), [0], [2])
+        np.testing.assert_array_equal(out.data, [[4.0, 9.0]])
 
     def test_tie_routes_to_first(self):
-        x = Tensor([2.0, 2.0, 1.0], requires_grad=True)
-        ad.tensor_sum(ad.max_over_time(x)).backward()
-        np.testing.assert_array_equal(x.grad, [1.0, 0.0, 0.0])
+        x = Tensor([[2.0], [2.0], [1.0]], requires_grad=True)
+        ad.tensor_sum(segment_max(x, [0], [3])).backward()
+        np.testing.assert_array_equal(x.grad, [[1.0], [0.0], [0.0]])
 
     def test_valid_limit(self):
         x = Tensor([[1.0], [9.0], [100.0]])
-        assert ad.max_over_time(x, valid=2).data[0] == 9.0
+        assert segment_max(x, [0], [2]).data[0, 0] == 9.0
 
     def test_empty_rejected(self):
         with pytest.raises(ShapeError):
-            ad.max_over_time(Tensor(np.zeros((0, 2))))
+            segment_max(Tensor(np.zeros((0, 2))), [0], [1])
+
+
+class TestLeafAccumulation:
+    """Tensor.backward adds each leaf's gradient into `grad` as soon as a rule returns it."""
+
+    def test_two_leaves_of_one_add_own_separate_gradients(self):
+        a, b = Tensor([1.0, 2.0], requires_grad=True), Tensor([3.0, 4.0], requires_grad=True)
+        ad.tensor_sum(ad.mul(a + b, [1.0, -1.0])).backward()
+        np.testing.assert_array_equal(a.grad, [1.0, -1.0])
+        np.testing.assert_array_equal(b.grad, [1.0, -1.0])
+        assert not np.shares_memory(a.grad, b.grad)
+
+    def test_leaf_added_to_itself_owns_its_gradient(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        y = x + x
+        ad.tensor_sum(ad.mul(y, [3.0, 5.0])).backward()
+        np.testing.assert_array_equal(x.grad, [6.0, 10.0])
+        assert not np.shares_memory(x.grad, y.data)
+
+    def test_two_backward_calls_accumulate_their_sum(self):
+        rng = np.random.default_rng(0)
+        w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+        inputs = [rng.standard_normal((4, 3)) for _ in range(2)]
+        single = []
+        for x in inputs:
+            w.grad = None
+            ad.tensor_sum(ad.tanh(ad.matmul(x, w))).backward()
+            single.append(w.grad.copy())
+        w.grad = None
+        for x in inputs:
+            ad.tensor_sum(ad.tanh(ad.matmul(x, w))).backward()
+        np.testing.assert_allclose(w.grad, single[0] + single[1], rtol=1e-15)
+
+    def test_no_second_copy_of_a_large_gradient(self):
+        w = Tensor(np.ones((2000, 2000)), requires_grad=True)
+        loss = ad.tensor_sum(ad.matmul(np.ones((1, 2000)), w))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 1.5 * w.data.nbytes
+        np.testing.assert_array_equal(w.grad[:2, :2], np.ones((2, 2)))
 
 
 class TestAdam:

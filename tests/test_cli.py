@@ -180,3 +180,23 @@ class TestCliPipeline:
         assert "error: tensor container out/vgae.ntc is truncated" in capsys.readouterr().err
         assert cli_main(["evaluate", "--config", "run.cfg"]) == 1
         assert "classifier.ntc is truncated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("meta", [
+        "[]",
+        "{}",
+        '{"config": 3, "emoji_ids": []}',
+        '{"config": {}}',
+        '{"config": {}, "emoji_ids": "abc"}',
+        '{"config": {}, "emoji_ids": [1, 2]}',
+        '{"config": {"kernel_sizes": 5}, "emoji_ids": []}',
+    ])
+    def test_bad_classifier_metadata_exits_1_naming_the_file(self, workspace, capsys, meta):
+        assert cli_main(["build-graph", "--config", "run.cfg"]) == 0
+        assert cli_main(["train-vgae", "--config", "run.cfg"]) == 0
+        assert cli_main(["train-classifier", "--config", "run.cfg"]) == 0
+        path = workspace / "out" / "classifier_meta.json"
+        path.write_text(meta, encoding="utf-8")
+        capsys.readouterr()
+        assert cli_main(["evaluate", "--config", "run.cfg"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "classifier_meta.json" in err

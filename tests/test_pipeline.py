@@ -15,6 +15,7 @@ from emofuse.exceptions import ConfigError, TrainingError
 from emofuse import pipeline
 from emofuse.model import SentimentModel, apply_ablation, build_model
 from emofuse.pipeline import evaluate, train_classifier, write_history_csv
+from emofuse.textcnn import cross_entropy_logits
 from emofuse.tokenization import RawPost, tokenize
 from emofuse.vgae import EmojiEmbeddings
 
@@ -144,15 +145,35 @@ class TestTrainClassifier:
         posts = make_emoji_labeled_posts(8, seed=5)
         original, calls = pipeline.cross_entropy_logits, []
 
-        def poisoned(logits, label):
-            calls.append(None)
-            loss = original(logits, label)
-            return loss * math.nan if len(calls) == len(posts) + 3 else loss  # a post of epoch 2
+        def poisoned(logits, labels):
+            calls.append(len(labels))
+            loss = original(logits, labels)
+            return loss * math.nan if len(calls) == 2 else loss  # the chunk of epoch 2
         monkeypatch.setattr(pipeline, "cross_entropy_logits", poisoned)
         model = SentimentModel(tiny_config(epochs=3), word_table, tiny_embeddings(),
                                np.random.default_rng(0))
         with pytest.raises(TrainingError, match="epoch 2/3"):
             train_classifier(model, posts, np.random.default_rng(0))
+        assert calls == [8, 8]  # 8 short posts: one batch, one chunk per epoch
+
+    def test_batches_are_sorted_and_cut_at_the_row_budget(self, word_table, monkeypatch):
+        posts = make_emoji_labeled_posts(8, seed=6)
+        model = SentimentModel(tiny_config(epochs=1), word_table, tiny_embeddings(),
+                               np.random.default_rng(0))
+        rows = {p.text: len(model.split(tokenize(p.text))[0]) for p in posts}
+        chunks = []
+        original = model.forward_logits
+        monkeypatch.setattr(model, "forward_logits",
+                            lambda seqs: chunks.append([len(model.split(s)[0]) for s in seqs]) or original(seqs))
+        monkeypatch.setattr(pipeline, "CHUNK_ROWS", 12)
+        train_classifier(model, posts, np.random.default_rng(0))
+        assert sorted(n for chunk in chunks for n in chunk) == sorted(rows.values())
+        flat = [n for chunk in chunks for n in chunk]
+        assert flat == sorted(flat)
+        assert all(sum(chunk) <= 12 for chunk in chunks)
+        # greedy: the next post would not have fit
+        for chunk, following in zip(chunks, chunks[1:]):
+            assert sum(chunk) + following[0] > 12
 
     def test_emoji_matrix_stays_frozen(self, word_table):
         posts = make_emoji_labeled_posts(8, seed=4)
@@ -161,6 +182,50 @@ class TestTrainClassifier:
         train_classifier(model, posts, np.random.default_rng(3))
         np.testing.assert_array_equal(model.emoji_matrix.data, embeddings.vectors)
         assert model.emoji_matrix.grad is None
+
+
+CHUNK_TEXTS = [
+    "happy dog \U0001F600 music sun",
+    "plain words only here today",             # emoji-free: the learned placeholder row
+    "\U0001F622 \U0001F600",                   # emoji-only: one zero word row
+    "sad \U0001F389",                          # one word, shorter than the widest kernel
+    " ".join(["love"] * 14) + " \U0001F600",   # cut at max_len, its emoji with it
+    "\U0001F916 rain party",                    # an emoji the table does not know
+    "sun \U0001F44E fire \U0001F622 dog \U0001F389 very",
+]
+
+
+class TestChunks:
+    """A chunk of posts gives every post the logits and gradients it gets alone."""
+
+    @pytest.mark.parametrize("fused_text", [True, False])
+    @pytest.mark.parametrize("ablation", ABLATIONS)
+    def test_chunk_matches_one_post_chunks(self, word_table, ablation, fused_text):
+        config = tiny_config(ablation=ablation, emoji_reads_fused_text=fused_text,
+                             kernel_sizes=(2, 4), max_len=12)
+        model = SentimentModel(config, word_table, tiny_embeddings(), np.random.default_rng(0))
+        noise = np.random.default_rng(1)
+        for _, tensor in named_parameters(model.params):  # no zero biases or unit gains
+            tensor.data += noise.normal(0.0, 0.1, tensor.data.shape)
+        params = [t for _, t in named_parameters(model.params)]
+        seqs = [tokenize(text) for text in CHUNK_TEXTS]
+        labels = [0, 1, 1, 0, 1, 0, 1]
+
+        logits = model.forward_logits(seqs)
+        cross_entropy_logits(logits, labels).backward()
+        chunk_grads = [t.grad for t in params]
+        ad.zero_grads(params)
+        alone = []
+        for seq, label in zip(seqs, labels):
+            one = model.forward_logits(seq)
+            cross_entropy_logits(one, label).backward()
+            alone.append(one.data[0])
+
+        np.testing.assert_allclose(logits.data, np.stack(alone), rtol=1e-12, atol=1e-13)
+        for (name, tensor), got in zip(named_parameters(model.params), chunk_grads):
+            assert (got is None) == (tensor.grad is None), name
+            if got is not None:
+                np.testing.assert_allclose(got, tensor.grad, rtol=1e-12, atol=1e-13, err_msg=name)
 
 
 class StubModel:

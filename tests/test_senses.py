@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from emofuse.exceptions import InventoryError
 from emofuse.senses import (
@@ -74,6 +74,14 @@ class TestLoadEmojinet:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(InventoryError):
             load_emojinet(tmp_path / "missing.json")
+
+
+def test_non_utf8_inventory_names_the_file_and_byte(tmp_path):
+    path = tmp_path / "inventory.json"
+    path.write_bytes(b"\xff\xfe[\x00]\x00")
+    with pytest.raises(InventoryError, match="byte 0") as err:
+        load_emojinet(path)
+    assert str(path) in str(err.value)
 
 
 class TestTfidf:
@@ -147,6 +155,7 @@ sparse_vec = st.dictionaries(
 
 
 @given(sparse_vec, sparse_vec)
+@example({"a": 1.0}, {"a": 8.801570390044162e-159})  # the square of b's weight is subnormal
 def test_cosine_symmetric_and_bounded(a, b):
     ab, ba = cosine_similarity(a, b), cosine_similarity(b, a)
     assert ab == pytest.approx(ba, abs=1e-12)
@@ -159,14 +168,14 @@ class TestNodeAttribute:
         single = type(fire)(
             codepoints=fire.codepoints, name=fire.name, shortcode=fire.shortcode,
             description=fire.description, keywords=("fire",), senses=fire.senses)
-        np.testing.assert_array_equal(node_attribute(single, word_table), word_table.lookup("fire"))
+        np.testing.assert_array_equal(node_attribute(single, word_table), word_table.get("fire"))
 
     def test_mean_of_two_keywords(self, inventory, word_table):
         base = inventory.get("\U0001F525")
         two = type(base)(
             codepoints=base.codepoints, name=base.name, shortcode=base.shortcode,
             description=base.description, keywords=("fire", "hot"), senses=base.senses)
-        expected = (word_table.lookup("fire") + word_table.lookup("hot")) / 2.0
+        expected = (word_table.get("fire") + word_table.get("hot")) / 2.0
         np.testing.assert_allclose(node_attribute(two, word_table), expected, atol=1e-15)
 
     def test_out_of_vocabulary_keywords_give_zeros(self, inventory, word_table):
@@ -182,5 +191,5 @@ class TestNodeAttribute:
             codepoints=base.codepoints, name=base.name, shortcode=base.shortcode,
             description=base.description, keywords=("slice of pizza",), senses=base.senses)
         # "of" is out of vocabulary; mean over the two known words
-        expected = (word_table.lookup("slice") + word_table.lookup("pizza")) / 2.0
+        expected = (word_table.get("slice") + word_table.get("pizza")) / 2.0
         np.testing.assert_allclose(node_attribute(phrase, word_table), expected, atol=1e-15)

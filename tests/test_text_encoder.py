@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from emofuse import autodiff as ad
-from emofuse.autodiff import Tensor, grad_check, named_parameters
+from emofuse.autodiff import Segments, Tensor, grad_check, named_parameters
 from emofuse.config import RunConfig
 from emofuse.exceptions import ShapeError
 from emofuse.model import SentimentModel
@@ -12,9 +12,9 @@ from emofuse.text_encoder import (
     BiLstmParams,
     LstmDirectionParams,
     TextEncoderParams,
-    _run_direction,
     bilstm_layer,
     encode_text,
+    lstm_direction,
     positional_encoding,
 )
 from emofuse.tokenization import tokenize, split_modalities
@@ -81,14 +81,14 @@ class TestEmojiInputFeatures:
     def test_position_zero_adds_alternating_pattern(self, word_table):
         model, emb = self.make_model(word_table)
         _, emojis = split_modalities(tokenize("\U0001F600 hello"))
-        feats, _ = model._emoji_rows(emojis)
+        feats, _, _ = model._emoji_rows([emojis])
         expected = emb.get("\U0001F600") + np.array([0, 1, 0, 1, 0, 1])
         np.testing.assert_allclose(feats.data[0], expected, atol=1e-12)
 
     def test_same_emoji_two_positions_differ_by_pe(self, word_table):
         model, _ = self.make_model(word_table)
         _, emojis = split_modalities(tokenize("\U0001F600 a b c d e f \U0001F600"))
-        feats, _ = model._emoji_rows(emojis)
+        feats, _, _ = model._emoji_rows([emojis])
         diff = feats.data[0] - feats.data[1]
         expected = positional_encoding(0, 6) - positional_encoding(7, 6)
         np.testing.assert_allclose(diff, expected, atol=1e-12)
@@ -96,7 +96,7 @@ class TestEmojiInputFeatures:
     def test_unknown_emoji_is_pure_positional(self, word_table):
         model, _ = self.make_model(word_table)
         _, emojis = split_modalities(tokenize("\U0001F916"))  # robot, not in table
-        feats, _ = model._emoji_rows(emojis)
+        feats, _, _ = model._emoji_rows([emojis])
         np.testing.assert_allclose(feats.data[0], positional_encoding(0, 6), atol=1e-12)
 
 
@@ -148,7 +148,7 @@ def tape_size(out):
 
 
 class TestFusedDirection:
-    """The fused single-node direction against the per-step reference tape.
+    """The fused direction (input GEMM plus one recurrence node) against the per-step reference tape.
 
     The fused op sums in a different order (one input GEMM, GEMM weight
     gradients), so agreement is to a tolerance fixed in advance for float64.
@@ -166,7 +166,7 @@ class TestFusedDirection:
         weights = rng.standard_normal((length, hidden))
         tracked = [x] + [t for _, t in named_parameters(params)]
         results = []
-        for run in (reference_direction, _run_direction):
+        for run in (reference_direction, lstm_direction):
             for tensor in tracked:
                 tensor.grad = None
             out = run(x, params, hidden, reverse)
@@ -178,6 +178,31 @@ class TestFusedDirection:
             expected, fused = expected[:1] + expected[2:], fused[:1] + fused[2:]
         for want, got in zip(expected, fused):
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_packed_chunk_matches_each_post_alone(self, reverse):
+        rng = np.random.default_rng(40 + reverse)
+        hidden, lengths = 3, [4, 1, 6, 2, 6]
+        params = LstmDirectionParams.create(5, hidden, rng)
+        params.b.data[:] = rng.standard_normal(4 * hidden)
+        x = Tensor(rng.standard_normal((sum(lengths), 5)), requires_grad=True)
+        weights = rng.standard_normal((sum(lengths), hidden))
+        tracked = [x] + [t for _, t in named_parameters(params)]
+        segments = Segments(lengths)
+        out = lstm_direction(x, params, hidden, reverse, segments)
+        ad.tensor_sum(ad.mul(out, weights)).backward()
+        packed = [out.data.copy()] + [t.grad for t in tracked]
+        for t in tracked:
+            t.grad = None
+        pieces = []
+        for start, length in zip(segments.offsets, lengths):
+            rows = slice(start, start + length)
+            piece = lstm_direction(x[rows], params, hidden, reverse)
+            ad.tensor_sum(ad.mul(piece, weights[rows])).backward()
+            pieces.append(piece.data)
+        alone = [np.concatenate(pieces)] + [t.grad for t in tracked]
+        for got, want in zip(packed, alone):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
     def test_tape_size_independent_of_length(self):
         rng = np.random.default_rng(9)
@@ -241,15 +266,17 @@ class TestEncodeText:
         assert encoded.embeddings.data.shape == (3, 300)
         assert encoded.lstm1.data.shape == (3, 8)
         assert encoded.lstm2.data.shape == (3, 8)
-        assert encoded.stacked.data.shape == (3, 300 + 16)
+        assert [t.data.shape[1] for t in encoded.levels] == [300, 8, 8]
 
     def test_stacked_is_feature_concatenation(self, word_table):
+        """Projecting the levels block by block equals projecting their concatenation."""
         params = TextEncoderParams.create(word_table.dimension, 3, np.random.default_rng(1))
         words, _ = split_modalities(tokenize("sun and rain"))
         encoded = encode_text(words, word_table, params)
-        rebuilt = np.concatenate(
-            [encoded.embeddings.data, encoded.lstm1.data, encoded.lstm2.data], axis=1)
-        np.testing.assert_array_equal(encoded.stacked.data, rebuilt)
+        proj = Tensor(np.random.default_rng(2).standard_normal((300 + 12, 5)))
+        stacked = np.concatenate([t.data for t in encoded.levels], axis=1)
+        np.testing.assert_allclose(ad.linear(encoded.levels, proj).data, stacked @ proj.data,
+                                   rtol=1e-12, atol=1e-13)
 
     def test_unknown_words_look_up_zeros(self, word_table):
         params = TextEncoderParams.create(word_table.dimension, 2, np.random.default_rng(2))

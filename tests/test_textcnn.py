@@ -4,18 +4,22 @@ import numpy as np
 import pytest
 
 from emofuse import autodiff as ad
-from emofuse.autodiff import Tensor, grad_check, named_parameters
+from emofuse.autodiff import Segments, Tensor, grad_check, named_parameters
 from emofuse.exceptions import ShapeError
 from emofuse.textcnn import (
     ConvBank,
     TextCnnParams,
     classify,
     classify_logits,
-    conv_channel,
+    conv_relu,
     cross_entropy,
     cross_entropy_logits,
-    max_over_time,
+    segment_max,
 )
+
+
+def conv_channel(x, bank):
+    return conv_relu(x, bank.kernels, bank.bias)
 
 
 def make_params(num_channels=3, d=4, sizes=(2, 3), filters=2, classes=2, seed=0):
@@ -47,20 +51,29 @@ class TestConvChannel:
 
 
 class TestMaxOverTime:
+    """segment_max over one segment is max-pooling over time."""
+
     def test_takes_map_maximum(self):
-        assert max_over_time(Tensor([3.0, 5.0])).item() == 5.0
+        assert segment_max(Tensor([[3.0], [5.0]]), [0], [2]).data[0, 0] == 5.0
 
     def test_constant_map(self):
-        assert max_over_time(Tensor([2.5, 2.5, 2.5])).item() == 2.5
+        assert segment_max(Tensor([[2.5], [2.5], [2.5]]), [0], [3]).data[0, 0] == 2.5
 
     def test_gradient_routes_to_first_argmax(self):
-        x = Tensor([4.0, 4.0], requires_grad=True)
-        max_over_time(x).backward()
-        np.testing.assert_array_equal(x.grad, [1.0, 0.0])
+        x = Tensor([[4.0], [4.0]], requires_grad=True)
+        ad.tensor_sum(segment_max(x, [0], [2])).backward()
+        np.testing.assert_array_equal(x.grad, [[1.0], [0.0]])
 
     def test_empty_map_rejected(self):
         with pytest.raises(ShapeError):
-            max_over_time(Tensor(np.zeros(0)))
+            segment_max(Tensor(np.zeros((0, 1))), [0], [1])
+
+    def test_segments_pool_their_own_rows_ties_to_earliest(self):
+        x = Tensor([[1.0, 7.0], [3.0, 7.0], [9.0, 0.0], [2.0, 2.0], [2.0, 5.0]], requires_grad=True)
+        out = segment_max(x, [0, 3], [2, 2])
+        np.testing.assert_array_equal(out.data, [[3.0, 7.0], [2.0, 5.0]])
+        ad.tensor_sum(out).backward()
+        np.testing.assert_array_equal(x.grad, [[0, 1], [1, 0], [0, 0], [1, 0], [0, 1]])
 
 
 class TestClassify:
@@ -117,6 +130,15 @@ class TestClassify:
             (Tensor(np.vstack([b, np.zeros((2, 4))])), 2),
         ], params)
         np.testing.assert_array_equal(base.data, padded.data)
+        # a chunk: each post, posts 1 and 2 shorter than the widest kernel,
+        # scores as it does alone with padded rows appended
+        lengths = [5, 1, 2, 4]
+        posts = [rng.standard_normal((n, 4)) for n in lengths]
+        chunk = classify_logits([(Tensor(np.vstack(posts)), Segments(lengths))] * 2, params)
+        for post, length, row in zip(posts, lengths, chunk.data):
+            alone = np.vstack([post, np.zeros((3, 4))])
+            np.testing.assert_allclose(row, classify_logits([(Tensor(alone), length)] * 2, params).data,
+                                       rtol=1e-12, atol=1e-14)
 
     def test_channel_count_mismatch_rejected(self):
         params = make_params(num_channels=3)
