@@ -14,9 +14,10 @@ tape. ``linear`` and ``layer_norm`` fold a layer's bias, relu or residual
 into one node. A chunk of posts is packed along the rows of one matrix and
 laid out by ``Segments``; only rules that see post boundaries take it.
 Fused rules live beside the models that use them, each checked by
-``grad_check``: in ``text_encoder`` each LSTM recurrence is a single tape
-node with a hand-written BPTT backward (also checked against the per-step
-reference oracle in the tests); in ``attention`` the attention core of
+``grad_check``: in ``text_encoder`` the recurrence of both directions of a
+Bi-LSTM layer is one tape node with a hand-written BPTT backward, its gates
+from one tanh each (also checked against the per-step reference oracle in
+the tests); in ``attention`` the attention core of
 every post of a chunk is one node; in ``textcnn`` the convolution with its
 relu, the per-post max-pool and the cross-entropy are one node each; in
 ``vgae`` the decoder, the reconstruction cross-entropy and the KL term are
@@ -58,10 +59,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def is_leaf(self):
-        return not self._parents
 
     def item(self):
         return float(self.data)
@@ -316,6 +313,11 @@ def tslice(a, key) -> Tensor:
     return Tensor(data, True, (a,), bw)
 
 
+def _row_mean(x: np.ndarray) -> np.ndarray:
+    """x.mean(axis=-1, keepdims=True), the same sum and division, without ndarray.mean's Python wrapper."""
+    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+
+
 def layer_norm(a, gain, bias, residual=None, eps=1e-5) -> Tensor:
     """Row-wise layer normalization of a (+ residual) over the last axis.
 
@@ -329,9 +331,9 @@ def layer_norm(a, gain, bias, residual=None, eps=1e-5) -> Tensor:
         residual = _coerce(residual)
         x = x + residual.data
         parents += (residual,)
-    mu = x.mean(axis=-1, keepdims=True)
+    mu = _row_mean(x)
     centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = _row_mean(centered * centered)
     inv_std = 1.0 / np.sqrt(var + eps)
     normed = centered * inv_std
     data = normed * gain.data + bias.data
@@ -339,9 +341,7 @@ def layer_norm(a, gain, bias, residual=None, eps=1e-5) -> Tensor:
         return Tensor(data)
     def bw(g):
         d_normed = g * gain.data
-        dx = (d_normed
-              - d_normed.mean(axis=-1, keepdims=True)
-              - normed * (d_normed * normed).mean(axis=-1, keepdims=True)) * inv_std
+        dx = (d_normed - _row_mean(d_normed) - normed * _row_mean(d_normed * normed)) * inv_std
         d_gain = _unbroadcast(g * normed, gain.data.shape)
         d_bias = _unbroadcast(g, bias.data.shape)
         return (dx, d_gain, d_bias) + ((dx,) if residual is not None else ())

@@ -64,6 +64,7 @@ class SentimentModel:
         self._emoji_index = {e: i for i, e in enumerate(self.embedding_ids)}
         self.emoji_matrix = Tensor(embeddings.vectors.copy())  # frozen, off the tape
         self.emoji_dim = embeddings.vectors.shape[1]
+        self._positional_rows = {}  # position -> its positional_encoding row, filled as met
         self.wiring = apply_ablation(config.ablation, config.emoji_reads_fused_text)
         h = config.lstm_hidden
         word_dim = word_table.dimension
@@ -118,7 +119,11 @@ class SentimentModel:
                 index = self._emoji_index.get(token.surface)
                 if index is not None:  # an unknown emoji keeps a zero row
                     raw[row] = self.emoji_matrix.data[index]
-                pe[row] = positional_encoding(token.position, self.emoji_dim, self.config.pe_base)
+                pe_row = self._positional_rows.get(token.position)
+                if pe_row is None:  # first use of this position by this model
+                    pe_row = positional_encoding(token.position, self.emoji_dim, self.config.pe_base)
+                    self._positional_rows[token.position] = pe_row
+                pe[row] = pe_row
                 row += 1
         raw_rows = Tensor(raw)
         if placeholder.any():  # 0 + 1 * no_emoji and x + 0 * no_emoji are exact

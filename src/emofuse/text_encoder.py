@@ -9,7 +9,9 @@ the original mixed token stream.
 
 Sequence features are stored time-major: shape (length, features). A chunk
 of posts packs its posts' rows one after another in one matrix, laid out by
-an `autodiff.Segments`; only the LSTM recurrence sees the post boundaries.
+an `autodiff.Segments`. Only the recurrence of each Bi-LSTM layer sees the
+post boundaries: one tape node steps both directions together, with every
+gate computed by one tanh (sigmoid(x) = tanh(x / 2) / 2 + 1 / 2).
 """
 
 from __future__ import annotations
@@ -110,93 +112,85 @@ class BiLstmParams:
         )
 
 
-def _recurrence(z: Tensor, w_h: Tensor, hidden: int, segments: ad.Segments, reverse: bool) -> Tensor:
-    """The LSTM recurrence of one direction over a chunk, as one tape node.
-
-    `z` holds each row's input pre-activations x W_x + b (rows, 4h); the
-    gates of all the chunk's posts advance together as one (posts, 4h)
-    matrix per time step. A post that has ended keeps stepping on filler
-    input, but those steps come after all of its own, so they change none
-    of its outputs, and their gradient is exactly zero. Backward runs BPTT
-    in numpy to the pre-activation gradients dZ, so W_h's gradient is one
-    GEMM over all steps and dZ goes back through the input GEMM. Output row
-    r is the hidden state at input row r in both directions; with `reverse`
-    each post starts at its own end.
-    """
-    zp = segments.time_major(z.data, reverse)  # (steps, posts, 4h)
-    steps, posts = zp.shape[:2]
-    w = w_h.data
-    acts = np.empty((steps, posts, 4 * hidden))   # i, f, o sigmoids; g tanh
-    h_all = np.zeros((steps + 1, posts, hidden))  # h_all[t] is h_{t-1}
-    c_all = np.zeros((steps + 1, posts, hidden))  # c_all[t] is c_{t-1}
-    tanh_c = np.empty((steps, posts, hidden))
-    i_gate, f_gate, cell, o_gate = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
-    for t in range(steps):
-        zt = zp[t] + h_all[t] @ w
-        a = acts[t]
-        a[...] = ad._sigmoid_values(zt)  # `...` indexing costs less than `:, `
-        a[..., cell] = np.tanh(zt[..., cell])
-        np.multiply(a[..., f_gate], c_all[t], out=c_all[t + 1])
-        c_all[t + 1] += a[..., i_gate] * a[..., cell]
-        np.tanh(c_all[t + 1], out=tanh_c[t])
-        np.multiply(a[..., o_gate], tanh_c[t], out=h_all[t + 1])
-    out = segments.from_time_major(h_all[1:], reverse)
-    if not (z.requires_grad or w_h.requires_grad):
-        return Tensor(out)
-
-    def bw(g):
-        gp = segments.time_major(g, reverse, zero_pad=True)
-        gates = acts.reshape(steps, posts, 4, hidden)
-        i_g, f_g, g_c, o_g = gates[:, :, 0], gates[:, :, 1], gates[:, :, 2], gates[:, :, 3]
-        # dZ = [dc, dc, dc, dh] * scale, with each gate's local derivative folded in
-        scale = np.stack([g_c * i_g * (1.0 - i_g),
-                          c_all[:-1] * f_g * (1.0 - f_g),
-                          i_g * (1.0 - g_c * g_c),
-                          tanh_c * o_g * (1.0 - o_g)], axis=2)
-        dc_dh = o_g * (1.0 - tanh_c * tanh_c)
-        dz = np.empty((steps, posts, 4, hidden))
-        dz_flat = dz.reshape(steps, posts, 4 * hidden)
-        w_t = w.T
-        dh_next = np.zeros((posts, hidden))
-        dc_next = np.zeros((posts, hidden))
-        for t in range(steps - 1, -1, -1):
-            dh = gp[t] + dh_next
-            dc = dh * dc_dh[t] + dc_next
-            np.multiply(scale[t, ..., :3, :], dc[..., None, :], out=dz[t, ..., :3, :])
-            np.multiply(scale[t, ..., 3, :], dh, out=dz[t, ..., 3, :])
-            dc_next = dc * f_g[t]
-            dh_next = dz_flat[t] @ w_t
-        dw = None
-        if w_h.requires_grad:
-            dw = h_all[:-1].reshape(-1, hidden).T @ dz_flat.reshape(-1, 4 * hidden)
-        return (segments.from_time_major(dz_flat, reverse) if z.requires_grad else None, dw)
-
-    return Tensor(out, True, (z, w_h), bw)
-
-
-def lstm_direction(inputs, params: LstmDirectionParams, hidden: int, reverse: bool,
-                   segments: ad.Segments | None = None) -> Tensor:
-    """One LSTM direction from zero states over every post of a chunk.
-
-    The input GEMM runs once over all packed rows; only the recurrence sees
-    post boundaries. `segments` defaults to one post of all the rows.
-    """
-    inputs = ad.as_tensor(inputs)
-    segments = segments or ad.Segments([inputs.data.shape[0]])
-    z = ad.linear(inputs, params.w_x, params.b)
-    return _recurrence(z, params.w_h, hidden, segments, reverse)
-
-
 def bilstm_layer(inputs, params: BiLstmParams, segments: ad.Segments | None = None) -> Tensor:
-    """Both directions from zero states; output row t is [h_fwd(t), h_bwd(t)]."""
+    """Both directions from zero states; output row t is [h_fwd(t), h_bwd(t)].
+
+    Each direction's input GEMM z = x W_x + b runs once over all packed
+    rows. One tape node runs both recurrences, the only part that sees post
+    boundaries (`segments`, default one post of all the rows): one
+    (2, posts, h) @ (2, h, 4h) GEMM per time step, the backward direction
+    from each post's own end. Steps past a post's end come after all of its
+    own, so they change none of its outputs and get exactly zero gradient.
+    With the i, f, o columns of z and W_h halved once (exact), every gate is
+    tanh(z) * half + shift: sigmoid(x) = tanh(x / 2) / 2 + 1 / 2 on i, f, o.
+    Backward runs BPTT for both directions in one reverse loop to dZ, so
+    each W_h gradient is one GEMM.
+    """
     inputs = ad.as_tensor(inputs)
     if inputs.data.ndim != 2 or inputs.data.shape[0] == 0:
         raise ShapeError(f"bilstm_layer needs a nonempty (L, f) input, got shape {inputs.data.shape}")
     if segments is not None and segments.rows != inputs.data.shape[0]:
         raise ShapeError(f"segments cover {segments.rows} rows, input has {inputs.data.shape[0]}")
-    fwd = lstm_direction(inputs, params.forward, params.hidden, False, segments)
-    bwd = lstm_direction(inputs, params.backward, params.hidden, True, segments)
-    return ad.concat([fwd, bwd], axis=1)
+    segments = segments or ad.Segments([inputs.data.shape[0]])
+    z_fwd = ad.linear(inputs, params.forward.w_x, params.forward.b)
+    z_bwd = ad.linear(inputs, params.backward.w_x, params.backward.b)
+    hidden, w_f, w_b = params.hidden, params.forward.w_h, params.backward.w_h
+    half = np.array([0.5, 0.5, 1.0, 0.5]).repeat(hidden)  # gates i, f, g, o: g stays a tanh
+    shift = 1.0 - half
+    steps, posts = segments.width, segments.count
+    acts = np.empty((steps, 2, posts, 4 * hidden))  # halved z, then the gates
+    np.multiply(segments.time_major(z_fwd.data, False), half, acts[:, 0])
+    np.multiply(segments.time_major(z_bwd.data, True), half, acts[:, 1])
+    w = np.array([w_f.data, w_b.data]) * half
+    h_all = np.zeros((steps + 1, 2, posts, hidden))  # h_all[t] is h_{t-1}
+    c_all = np.zeros((steps + 1, 2, posts, hidden))  # c_all[t] is c_{t-1}
+    tanh_c = np.empty((steps, 2, posts, hidden))
+    i_g, f_g, g_c, o_g = (acts[..., k * hidden:(k + 1) * hidden] for k in range(4))
+    # zip hands out each step's views, and ufuncs take `out` by position: both cost less
+    for a, h, c, c_next, tc, h_next, i, f, g, o in zip(acts, h_all, c_all, c_all[1:], tanh_c,
+                                                      h_all[1:], i_g, f_g, g_c, o_g):
+        a += np.matmul(h, w)
+        np.tanh(a, a)
+        np.multiply(a, half, a)
+        np.add(a, shift, a)
+        np.multiply(f, c, c_next)
+        c_next += i * g
+        np.tanh(c_next, tc)
+        np.multiply(o, tc, h_next)
+    out = np.concatenate([segments.from_time_major(h_all[1:, 0], False),
+                          segments.from_time_major(h_all[1:, 1], True)], axis=1)
+    parents = (z_fwd, z_bwd, w_f, w_b)
+    if not any(p.requires_grad for p in parents):
+        return Tensor(out)
+
+    def bw(g):
+        gp = np.empty((steps, 2, posts, hidden))
+        gp[:, 0] = segments.time_major(g[:, :hidden], False, zero_pad=True)
+        gp[:, 1] = segments.time_major(g[:, hidden:], True, zero_pad=True)
+        # dZ = [dc, dc, dc, dh] * scale, with each gate's local derivative folded in
+        scale = np.stack([g_c * i_g * (1.0 - i_g), c_all[:-1] * f_g * (1.0 - f_g),
+                          i_g * (1.0 - g_c * g_c), tanh_c * o_g * (1.0 - o_g)], axis=3)
+        dc_dh = o_g * (1.0 - tanh_c * tanh_c)
+        dz = np.empty((steps, 2, posts, 4, hidden))
+        dz_flat = dz.reshape(steps, 2, posts, 4 * hidden)
+        w_t = np.array([w_f.data.T, w_b.data.T])
+        dh_next = dc_next = np.zeros((2, posts, hidden))
+        scale_c, scale_h, dz_c, dz_h = scale[..., :3, :], scale[..., 3, :], dz[..., :3, :], dz[..., 3, :]
+        for g_t, dc_dh_t, f, sc, sh, dzc, dzh, dz_t in zip(gp[::-1], dc_dh[::-1], f_g[::-1], scale_c[::-1],
+                                                           scale_h[::-1], dz_c[::-1], dz_h[::-1], dz_flat[::-1]):
+            dh = g_t + dh_next
+            dc = dh * dc_dh_t
+            dc += dc_next
+            np.multiply(sc, dc[..., None, :], dzc)
+            np.multiply(sh, dh, dzh)
+            dc_next = dc * f
+            dh_next = np.matmul(dz_t, w_t)
+        dw = [h_all[:-1, d].reshape(-1, hidden).T @ dz_flat[:, d].reshape(-1, 4 * hidden)
+              if w_d.requires_grad else None for d, w_d in enumerate((w_f, w_b))]
+        return (segments.from_time_major(dz_flat[:, 0], False) if z_fwd.requires_grad else None,
+                segments.from_time_major(dz_flat[:, 1], True) if z_bwd.requires_grad else None, *dw)
+
+    return Tensor(out, True, parents, bw)
 
 
 @dataclass

@@ -8,7 +8,7 @@ from emofuse import autodiff as ad
 from emofuse.attention import scaled_dot_attention
 from emofuse.autodiff import AdamState, Segments, Tensor, adam_step, grad_check, load_tensors, save_tensors
 from emofuse.exceptions import CheckpointError, EmofuseError, ShapeError
-from emofuse.text_encoder import LstmDirectionParams, lstm_direction
+from emofuse.text_encoder import BiLstmParams, bilstm_layer
 from emofuse.textcnn import conv_relu, cross_entropy_logits, segment_max
 
 
@@ -100,6 +100,31 @@ class TestElementwise:
             np.testing.assert_array_equal(ad._sigmoid_values(x), two_branch(x))
 
 
+class TestLayerNorm:
+    @pytest.mark.parametrize("with_residual", [False, True])
+    def test_matches_mean_formula_bit_for_bit(self, with_residual):
+        """Row means from np.add.reduce / d are the bits ndarray.mean gives, forward and backward."""
+        rng = np.random.default_rng(14 + with_residual)
+        a = Tensor(rng.standard_normal((5, 7)) * 3.0 + 1.0, requires_grad=True)
+        residual = Tensor(rng.standard_normal((5, 7)), requires_grad=True) if with_residual else None
+        gain, bias = Tensor(rng.uniform(0.5, 1.5, 7)), Tensor(rng.standard_normal(7))
+        g = rng.standard_normal((5, 7))
+        out = ad.layer_norm(a, gain, bias, residual=residual)
+        ad.tensor_sum(ad.mul(out, g)).backward()
+
+        x = a.data + residual.data if with_residual else a.data
+        centered = x - x.mean(axis=-1, keepdims=True)
+        inv_std = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + 1e-5)
+        normed = centered * inv_std
+        np.testing.assert_array_equal(out.data, normed * gain.data + bias.data)
+        d_normed = g * gain.data
+        dx = (d_normed - d_normed.mean(axis=-1, keepdims=True)
+              - normed * (d_normed * normed).mean(axis=-1, keepdims=True)) * inv_std
+        np.testing.assert_array_equal(a.grad, dx)
+        if with_residual:
+            np.testing.assert_array_equal(residual.grad, dx)
+
+
 class TestGaussianSample:
     def test_near_zero_variance_returns_mean(self):
         mu = Tensor([1.0, -2.0], requires_grad=True)
@@ -161,7 +186,7 @@ class TestGradCheck:
     @pytest.mark.parametrize("op", ["exp", "log", "tanh", "layer_norm", "concat",
                                     "slice", "transpose", "conv", "conv_kernels", "conv_bias",
                                     "max_over_time", "mean", "linear", "linear_blocks",
-                                    "add_layer_norm", "lstm_direction", "segment_attention",
+                                    "add_layer_norm", "bilstm_layer", "segment_attention",
                                     "conv_padded", "segment_max", "cross_entropy_rows"])
     def test_every_op_passes_grad_check(self, op):
         rng = np.random.default_rng(zlib.crc32(op.encode()))
@@ -181,8 +206,9 @@ class TestGradCheck:
         keys = Segments([2, 3, 1])
         packed = Tensor(rng.standard_normal((7, 4)), requires_grad=True)
         packed_weights = rng.standard_normal((7, 4))
-        lstm = LstmDirectionParams.create(4, 2, rng)
-        lstm.b.data[:] = rng.standard_normal(8)
+        lstm = BiLstmParams.create(4, 2, rng)
+        lstm.forward.b.data[:] = rng.standard_normal(8)
+        lstm.backward.b.data[:] = rng.standard_normal(8)
         wide, wide_bias, wide_weights = Tensor(rng.standard_normal((4, 5))), rng.standard_normal(5), \
             rng.standard_normal((3, 5))
         block_w = Tensor(rng.standard_normal((8, 2)))
@@ -211,8 +237,7 @@ class TestGradCheck:
                                                       wide_weights[:, :2])),
             "add_layer_norm": lambda t: ad.mean(ad.mul(ad.layer_norm(other, gain, bias, residual=t),
                                                        weights)),
-            "lstm_direction": lambda t: ad.mean(ad.mul(lstm_direction(t, lstm, 2, True, chunk),
-                                                       packed_weights[:, :2])),
+            "bilstm_layer": lambda _: ad.mean(ad.mul(bilstm_layer(packed, lstm, chunk), packed_weights)),
             "segment_attention": lambda t: ad.mean(ad.mul(scaled_dot_attention(
                 t, t[:6], ad.mul(t[:6], 2.0), q_segments=chunk, k_segments=keys), packed_weights)),
             "conv_padded": lambda t: ad.mean(ad.mul(conv_relu(t, kernels, cbias, (total, dest)),
@@ -220,10 +245,13 @@ class TestGradCheck:
             "segment_max": lambda t: ad.mean(ad.mul(segment_max(t, [0, 3, 4], [3, 1, 2]), pool_weights)),
             "cross_entropy_rows": lambda t: ad.mul(cross_entropy_logits(t, labels), 0.3),
         }
-        checked = {"conv_kernels": kernels, "conv_bias": cbias, "lstm_direction": packed,
-                   "segment_attention": packed, "conv_padded": packed, "segment_max": packed,
-                   "cross_entropy_rows": scores}.get(op, x)
-        assert grad_check(functions[op], checked) < 1e-5
+        # the bilstm_layer case reads packed and every parameter in place
+        checked = {"conv_kernels": [kernels], "conv_bias": [cbias],
+                   "bilstm_layer": [packed] + [p for _, p in ad.named_parameters(lstm)],
+                   "segment_attention": [packed], "conv_padded": [packed], "segment_max": [packed],
+                   "cross_entropy_rows": [scores]}.get(op, [x])
+        for tensor in checked:
+            assert grad_check(functions[op], tensor) < 1e-5
 
 
 class TestMaxOverTime:

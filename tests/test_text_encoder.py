@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from emofuse import autodiff as ad
 from emofuse.autodiff import Segments, Tensor, grad_check, named_parameters
@@ -14,7 +16,6 @@ from emofuse.text_encoder import (
     TextEncoderParams,
     bilstm_layer,
     encode_text,
-    lstm_direction,
     positional_encoding,
 )
 from emofuse.tokenization import tokenize, split_modalities
@@ -99,6 +100,20 @@ class TestEmojiInputFeatures:
         feats, _, _ = model._emoji_rows([emojis])
         np.testing.assert_allclose(feats.data[0], positional_encoding(0, 6), atol=1e-12)
 
+    def test_positional_rows_memoized_on_first_use(self, word_table):
+        """Rows are computed as positions occur, once per model, in positional_encoding's bits."""
+        model, emb = self.make_model(word_table)
+        assert model._positional_rows == {}
+        text = "\U0001F600 a \U0001F622 b c \U0001F600 d e f g h i j k l \U0001F916"
+        _, emojis = split_modalities(tokenize(text))
+        for _ in range(2):
+            feats, raw, _ = model._emoji_rows([emojis, emojis[:2]])
+            pe = [positional_encoding(t.position, 6, model.config.pe_base) for t in emojis + emojis[:2]]
+            np.testing.assert_array_equal(feats.data, raw.data + np.array(pe))
+        assert sorted(model._positional_rows) == [t.position for t in emojis]
+        for position, row in model._positional_rows.items():
+            np.testing.assert_array_equal(row, positional_encoding(position, 6, model.config.pe_base))
+
 
 def scalar_lstm_unroll(xs, wx, wh, b):
     """Hand-unrolled single-unit LSTM over a scalar input sequence."""
@@ -137,81 +152,130 @@ def reference_direction(inputs, params, hidden, reverse):
     return ad.concat(outputs, axis=0)  # aligned with input positions in both directions
 
 
-def tape_size(out):
-    seen, stack = set(), [out]
+def non_leaf_nodes(out):
+    """The tape nodes behind `out` that an operation made (leaves excluded)."""
+    seen, stack, count = set(), [out], 0
     while stack:
         node = stack.pop()
         if id(node) not in seen:
             seen.add(id(node))
+            count += bool(node._parents)
             stack.extend(node._parents)
-    return len(seen)
+    return count
+
+
+def random_layer(rng, f_in, hidden):
+    params = BiLstmParams.create(f_in, hidden, rng)
+    for direction in (params.forward, params.backward):
+        direction.b.data[:] = rng.standard_normal(4 * hidden)
+    return params
+
+
+def reference_layer(inputs, params):
+    """Both directions of a one-post `bilstm_layer` by the per-step oracle."""
+    return ad.concat([reference_direction(inputs, params.forward, params.hidden, False),
+                      reference_direction(inputs, params.backward, params.hidden, True)], axis=1)
+
+
+def one_post_at_a_time(segments):
+    """`bilstm_layer` run on each post of a chunk alone, the outputs stacked."""
+    def layer(x, params):
+        return ad.concat([bilstm_layer(x[int(start):int(start + length)], params)
+                          for start, length in zip(segments.offsets, segments.lengths)], axis=0)
+    return layer
+
+
+def chunk_layer(segments):
+    return lambda x, params: bilstm_layer(x, params, segments)
+
+
+def values_and_grads(layer, x, params, weights):
+    """layer(x, params) and the gradients of sum(output * weights) for x and every parameter."""
+    tracked = [x] + [t for _, t in named_parameters(params)]
+    for tensor in tracked:
+        tensor.grad = None
+    out = layer(x, params)
+    ad.tensor_sum(ad.mul(out, weights)).backward()
+    return [out.data.copy()] + [t.grad for t in tracked]
 
 
 class TestFusedDirection:
-    """The fused direction (input GEMM plus one recurrence node) against the per-step reference tape.
+    """The fused layer, both directions in one node, against the per-step reference tape.
 
-    The fused op sums in a different order (one input GEMM, GEMM weight
-    gradients), so agreement is to a tolerance fixed in advance for float64.
+    The fused op sums in a different order (one input GEMM per direction,
+    GEMM weight gradients, gates from tanh), so agreement is to a tolerance
+    fixed in advance for float64.
     """
 
     @pytest.mark.parametrize("length", [1, 2, 7, 33])
-    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("backward_half", [False, True])
     @pytest.mark.parametrize("input_grad", [False, True])
-    def test_matches_per_step_reference(self, length, reverse, input_grad):
-        rng = np.random.default_rng(length * 4 + 2 * reverse + input_grad)
+    def test_matches_per_step_reference(self, length, backward_half, input_grad):
+        """The loss reads one direction's half of the output, so the other's parameters get zero gradient.
+
+        Backward is linear in the output gradient, so the two halves checked
+        apart also check any loss that reads both.
+        """
+        rng = np.random.default_rng(length * 4 + 2 * backward_half + input_grad)
         hidden = 3
-        params = LstmDirectionParams.create(5, hidden, rng)
-        params.b.data[:] = rng.standard_normal(4 * hidden)
+        params = random_layer(rng, 5, hidden)
         x = Tensor(rng.standard_normal((length, 5)), requires_grad=input_grad)
-        weights = rng.standard_normal((length, hidden))
-        tracked = [x] + [t for _, t in named_parameters(params)]
-        results = []
-        for run in (reference_direction, lstm_direction):
-            for tensor in tracked:
-                tensor.grad = None
-            out = run(x, params, hidden, reverse)
-            ad.tensor_sum(ad.mul(out, weights)).backward()
-            results.append([out.data.copy()] + [t.grad for t in tracked])
-        expected, fused = results
+        weights = rng.standard_normal((length, 2 * hidden))
+        weights[:, slice(0, hidden) if backward_half else slice(hidden, None)] = 0.0
+        expected = values_and_grads(reference_layer, x, params, weights)
+        fused = values_and_grads(bilstm_layer, x, params, weights)
         if not input_grad:
             assert expected[1] is None and fused[1] is None
             expected, fused = expected[:1] + expected[2:], fused[:1] + fused[2:]
         for want, got in zip(expected, fused):
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+        unread = params.forward if backward_half else params.backward
+        assert not any(t.grad.any() for _, t in named_parameters(unread))
 
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_packed_chunk_matches_each_post_alone(self, reverse):
-        rng = np.random.default_rng(40 + reverse)
-        hidden, lengths = 3, [4, 1, 6, 2, 6]
-        params = LstmDirectionParams.create(5, hidden, rng)
-        params.b.data[:] = rng.standard_normal(4 * hidden)
-        x = Tensor(rng.standard_normal((sum(lengths), 5)), requires_grad=True)
-        weights = rng.standard_normal((sum(lengths), hidden))
-        tracked = [x] + [t for _, t in named_parameters(params)]
-        segments = Segments(lengths)
-        out = lstm_direction(x, params, hidden, reverse, segments)
-        ad.tensor_sum(ad.mul(out, weights)).backward()
-        packed = [out.data.copy()] + [t.grad for t in tracked]
-        for t in tracked:
-            t.grad = None
-        pieces = []
-        for start, length in zip(segments.offsets, lengths):
-            rows = slice(start, start + length)
-            piece = lstm_direction(x[rows], params, hidden, reverse)
-            ad.tensor_sum(ad.mul(piece, weights[rows])).backward()
-            pieces.append(piece.data)
-        alone = [np.concatenate(pieces)] + [t.grad for t in tracked]
+    @staticmethod
+    def assert_chunk_matches_each_post_alone(lengths, rng, f_in, hidden):
+        params = random_layer(rng, f_in, hidden)
+        x = Tensor(rng.standard_normal((sum(lengths), f_in)), requires_grad=True)
+        weights = rng.standard_normal((sum(lengths), 2 * hidden))
+        packed = values_and_grads(chunk_layer(Segments(lengths)), x, params, weights)
+        alone = values_and_grads(one_post_at_a_time(Segments(lengths)), x, params, weights)
         for got, want in zip(packed, alone):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
+    @pytest.mark.parametrize("reverse_order", [False, True])
+    def test_packed_chunk_matches_each_post_alone(self, reverse_order):
+        lengths = [4, 1, 6, 2, 6]
+        self.assert_chunk_matches_each_post_alone(lengths[::-1] if reverse_order else lengths,
+                                                  np.random.default_rng(40 + reverse_order), 5, 3)
+
+    @settings(max_examples=30, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 9), min_size=1, max_size=6), seed=st.integers(0, 2**32 - 1))
+    def test_any_ragged_chunk_gives_each_post_its_alone_result(self, lengths, seed):
+        self.assert_chunk_matches_each_post_alone(lengths, np.random.default_rng(seed), 4, 2)
+
     def test_tape_size_independent_of_length(self):
+        """A layer adds two input GEMMs and one recurrence node, whatever the lengths."""
         rng = np.random.default_rng(9)
         params = BiLstmParams.create(4, 3, rng)
-        sizes = []
-        for length in (3, 40):
-            x = Tensor(rng.standard_normal((length, 4)), requires_grad=True)
-            sizes.append(tape_size(bilstm_layer(x, params)))
-        assert sizes[0] == sizes[1]
+        for lengths in ([1], [3], [40], [5, 1, 9]):
+            x = Tensor(rng.standard_normal((sum(lengths), 4)), requires_grad=True)
+            assert non_leaf_nodes(bilstm_layer(x, params, Segments(lengths))) == 3
+
+    def test_saturated_preactivations_stay_finite(self):
+        """Pre-activations of +-1e3 saturate every gate without a warning or a non-finite value."""
+        rng = np.random.default_rng(12)
+        hidden, lengths = 3, [7, 2, 5]
+        params = BiLstmParams.create(4, hidden, rng)
+        for direction in (params.forward, params.backward):
+            direction.w_x.data[:] = 0.0
+            direction.b.data[:] = rng.choice([-1e3, 1e3], 4 * hidden)
+        x = Tensor(rng.standard_normal((sum(lengths), 4)), requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = values_and_grads(chunk_layer(Segments(lengths)), x, params,
+                                      rng.standard_normal((sum(lengths), 2 * hidden)))
+        assert all(np.isfinite(v).all() for v in values)
+        assert np.abs(values[0]).max() < 1.0
 
 
 class TestBiLstmLayer:
