@@ -6,6 +6,10 @@ numpy float64 arrays; each operation records a backward rule, and calling
 ``grad`` of every leaf created with ``requires_grad=True``. ``grad_check``
 is the finite-difference oracle the test suite uses against every rule.
 
+The engine holds only the ops some model calls: ``add`` and ``mul`` with
+broadcasting (also as ``+`` and ``*``), ``matmul`` (``@``), ``relu``,
+``exp``, ``concat``, ``layer_norm``, ``linear`` and ``gaussian_sample``.
+
 The engine is deliberately single-threaded and allocation-heavy: precision
 and determinism come before speed. Identical seeds give bit-identical
 trajectories. A leaf's gradient is added into its ``grad`` as soon as a
@@ -118,37 +122,19 @@ class Tensor:
     def __radd__(self, other):
         return add(other, self)
 
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
-    def __rsub__(self, other):
-        return add(other, mul(self, -1.0))
-
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(other, self)
 
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __getitem__(self, key):
-        return tslice(self, key)
-
-
-def _coerce(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=np.float64))
 
 
 def as_tensor(x) -> Tensor:
     """Wrap arrays/scalars as constant tensors; pass tensors through."""
-    return _coerce(x)
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -164,7 +150,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     """Elementwise sum with numpy broadcasting (bias rows broadcast over rows)."""
-    a, b = _coerce(a), _coerce(b)
+    a, b = as_tensor(a), as_tensor(b)
     try:
         data = a.data + b.data
     except ValueError:
@@ -178,7 +164,7 @@ def add(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     """Elementwise product with broadcasting."""
-    a, b = _coerce(a), _coerce(b)
+    a, b = as_tensor(a), as_tensor(b)
     try:
         data = a.data * b.data
     except ValueError:
@@ -192,7 +178,7 @@ def mul(a, b) -> Tensor:
 
 def matmul(a, b) -> Tensor:
     """2-D matrix product."""
-    a, b = _coerce(a), _coerce(b)
+    a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul shapes incompatible: {a.data.shape} @ {b.data.shape}")
     data = a.data @ b.data
@@ -205,7 +191,7 @@ def matmul(a, b) -> Tensor:
 
 
 def relu(a) -> Tensor:
-    a = _coerce(a)
+    a = as_tensor(a)
     data = np.maximum(a.data, 0.0)
     if not a.requires_grad:
         return Tensor(data)
@@ -213,63 +199,16 @@ def relu(a) -> Tensor:
     return Tensor(data, True, (a,), lambda g: (g * mask,))
 
 
-def _sigmoid_values(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + e) for x >= 0 and e / (1 + e) below, with e = exp(-|x|): no overflow.
-
-    The numerator max(e, x >= 0) picks the branch without masked indexing.
-    """
-    e = np.exp(-np.abs(x))
-    return np.maximum(e, x >= 0) / (1.0 + e)
-
-
-def sigmoid(a) -> Tensor:
-    a = _coerce(a)
-    data = _sigmoid_values(a.data)
-    if not a.requires_grad:
-        return Tensor(data)
-    return Tensor(data, True, (a,), lambda g: (g * data * (1.0 - data),))
-
-
-def tanh(a) -> Tensor:
-    a = _coerce(a)
-    data = np.tanh(a.data)
-    if not a.requires_grad:
-        return Tensor(data)
-    return Tensor(data, True, (a,), lambda g: (g * (1.0 - data * data),))
-
-
 def exp(a) -> Tensor:
-    a = _coerce(a)
+    a = as_tensor(a)
     data = np.exp(a.data)
     if not a.requires_grad:
         return Tensor(data)
     return Tensor(data, True, (a,), lambda g: (g * data,))
 
 
-def log(a) -> Tensor:
-    a = _coerce(a)
-    data = np.log(a.data)
-    if not a.requires_grad:
-        return Tensor(data)
-    return Tensor(data, True, (a,), lambda g: (g / a.data,))
-
-
-def row_softmax(a) -> Tensor:
-    """Softmax along the last axis; rows sum to 1 and stay strictly positive."""
-    a = _coerce(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=-1, keepdims=True)
-    if not a.requires_grad:
-        return Tensor(data)
-    def bw(g):
-        dot = (g * data).sum(axis=-1, keepdims=True)
-        return (data * (g - dot),)
-    return Tensor(data, True, (a,), bw)
-
-
 def concat(tensors, axis=0) -> Tensor:
-    tensors = [_coerce(t) for t in tensors]
+    tensors = [as_tensor(t) for t in tensors]
     if not tensors:
         raise ShapeError("concat of zero tensors")
     data = np.concatenate([t.data for t in tensors], axis=axis)
@@ -280,37 +219,6 @@ def concat(tensors, axis=0) -> Tensor:
     def bw(g):
         return tuple(np.split(g, offsets, axis=axis))
     return Tensor(data, True, tuple(tensors), bw)
-
-
-def transpose(a) -> Tensor:
-    a = _coerce(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got shape {a.data.shape}")
-    if not a.requires_grad:
-        return Tensor(a.data.T)
-    return Tensor(a.data.T, True, (a,), lambda g: (g.T,))
-
-
-def reshape(a, shape) -> Tensor:
-    a = _coerce(a)
-    data = a.data.reshape(shape)
-    if not a.requires_grad:
-        return Tensor(data)
-    orig = a.data.shape
-    return Tensor(data, True, (a,), lambda g: (g.reshape(orig),))
-
-
-def tslice(a, key) -> Tensor:
-    """Basic (non-fancy) indexing with gradient scatter into the source."""
-    a = _coerce(a)
-    data = a.data[key]
-    if not a.requires_grad:
-        return Tensor(data)
-    def bw(g):
-        full = np.zeros_like(a.data)
-        full[key] = g
-        return (full,)
-    return Tensor(data, True, (a,), bw)
 
 
 def _row_mean(x: np.ndarray) -> np.ndarray:
@@ -324,11 +232,11 @@ def layer_norm(a, gain, bias, residual=None, eps=1e-5) -> Tensor:
     Folding the residual add in keeps its sum off the tape; both summands
     get the same gradient.
     """
-    a, gain, bias = _coerce(a), _coerce(gain), _coerce(bias)
+    a, gain, bias = as_tensor(a), as_tensor(gain), as_tensor(bias)
     parents = (a, gain, bias)
     x = a.data
     if residual is not None:
-        residual = _coerce(residual)
+        residual = as_tensor(residual)
         x = x + residual.data
         parents += (residual,)
     mu = _row_mean(x)
@@ -356,8 +264,8 @@ def linear(x, w, b=None, relu=False) -> Tensor:
     rows; the concatenation and its gradient are never built. The relu's
     subgradient at 0 is 0.
     """
-    blocks = [_coerce(t) for t in x] if isinstance(x, (list, tuple)) else [_coerce(x)]
-    w = _coerce(w)
+    blocks = [as_tensor(t) for t in x] if isinstance(x, (list, tuple)) else [as_tensor(x)]
+    w = as_tensor(w)
     starts = [0]  # block i multiplies rows starts[i] to starts[i + 1] - 1 of w
     for t in blocks:
         if t.data.ndim != 2 or t.data.shape[0] != blocks[0].data.shape[0]:
@@ -370,7 +278,7 @@ def linear(x, w, b=None, relu=False) -> Tensor:
         data += t.data @ w.data[lo:hi]
     parents = (*blocks, w)
     if b is not None:
-        b = _coerce(b)
+        b = as_tensor(b)
         data += b.data
         parents += (b,)
     if relu:
@@ -489,30 +397,13 @@ class Segments:
         return self._blocks[min_rows]
 
 
-def mean(a) -> Tensor:
-    a = _coerce(a)
-    data = np.asarray(a.data.mean())
-    if not a.requires_grad:
-        return Tensor(data)
-    size = a.data.size
-    return Tensor(data, True, (a,), lambda g: (np.full(a.data.shape, float(g) / size),))
-
-
-def tensor_sum(a) -> Tensor:
-    a = _coerce(a)
-    data = np.asarray(a.data.sum())
-    if not a.requires_grad:
-        return Tensor(data)
-    return Tensor(data, True, (a,), lambda g: (np.full(a.data.shape, float(g)),))
-
-
 def gaussian_sample(mu, logvar, rng=None, noise=None) -> Tensor:
     """Reparameterized Gaussian sample z = mu + exp(logvar / 2) * noise.
 
     `noise` pins the standard-normal draw (gradient checks); otherwise it is
     drawn from `rng`. Gradients flow to mu and logvar, never to the noise.
     """
-    mu, logvar = _coerce(mu), _coerce(logvar)
+    mu, logvar = as_tensor(mu), as_tensor(logvar)
     if mu.data.shape != logvar.data.shape:
         raise ShapeError(f"gaussian_sample shapes differ: {mu.data.shape} vs {logvar.data.shape}")
     if noise is None:

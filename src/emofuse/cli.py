@@ -21,7 +21,7 @@ import numpy as np
 from .autodiff import load_parameters, load_tensors, named_parameters, save_tensors
 from .clustering import cluster_similarity, write_similarity_tsv
 from .config import RunConfig, apply_overrides, config_from_dict, load_config
-from .exceptions import ConfigError, EmofuseError
+from .exceptions import ConfigError, CorpusError, EmofuseError
 from .graph import build_cooc_graph, count_cooccurrences, load_graph, save_graph
 from .model import SentimentModel, build_model
 from .pipeline import evaluate, train_classifier, write_history_csv, write_loss_csv
@@ -45,7 +45,7 @@ def _load_run_config(args) -> RunConfig:
         apply_overrides(config, args.set)
     if args.seed is not None:
         config.seed = args.seed
-    return config
+    return config.validate()
 
 
 def _require(config: RunConfig, *names: str):
@@ -178,8 +178,11 @@ def cmd_cluster_viz(args) -> int:
     embeddings = EmojiEmbeddings.load(config.embeddings)
     posts = (tokenize(text) for text in load_unlabeled_corpus(config.unlabeled_corpus))
     counts = count_cooccurrences(posts)
-    top_k = min(config.top_k, len(embeddings.ids))
-    result = cluster_similarity(embeddings, counts.occurrences, top_k)
+    embedded = sum(e in counts.occurrences for e in embeddings.ids)
+    if embedded < 2:
+        raise CorpusError(f"{config.unlabeled_corpus}: {embedded} of the embedded emojis occur "
+                          "in the corpus, cluster-viz needs at least 2")
+    result = cluster_similarity(embeddings, counts.occurrences, config.top_k)
     matrix_path = _out_path(config, "cluster_matrix.tsv")
     write_similarity_tsv(matrix_path, result)
     leaves_path = _out_path(config, "cluster_leaves.txt")

@@ -64,6 +64,10 @@ class RunConfig:
             raise ConfigError("fusion_dim, filters, and lstm_hidden must be positive")
         if self.max_len < 1:
             raise ConfigError(f"max_len must be >= 1, got {self.max_len}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.top_k < 2:
+            raise ConfigError(f"top_k must be >= 2, got {self.top_k}")
         if self.vgae_latent % 2 != 0:
             raise ConfigError(f"vgae_latent must be even for positional encoding, got {self.vgae_latent}")
         return self

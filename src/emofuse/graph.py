@@ -28,7 +28,7 @@ logger = logging.getLogger("emofuse")
 
 @dataclass
 class CoocCounts:
-    """Shard-mergeable co-occurrence statistics.
+    """Co-occurrence statistics of a corpus.
 
     `pairs` counts posts containing each unordered emoji pair; `occurrences`
     counts posts containing each emoji at least once.
@@ -37,13 +37,6 @@ class CoocCounts:
     pairs: Counter = field(default_factory=Counter)
     occurrences: Counter = field(default_factory=Counter)
     posts: int = 0
-
-    def merge(self, other: "CoocCounts") -> "CoocCounts":
-        merged = CoocCounts()
-        merged.pairs = self.pairs + other.pairs
-        merged.occurrences = self.occurrences + other.occurrences
-        merged.posts = self.posts + other.posts
-        return merged
 
 
 def count_cooccurrences(posts: Iterable[TokenSequence]) -> CoocCounts:
@@ -70,12 +63,6 @@ class CoocGraph:
     @property
     def size(self) -> int:
         return len(self.node_ids)
-
-    def index(self, emoji: str) -> int | None:
-        try:
-            return self.node_ids.index(emoji)
-        except ValueError:
-            return None
 
 
 def build_adjacency(pair_counts, sense_vectors, node_ids) -> np.ndarray:

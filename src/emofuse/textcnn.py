@@ -2,11 +2,12 @@
 
 Each channel runs banks of relu convolutions at several kernel widths; each
 feature map is max-pooled over time, the pooled features of all channels are
-concatenated, and a dense softmax layer produces the class distribution.
-Channels shorter than the widest kernel are zero-padded on the right, and
-taps that only exist because of padding never win the pooling. A chunk's
-posts share each convolution: their rows are packed one after another, and
-each post is pooled over its own taps only.
+concatenated, and a dense layer gives the class scores (logits), which
+the softmax cross-entropy reads. Every channel comes with the `Segments`
+layout of a chunk of posts: their rows are packed one after another, the
+posts share each convolution, and each post is pooled over its own taps
+only. Posts shorter than the widest kernel are zero-padded on the right,
+and taps that only exist because of padding never win the pooling.
 """
 
 from __future__ import annotations
@@ -156,66 +157,45 @@ def segment_max(a, starts, counts) -> Tensor:
 
 
 def classify_logits(channels, params: TextCnnParams) -> Tensor:
-    """Raw class scores, one row per post, for a list of (matrix, layout) channels.
+    """Raw class scores, (posts, classes), for a list of (matrix, Segments) channels.
 
-    A layout is the `Segments` packing a chunk's posts into the matrix, or
-    one post's valid length, in which case the scores come back as a
-    vector. Every post's rows are followed by zero rows up to the widest
-    kernel; a tap starting at t is pooled only when it fits inside the
-    post's valid length, and if the post is shorter than the kernel, the
-    single tap covering all real content is used. Appending padded rows
-    therefore never changes the output.
+    Each channel's `Segments` packs a chunk's posts into its matrix. Every
+    post's rows are followed by zero rows up to the widest kernel; a tap
+    starting at t is pooled only when it fits inside the post, and if the
+    post is shorter than the kernel, the single tap covering all of it is
+    used. So a post scores the same alone as in any chunk.
     """
     if len(channels) != len(params.banks):
         raise ShapeError(f"classifier has {len(params.banks)} channel banks, got {len(channels)} channels")
     pooled = []
-    single = False
     max_kernel = params.max_kernel
-    for (matrix, layout), channel_banks in zip(channels, params.banks):
+    for (matrix, segments), channel_banks in zip(channels, params.banks):
         matrix = ad.as_tensor(matrix)
-        rows = matrix.data.shape[0]
-        if isinstance(layout, ad.Segments):
-            segments, valid = layout, layout.lengths
-        else:
-            if layout < 1 or layout > rows:
-                raise ShapeError(f"valid length {layout} out of range for channel shape {matrix.data.shape}")
-            segments, valid, single = ad.Segments([rows]), np.array([layout]), True
-        if segments.rows != rows:
-            raise ShapeError(f"segments cover {segments.rows} rows, channel has {rows}")
+        if not isinstance(segments, ad.Segments):
+            raise ShapeError(f"a channel's layout must be a Segments, got {type(segments).__name__}")
+        if segments.rows != matrix.data.shape[0]:
+            raise ShapeError(f"segments cover {segments.rows} rows, channel has {matrix.data.shape[0]}")
         starts, total, dest = segments.blocks(max_kernel)
         for bank in channel_banks:
             maps = conv_relu(matrix, bank.kernels, bank.bias, (total, dest))
-            pooled.append(segment_max(maps, starts, np.maximum(valid - bank.width, 0) + 1))
-    logits = ad.linear(ad.concat(pooled, axis=1), params.dense_w, params.dense_b)
-    return ad.reshape(logits, (-1,)) if single else logits
-
-
-def classify(channels, params: TextCnnParams) -> Tensor:
-    """Class probability vector; softmax over the dense layer's scores."""
-    return ad.row_softmax(classify_logits(channels, params))
-
-
-def cross_entropy(probs, label: int) -> Tensor:
-    """Negative log likelihood of `label` under a probability vector."""
-    probs = ad.as_tensor(probs)
-    n = probs.data.shape[0]
-    if not 0 <= label < n:
-        raise ValueError(f"label {label} out of range for {n} classes")
-    return ad.mul(ad.log(probs[label]), -1.0)
+            pooled.append(segment_max(maps, starts, np.maximum(segments.lengths - bank.width, 0) + 1))
+    return ad.linear(ad.concat(pooled, axis=1), params.dense_w, params.dense_b)
 
 
 def cross_entropy_logits(logits, labels) -> Tensor:
     """Summed negative log likelihood of each row's label, from raw scores via log-sum-exp.
 
-    `logits` is (posts, classes) with one label per row, or one post's
-    score vector with an int label. One tape node.
+    `logits` is (posts, classes) and `labels` holds one label per row. One
+    tape node.
     """
     logits = ad.as_tensor(logits)
-    scores = logits.data.reshape(-1, logits.data.shape[-1])
-    labels = np.atleast_1d(np.asarray(labels, dtype=np.intp))
+    scores = logits.data
+    if scores.ndim != 2:
+        raise ShapeError(f"cross_entropy_logits expects (posts, classes) scores, got shape {scores.shape}")
+    labels = np.asarray(labels, dtype=np.intp)
     posts, n = scores.shape
     if labels.shape != (posts,):
-        raise ValueError(f"{labels.size} labels for {posts} rows of scores")
+        raise ValueError(f"labels of shape {labels.shape} for {posts} rows of scores, expected one per row")
     if labels.min() < 0 or labels.max() >= n:
         raise ValueError(f"labels {labels.tolist()} out of range for {n} classes")
     rows = np.arange(posts)
@@ -229,6 +209,6 @@ def cross_entropy_logits(logits, labels) -> Tensor:
     def bw(g):
         d = e / sums[:, None]
         d[rows, labels] -= 1.0
-        return ((g * d).reshape(logits.data.shape),)
+        return (g * d,)
 
     return Tensor(data, True, (logits,), bw)

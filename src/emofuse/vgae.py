@@ -2,11 +2,11 @@
 
 A two-layer graph-convolution encoder maps the normalized co-occurrence
 graph and node attributes to a Gaussian posterior per node (a shared first
-layer feeding separate mean and log-variance heads). The decoder scores
-every node pair by the sigmoid of the latent inner product. Training
-maximizes the ELBO: re-weighted binary cross-entropy against the binarized
-edge set plus the KL pull toward the standard normal. The cross-entropy is
-computed from the logits z z^T with a stable softplus (the form of
+layer feeding separate mean and log-variance heads). The decoder gives the
+logits z z^T of every node pair; an edge's probability is their sigmoid.
+Training maximizes the ELBO: re-weighted binary cross-entropy against the
+binarized edge set plus the KL pull toward the standard normal. The
+cross-entropy is computed from the logits with a stable softplus (the form of
 TensorFlow's weighted_cross_entropy_with_logits in the reference VGAE), so
 a saturated sigmoid never reaches log(0). The inference embedding for each
 node is its posterior mean.
@@ -87,36 +87,31 @@ def encode(a_norm, ax, params: VgaeParams) -> LatentPosterior:
                            logvar=ad.matmul(propagated, params.w_logvar))
 
 
-class EdgeProbabilities(Tensor):
-    """What `decode` returns: sigmoid(S) for the logits S = z z^T.
+def decode(z) -> Tensor:
+    """Edge logits S = z @ z.T, symmetric; the decoder's edge probabilities are sigmoid(S).
 
-    It keeps `logits` and the `latents` z, so `vgae_loss` scores the edges
-    from the logits and sends its gradient straight to z.
+    The sigmoid is left to `vgae_loss`, which scores the edges from the
+    logits. One tape node whose backward is (g + g^T) z.
     """
-
-    __slots__ = ("logits", "latents")
-
-
-def decode(z) -> EdgeProbabilities:
-    """Edge probabilities sigmoid(z @ z.T); symmetric, entries in (0, 1)."""
     z = ad.as_tensor(z)
     if z.data.ndim != 2:
         raise ShapeError(f"decode expects an N x latent matrix, got shape {z.data.shape}")
     logits = z.data @ z.data.T
-    probs = ad._sigmoid_values(logits)
-    if z.requires_grad:
-        def bw(g):
-            d_logits = g * probs * (1.0 - probs)
-            return ((d_logits + d_logits.T) @ z.data,)
-        out = EdgeProbabilities(probs, True, (z,), bw)
-    else:
-        out = EdgeProbabilities(probs)
-    out.logits, out.latents = logits, z
-    return out
+    if not z.requires_grad:
+        return Tensor(logits)
+    return Tensor(logits, True, (z,), lambda g: ((g + g.T) @ z.data,))
 
 
-def _bce_from_logits(edges: EdgeProbabilities, y: np.ndarray, pos_weight: float,
-                     scale: float) -> Tensor:
+def _sigmoid_values(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + e) for x >= 0 and e / (1 + e) below, with e = exp(-|x|): no overflow.
+
+    The numerator max(e, x >= 0) picks the branch without masked indexing.
+    """
+    e = np.exp(-np.abs(x))
+    return np.maximum(e, x >= 0) / (1.0 + e)
+
+
+def _bce_from_logits(logits: Tensor, y: np.ndarray, pos_weight: float, scale: float) -> Tensor:
     """scale * sum(pos_weight * y * softplus(-S) + (1 - y) * softplus(S)), one tape node.
 
     softplus(-S) = -log sigmoid(S) and softplus(S) = -log(1 - sigmoid(S)), so
@@ -124,21 +119,18 @@ def _bce_from_logits(edges: EdgeProbabilities, y: np.ndarray, pos_weight: float,
     softplus(t) is np.logaddexp(0, t) written out as max(t, 0) + log1p(exp(-|t|)),
     which is several times faster on an N x N matrix.
     """
-    logits = edges.logits
-    signed = (1.0 - 2.0 * y) * logits  # -S on positives, S elsewhere
-    softplus = np.maximum(signed, 0.0) + np.log1p(np.exp(-np.abs(logits)))
+    s = logits.data
+    signed = (1.0 - 2.0 * y) * s  # -S on positives, S elsewhere
+    softplus = np.maximum(signed, 0.0) + np.log1p(np.exp(-np.abs(s)))
     weights = 1.0 + (pos_weight - 1.0) * y  # pos_weight on positives, 1 elsewhere
     value = scale * np.vdot(weights, softplus)
-    z = edges.latents
-    if not z.requires_grad:
+    if not logits.requires_grad:
         return Tensor(value)
-    probs = edges.data
 
     def bw(g):
-        # dS = scale * ((1 - y) sigmoid(S) - pos_weight * y * sigmoid(-S)); dz = (dS + dS^T) z
-        d_logits = (g * scale) * (weights * probs - pos_weight * y)
-        return ((d_logits + d_logits.T) @ z.data,)
-    return Tensor(value, True, (z,), bw)
+        # dS = scale * ((1 - y) sigmoid(S) - pos_weight * y * sigmoid(-S))
+        return ((g * scale) * (weights * _sigmoid_values(s) - pos_weight * y),)
+    return Tensor(value, True, (logits,), bw)
 
 
 def _kl_term(posterior: LatentPosterior, n: int) -> Tensor:
@@ -153,21 +145,19 @@ def _kl_term(posterior: LatentPosterior, n: int) -> Tensor:
                   lambda g: ((-2.0 * scale * g) * mu.data, (scale * g) * (1.0 - var)))
 
 
-def vgae_loss(a_hat, a_bin: np.ndarray, posterior: LatentPosterior) -> Tensor:
+def vgae_loss(logits, a_bin: np.ndarray, posterior: LatentPosterior) -> Tensor:
     """Re-weighted reconstruction cross-entropy plus the per-node KL term.
 
     Positive entries (edges and self-loops) are up-weighted by
     (N^2 - E) / E and the whole cross-entropy scaled by N^2 / (2 (N^2 - E)),
     which keeps sparse graphs from collapsing to the all-zeros decoder. The
     KL term is -(1 / 2N) * sum(1 + logvar - mu^2 - exp(logvar)).
-
-    `decode`'s output is scored from its logits; any other probability
-    tensor is scored from the probabilities themselves.
+    `logits` are `decode`'s edge logits S, scored under sigmoid(S).
     """
-    a_hat = ad.as_tensor(a_hat)
+    logits = ad.as_tensor(logits)
     n = a_bin.shape[0]
-    if a_hat.data.shape != (n, n):
-        raise ShapeError(f"decoder output {a_hat.data.shape} does not match target {a_bin.shape}")
+    if logits.data.shape != (n, n):
+        raise ShapeError(f"decoder output {logits.data.shape} does not match target {a_bin.shape}")
     total = float(n * n)
     positives = float(a_bin.sum())
     if positives == 0:
@@ -176,16 +166,7 @@ def vgae_loss(a_hat, a_bin: np.ndarray, posterior: LatentPosterior) -> Tensor:
         raise TrainingError("graph is complete (no negative entries), re-weighting undefined")
     pos_weight = (total - positives) / positives
     norm = total / (2.0 * (total - positives))
-    y = a_bin
-    if isinstance(a_hat, EdgeProbabilities):
-        bce = _bce_from_logits(a_hat, y, pos_weight, norm / total)
-    else:
-        # masks sit inside the logs so a saturated but correct entry contributes
-        # exactly 0 instead of 0 * log(0)
-        pos_term = ad.log(ad.mul(a_hat, y) + (1.0 - y))
-        neg_term = ad.log(ad.mul(1.0 - a_hat, 1.0 - y) + y)
-        bce = ad.mul(ad.mean(ad.mul(pos_term, -pos_weight) - neg_term), norm)
-    return bce + _kl_term(posterior, n)
+    return _bce_from_logits(logits, a_bin, pos_weight, norm / total) + _kl_term(posterior, n)
 
 
 @dataclass

@@ -10,23 +10,25 @@ from emofuse.autodiff import AdamState, Segments, Tensor, adam_step, grad_check,
 from emofuse.exceptions import CheckpointError, EmofuseError, ShapeError
 from emofuse.text_encoder import BiLstmParams, bilstm_layer
 from emofuse.textcnn import conv_relu, cross_entropy_logits, segment_max
+from emofuse.vgae import _sigmoid_values
+from tape_ops import mean, sigmoid, tanh, tensor_sum, tslice
 
 
 class TestBackwardBasics:
     def test_sum_gradient_is_ones(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        ad.tensor_sum(x).backward()
+        tensor_sum(x).backward()
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
     def test_quadratic_gradient(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        ad.tensor_sum(ad.mul(x, x)).backward()
+        tensor_sum(ad.mul(x, x)).backward()
         np.testing.assert_array_equal(x.grad, [2.0, 4.0])
 
     def test_repeated_backward_accumulates(self):
         x = Tensor([3.0], requires_grad=True)
         for _ in range(2):
-            ad.tensor_sum(ad.mul(x, x)).backward()
+            tensor_sum(ad.mul(x, x)).backward()
         np.testing.assert_array_equal(x.grad, [12.0])
 
     def test_non_scalar_backward_rejected(self):
@@ -37,7 +39,7 @@ class TestBackwardBasics:
     def test_shared_parent_accumulates_both_paths(self):
         x = Tensor([2.0], requires_grad=True)
         y = ad.mul(x, x)  # both parents are x
-        ad.tensor_sum(y).backward()
+        tensor_sum(y).backward()
         np.testing.assert_array_equal(x.grad, [4.0])
 
     def test_constant_subgraphs_are_pruned(self):
@@ -72,18 +74,8 @@ class TestElementwise:
         out = ad.relu(Tensor([-2.5, 0.0, 3.0]))
         np.testing.assert_array_equal(out.data, [0.0, 0.0, 3.0])
 
-    def test_row_softmax_uniform_on_zeros(self):
-        out = ad.row_softmax(Tensor([0.0, 0.0, 0.0]))
-        np.testing.assert_allclose(out.data, [1 / 3] * 3, atol=1e-15)
-
-    def test_row_softmax_rows_sum_to_one(self):
-        rng = np.random.default_rng(0)
-        out = ad.row_softmax(Tensor(rng.normal(0, 5, (10, 7))))
-        np.testing.assert_allclose(out.data.sum(axis=1), np.ones(10), atol=1e-12)
-        assert (out.data > 0).all()
-
     def test_sigmoid_extremes_stay_finite(self):
-        out = ad.sigmoid(Tensor([-800.0, 800.0]))
+        out = sigmoid(Tensor([-800.0, 800.0]))
         assert np.isfinite(out.data).all()
 
     def test_sigmoid_values_match_two_branch_formula(self):
@@ -97,7 +89,7 @@ class TestElementwise:
         edges = np.array([np.nan, -0.0, 0.0, -800.0, 800.0, np.inf, -np.inf, 5e-324, -5e-324, -36.0, 37.0])
         random = np.random.default_rng(0).normal(0.0, 20.0, (40, 30))
         for x in (edges, random):
-            np.testing.assert_array_equal(ad._sigmoid_values(x), two_branch(x))
+            np.testing.assert_array_equal(_sigmoid_values(x), two_branch(x))
 
 
 class TestLayerNorm:
@@ -110,7 +102,7 @@ class TestLayerNorm:
         gain, bias = Tensor(rng.uniform(0.5, 1.5, 7)), Tensor(rng.standard_normal(7))
         g = rng.standard_normal((5, 7))
         out = ad.layer_norm(a, gain, bias, residual=residual)
-        ad.tensor_sum(ad.mul(out, g)).backward()
+        tensor_sum(ad.mul(out, g)).backward()
 
         x = a.data + residual.data if with_residual else a.data
         centered = x - x.mean(axis=-1, keepdims=True)
@@ -142,7 +134,7 @@ class TestGaussianSample:
         mu = Tensor([0.5], requires_grad=True)
         logvar = Tensor([0.2], requires_grad=True)
         noise = np.array([0.7])
-        ad.tensor_sum(ad.gaussian_sample(mu, logvar, noise=noise)).backward()
+        tensor_sum(ad.gaussian_sample(mu, logvar, noise=noise)).backward()
         np.testing.assert_allclose(mu.grad, [1.0])
         expected = 0.5 * np.exp(0.1) * 0.7
         np.testing.assert_allclose(logvar.grad, [expected], atol=1e-12)
@@ -151,7 +143,7 @@ class TestGaussianSample:
 class TestGradCheck:
     def test_sum_of_squares_tight(self):
         x = Tensor(np.array([0.4, -1.2, 2.0]), requires_grad=True)
-        err = grad_check(lambda t: ad.tensor_sum(ad.mul(t, t)), x)
+        err = grad_check(lambda t: tensor_sum(ad.mul(t, t)), x)
         assert err < 1e-8
 
     def test_three_layer_composite(self):
@@ -161,9 +153,9 @@ class TestGradCheck:
         x = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
 
         def f(t):
-            h1 = ad.tanh(ad.matmul(t, w1))
-            h2 = ad.sigmoid(ad.matmul(h1, w2))
-            return ad.mean(ad.mul(h2, h2))
+            h1 = tanh(ad.matmul(t, w1))
+            h2 = sigmoid(ad.matmul(h1, w2))
+            return mean(ad.mul(h2, h2))
 
         assert grad_check(f, x) < 1e-5
 
@@ -173,27 +165,24 @@ class TestGradCheck:
         x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
 
         def f(t):
-            return ad.mean(ad.mul(ad.row_softmax(ad.matmul(t, w)), np.arange(8.0).reshape(2, 4)))
+            return cross_entropy_logits(ad.matmul(t, w), [3, 1])
 
         assert grad_check(f, x) < 1e-5
 
     def test_relu_kink_coordinate_excluded(self):
         x = Tensor(np.array([1.0, 0.0, -1.0]), requires_grad=True)
         skip = np.abs(x.data) < 1e-12
-        err = grad_check(lambda t: ad.tensor_sum(ad.relu(t)), x, skip=skip)
+        err = grad_check(lambda t: tensor_sum(ad.relu(t)), x, skip=skip)
         assert err < 1e-10
 
-    @pytest.mark.parametrize("op", ["exp", "log", "tanh", "layer_norm", "concat",
-                                    "slice", "transpose", "conv", "conv_kernels", "conv_bias",
+    @pytest.mark.parametrize("op", ["exp", "tanh", "layer_norm", "concat",
+                                    "slice", "conv", "conv_kernels", "conv_bias",
                                     "max_over_time", "mean", "linear", "linear_blocks",
                                     "add_layer_norm", "bilstm_layer", "segment_attention",
                                     "conv_padded", "segment_max", "cross_entropy_rows"])
     def test_every_op_passes_grad_check(self, op):
         rng = np.random.default_rng(zlib.crc32(op.encode()))
-        if op == "log":
-            x = Tensor(rng.uniform(0.5, 3.0, (3, 4)), requires_grad=True)
-        else:
-            x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         gain = Tensor(rng.uniform(0.5, 1.5, 4))
         bias = Tensor(rng.standard_normal(4))
         kernels = Tensor(rng.standard_normal((2, 2, 4)), requires_grad=op == "conv_kernels")
@@ -219,30 +208,28 @@ class TestGradCheck:
         labels = np.array([1, 0, 3, 1, 2, 0, 3])
 
         functions = {
-            "exp": lambda t: ad.mean(ad.exp(t)),
-            "log": lambda t: ad.mean(ad.log(t)),
-            "tanh": lambda t: ad.mean(ad.mul(ad.tanh(t), weights)),
-            "layer_norm": lambda t: ad.mean(ad.mul(ad.layer_norm(t, gain, bias), weights)),
-            "concat": lambda t: ad.mean(ad.mul(ad.concat([t, other], axis=0),
+            "exp": lambda t: mean(ad.exp(t)),
+            "tanh": lambda t: mean(ad.mul(tanh(t), weights)),
+            "layer_norm": lambda t: mean(ad.mul(ad.layer_norm(t, gain, bias), weights)),
+            "concat": lambda t: mean(ad.mul(ad.concat([t, other], axis=0),
                                                np.concatenate([weights.data, weights.data]))),
-            "slice": lambda t: ad.mean(ad.mul(t[1:, :2], weights.data[1:, :2])),
-            "transpose": lambda t: ad.mean(ad.mul(ad.transpose(t), weights.data.T)),
-            "conv": lambda t: ad.mean(conv_relu(t, kernels, cbias)),
-            "conv_kernels": lambda k: ad.mean(ad.mul(conv_relu(x, k, cbias), conv_weights)),
-            "conv_bias": lambda b: ad.mean(ad.mul(conv_relu(x, kernels, b), conv_weights)),
-            "max_over_time": lambda t: ad.tensor_sum(segment_max(t, [0], [3])),
-            "mean": lambda t: ad.mean(ad.mul(t, weights)),
-            "linear": lambda t: ad.mean(ad.mul(ad.linear(t, wide, wide_bias, relu=True), wide_weights)),
-            "linear_blocks": lambda t: ad.mean(ad.mul(ad.linear([t[:, :1], other, t[:, 1:]], block_w),
+            "slice": lambda t: mean(ad.mul(tslice(t, np.s_[1:, :2]), weights.data[1:, :2])),
+            "conv": lambda t: mean(conv_relu(t, kernels, cbias)),
+            "conv_kernels": lambda k: mean(ad.mul(conv_relu(x, k, cbias), conv_weights)),
+            "conv_bias": lambda b: mean(ad.mul(conv_relu(x, kernels, b), conv_weights)),
+            "max_over_time": lambda t: tensor_sum(segment_max(t, [0], [3])),
+            "mean": lambda t: mean(ad.mul(t, weights)),
+            "linear": lambda t: mean(ad.mul(ad.linear(t, wide, wide_bias, relu=True), wide_weights)),
+            "linear_blocks": lambda t: mean(ad.mul(ad.linear([tslice(t, np.s_[:, :1]), other, tslice(t, np.s_[:, 1:])], block_w),
                                                       wide_weights[:, :2])),
-            "add_layer_norm": lambda t: ad.mean(ad.mul(ad.layer_norm(other, gain, bias, residual=t),
+            "add_layer_norm": lambda t: mean(ad.mul(ad.layer_norm(other, gain, bias, residual=t),
                                                        weights)),
-            "bilstm_layer": lambda _: ad.mean(ad.mul(bilstm_layer(packed, lstm, chunk), packed_weights)),
-            "segment_attention": lambda t: ad.mean(ad.mul(scaled_dot_attention(
-                t, t[:6], ad.mul(t[:6], 2.0), q_segments=chunk, k_segments=keys), packed_weights)),
-            "conv_padded": lambda t: ad.mean(ad.mul(conv_relu(t, kernels, cbias, (total, dest)),
+            "bilstm_layer": lambda _: mean(ad.mul(bilstm_layer(packed, lstm, chunk), packed_weights)),
+            "segment_attention": lambda t: mean(ad.mul(scaled_dot_attention(
+                t, tslice(t, np.s_[:6]), ad.mul(tslice(t, np.s_[:6]), 2.0), q_segments=chunk, k_segments=keys), packed_weights)),
+            "conv_padded": lambda t: mean(ad.mul(conv_relu(t, kernels, cbias, (total, dest)),
                                                     tap_weights)),
-            "segment_max": lambda t: ad.mean(ad.mul(segment_max(t, [0, 3, 4], [3, 1, 2]), pool_weights)),
+            "segment_max": lambda t: mean(ad.mul(segment_max(t, [0, 3, 4], [3, 1, 2]), pool_weights)),
             "cross_entropy_rows": lambda t: ad.mul(cross_entropy_logits(t, labels), 0.3),
         }
         # the bilstm_layer case reads packed and every parameter in place
@@ -266,7 +253,7 @@ class TestMaxOverTime:
 
     def test_tie_routes_to_first(self):
         x = Tensor([[2.0], [2.0], [1.0]], requires_grad=True)
-        ad.tensor_sum(segment_max(x, [0], [3])).backward()
+        tensor_sum(segment_max(x, [0], [3])).backward()
         np.testing.assert_array_equal(x.grad, [[1.0], [0.0], [0.0]])
 
     def test_valid_limit(self):
@@ -283,7 +270,7 @@ class TestLeafAccumulation:
 
     def test_two_leaves_of_one_add_own_separate_gradients(self):
         a, b = Tensor([1.0, 2.0], requires_grad=True), Tensor([3.0, 4.0], requires_grad=True)
-        ad.tensor_sum(ad.mul(a + b, [1.0, -1.0])).backward()
+        tensor_sum(ad.mul(a + b, [1.0, -1.0])).backward()
         np.testing.assert_array_equal(a.grad, [1.0, -1.0])
         np.testing.assert_array_equal(b.grad, [1.0, -1.0])
         assert not np.shares_memory(a.grad, b.grad)
@@ -291,7 +278,7 @@ class TestLeafAccumulation:
     def test_leaf_added_to_itself_owns_its_gradient(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         y = x + x
-        ad.tensor_sum(ad.mul(y, [3.0, 5.0])).backward()
+        tensor_sum(ad.mul(y, [3.0, 5.0])).backward()
         np.testing.assert_array_equal(x.grad, [6.0, 10.0])
         assert not np.shares_memory(x.grad, y.data)
 
@@ -302,16 +289,16 @@ class TestLeafAccumulation:
         single = []
         for x in inputs:
             w.grad = None
-            ad.tensor_sum(ad.tanh(ad.matmul(x, w))).backward()
+            tensor_sum(tanh(ad.matmul(x, w))).backward()
             single.append(w.grad.copy())
         w.grad = None
         for x in inputs:
-            ad.tensor_sum(ad.tanh(ad.matmul(x, w))).backward()
+            tensor_sum(tanh(ad.matmul(x, w))).backward()
         np.testing.assert_allclose(w.grad, single[0] + single[1], rtol=1e-15)
 
     def test_no_second_copy_of_a_large_gradient(self):
         w = Tensor(np.ones((2000, 2000)), requires_grad=True)
-        loss = ad.tensor_sum(ad.matmul(np.ones((1, 2000)), w))
+        loss = tensor_sum(ad.matmul(np.ones((1, 2000)), w))
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]

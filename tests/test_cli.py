@@ -90,6 +90,28 @@ class TestCliErrors:
         assert "unlabeled_corpus" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command, setting", [
+        ("train-classifier", "batch_size=0"),
+        ("cluster-viz", "top_k=1"),
+        ("build-graph", "top_k=0"),
+    ])
+    def test_out_of_range_setting_exits_1_naming_the_key(self, workspace, capsys, command, setting):
+        assert cli_main([command, "--config", "run.cfg", "--set", setting]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and setting.split("=")[0] in err
+
+    def test_cluster_viz_on_a_corpus_without_two_embedded_emojis_names_it(self, workspace, capsys):
+        assert cli_main(["build-graph", "--config", "run.cfg"]) == 0
+        assert cli_main(["train-vgae", "--config", "run.cfg"]) == 0
+        (workspace / "plain.txt").write_text("no emoji here\nnor here \U0001F600\n", encoding="utf-8")
+        capsys.readouterr()
+        code = cli_main(["cluster-viz", "--config", "run.cfg", "--set", "unlabeled_corpus=plain.txt"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: plain.txt: 1 of the embedded emojis")
+        assert not (workspace / "out" / "cluster_matrix.tsv").exists()
+
+
 class TestCliPipeline:
     def test_full_workflow(self, workspace, capsys):
         assert cli_main(["build-graph", "--config", "run.cfg"]) == 0

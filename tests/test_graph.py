@@ -84,19 +84,6 @@ class TestCountCooccurrences:
         assert counts.occurrences["\U0001F600"] == 1
 
 
-@given(st.lists(st.lists(st.sampled_from(["\U0001F600", "\U0001F622", "\U0001F355", "❤"]),
-                         min_size=0, max_size=4), min_size=0, max_size=10),
-       st.integers(min_value=0, max_value=10))
-def test_shard_merge_associativity(posts, cut):
-    seqs = [tokenize(" ".join(p)) for p in posts]
-    cut = min(cut, len(seqs))
-    merged = count_cooccurrences(seqs[:cut]).merge(count_cooccurrences(seqs[cut:]))
-    whole = count_cooccurrences(seqs)
-    assert merged.pairs == whole.pairs
-    assert merged.occurrences == whole.occurrences
-    assert merged.posts == whole.posts
-
-
 class TestBuildAdjacency:
     def test_weight_is_cosine_times_count(self):
         # cosine({x:1}, {x:1, y:sqrt(3)}) = 1/2, count 4 -> weight 2

@@ -218,7 +218,7 @@ class TestChunks:
         alone = []
         for seq, label in zip(seqs, labels):
             one = model.forward_logits(seq)
-            cross_entropy_logits(one, label).backward()
+            cross_entropy_logits(one, [label]).backward()
             alone.append(one.data[0])
 
         np.testing.assert_allclose(logits.data, np.stack(alone), rtol=1e-12, atol=1e-13)
@@ -301,7 +301,7 @@ class TestModelPersistence:
         model = SentimentModel(tiny_config(), word_table, tiny_embeddings(),
                                np.random.default_rng(0))
         logits = model.forward_logits(tokenize("plain words only"))
-        cross_entropy_logits(logits, 0).backward()
+        cross_entropy_logits(logits, [0]).backward()
         assert model.params.no_emoji.grad is not None
         assert np.abs(model.params.no_emoji.grad).sum() > 0
 

@@ -1,0 +1,69 @@
+"""The library keeps no function that only tests call.
+
+Every top-level function of the engine and model modules must be used
+somewhere in the package outside its own definition, be exported in
+`emofuse.__all__`, or be listed below with the reason it stays.
+"""
+
+import ast
+from pathlib import Path
+
+import emofuse
+
+PACKAGE = Path(emofuse.__file__).parent
+CHECKED = ("autodiff", "textcnn", "vgae", "attention")
+ALLOWED = {
+    "edge_auc": "reconstruction AUC of acceptance criterion 3; the metric run telemetry is to log",
+}
+
+
+def references(module, tree):
+    """(module, name) of every package-level name `module` loads.
+
+    A bare name is looked up among what the module imports from sibling
+    modules, else taken as its own; `alias.name` counts when alias is a
+    sibling module imported under that name, as in `from . import autodiff as ad`.
+    Attributes of anything else, such as numpy's `np.log`, are not package names.
+    """
+    aliases, imported = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    aliases[alias.asname or alias.name] = alias.name
+                else:
+                    imported[alias.asname or alias.name] = (node.module, alias.name)
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(imported.get(node.id, (module, node.id)))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+              and isinstance(node.value, ast.Name) and node.value.id in aliases):
+            found.add((aliases[node.value.id], node.attr))
+    return found
+
+
+def test_every_checked_function_has_a_package_caller():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    every = {name: references(name, tree) for name, tree in trees.items()}
+    unused = []
+    for module in CHECKED:
+        others = set().union(*(found for name, found in every.items() if name != module))
+        for node in trees[module].body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            if node.name in emofuse.__all__ or node.name in ALLOWED or (module, node.name) in others:
+                continue
+            # the module with this function's own body left out
+            rest = ast.Module(body=[n for n in trees[module].body if n is not node], type_ignores=[])
+            if (module, node.name) not in references(module, rest):
+                unused.append(f"{module}.{node.name}")
+    assert unused == [], f"functions with no caller in the package: {unused}"
+
+
+def test_allowlist_names_only_existing_functions():
+    defined = {node.name for module in CHECKED
+               for node in ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8")).body
+               if isinstance(node, ast.FunctionDef)}
+    assert set(ALLOWED) <= defined

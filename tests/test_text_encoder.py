@@ -20,6 +20,7 @@ from emofuse.text_encoder import (
 )
 from emofuse.tokenization import tokenize, split_modalities
 from emofuse.vgae import EmojiEmbeddings
+from tape_ops import mean, sigmoid, tanh, tensor_sum, tslice
 
 
 class TestPositionalEncoding:
@@ -140,14 +141,14 @@ def reference_direction(inputs, params, hidden, reverse):
     order = range(length - 1, -1, -1) if reverse else range(length)
     outputs = [None] * length
     for t in order:
-        x_t = inputs[t:t + 1]
+        x_t = tslice(inputs, np.s_[t:t + 1])
         gates = ad.matmul(x_t, params.w_x) + ad.matmul(h, params.w_h) + params.b
-        i_gate = ad.sigmoid(gates[:, 0 * hidden:1 * hidden])
-        f_gate = ad.sigmoid(gates[:, 1 * hidden:2 * hidden])
-        g_cell = ad.tanh(gates[:, 2 * hidden:3 * hidden])
-        o_gate = ad.sigmoid(gates[:, 3 * hidden:4 * hidden])
+        i_gate = sigmoid(tslice(gates, np.s_[:, 0 * hidden:1 * hidden]))
+        f_gate = sigmoid(tslice(gates, np.s_[:, 1 * hidden:2 * hidden]))
+        g_cell = tanh(tslice(gates, np.s_[:, 2 * hidden:3 * hidden]))
+        o_gate = sigmoid(tslice(gates, np.s_[:, 3 * hidden:4 * hidden]))
         c = ad.mul(f_gate, c) + ad.mul(i_gate, g_cell)
-        h = ad.mul(o_gate, ad.tanh(c))
+        h = ad.mul(o_gate, tanh(c))
         outputs[t] = h
     return ad.concat(outputs, axis=0)  # aligned with input positions in both directions
 
@@ -180,7 +181,7 @@ def reference_layer(inputs, params):
 def one_post_at_a_time(segments):
     """`bilstm_layer` run on each post of a chunk alone, the outputs stacked."""
     def layer(x, params):
-        return ad.concat([bilstm_layer(x[int(start):int(start + length)], params)
+        return ad.concat([bilstm_layer(tslice(x, np.s_[int(start):int(start + length)]), params)
                           for start, length in zip(segments.offsets, segments.lengths)], axis=0)
     return layer
 
@@ -195,7 +196,7 @@ def values_and_grads(layer, x, params, weights):
     for tensor in tracked:
         tensor.grad = None
     out = layer(x, params)
-    ad.tensor_sum(ad.mul(out, weights)).backward()
+    tensor_sum(ad.mul(out, weights)).backward()
     return [out.data.copy()] + [t.grad for t in tracked]
 
 
@@ -372,7 +373,7 @@ class TestBiLstmGradients:
         def f(t):
             h1 = bilstm_layer(t, params.layer1)
             h2 = bilstm_layer(h1, params.layer2)
-            return ad.mean(ad.mul(h2, weights))
+            return mean(ad.mul(h2, weights))
 
         assert grad_check(f, x) < 1e-4
         for _, tensor in named_parameters(params):
@@ -385,7 +386,7 @@ class TestBiLstmGradients:
         weights = rng.standard_normal((4, 4))
 
         def f(_):
-            return ad.mean(ad.mul(bilstm_layer(x, params), weights))
+            return mean(ad.mul(bilstm_layer(x, params), weights))
 
         for _, tensor in named_parameters(params):
             assert grad_check(f, tensor) < 1e-4

@@ -3,19 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from emofuse import autodiff as ad
 from emofuse.autodiff import Segments, Tensor, grad_check, named_parameters
 from emofuse.exceptions import ShapeError
 from emofuse.textcnn import (
     ConvBank,
     TextCnnParams,
-    classify,
     classify_logits,
     conv_relu,
-    cross_entropy,
     cross_entropy_logits,
     segment_max,
 )
+from tape_ops import tensor_sum
 
 
 def conv_channel(x, bank):
@@ -61,7 +59,7 @@ class TestMaxOverTime:
 
     def test_gradient_routes_to_first_argmax(self):
         x = Tensor([[4.0], [4.0]], requires_grad=True)
-        ad.tensor_sum(segment_max(x, [0], [2])).backward()
+        tensor_sum(segment_max(x, [0], [2])).backward()
         np.testing.assert_array_equal(x.grad, [[1.0], [0.0]])
 
     def test_empty_map_rejected(self):
@@ -72,35 +70,41 @@ class TestMaxOverTime:
         x = Tensor([[1.0, 7.0], [3.0, 7.0], [9.0, 0.0], [2.0, 2.0], [2.0, 5.0]], requires_grad=True)
         out = segment_max(x, [0, 3], [2, 2])
         np.testing.assert_array_equal(out.data, [[3.0, 7.0], [2.0, 5.0]])
-        ad.tensor_sum(out).backward()
+        tensor_sum(out).backward()
         np.testing.assert_array_equal(x.grad, [[0, 1], [1, 0], [0, 0], [1, 0], [0, 1]])
+
+
+def softmax_rows(scores):
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 class TestClassify:
     def channels_for(self, params, lengths=(5, 2, 5), seed=1):
         rng = np.random.default_rng(seed)
         d = params.banks[0][0].kernels.data.shape[2]
-        return [(Tensor(rng.standard_normal((n, d))), n) for n in lengths]
+        return [(Tensor(rng.standard_normal((n, d))), Segments([n])) for n in lengths]
 
-    def test_output_is_probability_vector(self):
-        params = make_params()
-        probs = classify(self.channels_for(params), params)
-        assert probs.data.shape == (2,)
-        assert probs.data.sum() == pytest.approx(1.0, abs=1e-12)
-        assert (probs.data > 0).all() and (probs.data < 1).all()
+    def test_output_is_one_score_row_per_post(self):
+        params = make_params(classes=3)
+        logits = classify_logits(self.channels_for(params), params)
+        assert logits.data.shape == (1, 3)
+        lengths = [4, 1, 3]
+        chunk = [(Tensor(np.random.default_rng(2).standard_normal((8, 4))), Segments(lengths))] * 3
+        assert classify_logits(chunk, params).data.shape == (3, 3)
 
     def test_zero_dense_layer_gives_uniform(self):
         params = make_params(classes=4)
         params.dense_w.data[:] = 0.0
         params.dense_b.data[:] = 0.0
-        probs = classify(self.channels_for(params), params)
-        np.testing.assert_allclose(probs.data, np.full(4, 0.25), atol=1e-15)
+        logits = classify_logits(self.channels_for(params), params)
+        np.testing.assert_array_equal(softmax_rows(logits.data), np.full((1, 4), 0.25))
 
     def test_matches_straight_line_numpy_oracle(self):
         params = make_params(num_channels=1, d=3, sizes=(2,), filters=2, classes=2, seed=5)
         rng = np.random.default_rng(6)
         x = rng.standard_normal((4, 3))
-        got = classify([(Tensor(x), 4)], params)
+        got = classify_logits([(Tensor(x), Segments([4]))], params)
 
         bank = params.banks[0][0]
         taps = np.stack([
@@ -108,50 +112,55 @@ class TestClassify:
             for t in range(3) for f in range(2)
         ]).reshape(3, 2)
         pooled = np.maximum(taps, 0.0).max(axis=0)
-        logits = pooled @ params.dense_w.data + params.dense_b.data
-        expected = np.exp(logits - logits.max())
-        expected /= expected.sum()
-        np.testing.assert_allclose(got.data, expected, atol=1e-12)
+        expected = pooled @ params.dense_w.data + params.dense_b.data
+        np.testing.assert_allclose(got.data, expected[None], atol=1e-12)
 
     def test_short_channel_padded_to_largest_kernel(self):
         params = make_params(num_channels=1, d=3, sizes=(2, 3), filters=2)
         rng = np.random.default_rng(7)
-        probs = classify([(Tensor(rng.standard_normal((1, 3))), 1)], params)
-        assert np.isfinite(probs.data).all()
+        logits = classify_logits([(Tensor(rng.standard_normal((1, 3))), Segments([1]))], params)
+        assert np.isfinite(logits.data).all()
 
     def test_appending_masked_padding_never_changes_output(self):
+        # posts 1 and 2 are shorter than the widest kernel: zero rows pad
+        # their blocks, and a tap made only of padding is never pooled
         params = make_params(num_channels=2, d=4, sizes=(2, 3), filters=3)
+        for channel in params.banks:
+            for bank in channel:
+                bank.bias.data[:] = 2.0  # a pooled padding-only tap would win
         rng = np.random.default_rng(8)
-        a = rng.standard_normal((5, 4))
-        b = rng.standard_normal((2, 4))
-        base = classify([(Tensor(a), 5), (Tensor(b), 2)], params)
-        padded = classify([
-            (Tensor(np.vstack([a, np.zeros((3, 4))])), 5),
-            (Tensor(np.vstack([b, np.zeros((2, 4))])), 2),
-        ], params)
-        np.testing.assert_array_equal(base.data, padded.data)
-        # a chunk: each post, posts 1 and 2 shorter than the widest kernel,
-        # scores as it does alone with padded rows appended
         lengths = [5, 1, 2, 4]
         posts = [rng.standard_normal((n, 4)) for n in lengths]
         chunk = classify_logits([(Tensor(np.vstack(posts)), Segments(lengths))] * 2, params)
         for post, length, row in zip(posts, lengths, chunk.data):
-            alone = np.vstack([post, np.zeros((3, 4))])
-            np.testing.assert_allclose(row, classify_logits([(Tensor(alone), length)] * 2, params).data,
-                                       rtol=1e-12, atol=1e-14)
+            alone = classify_logits([(Tensor(post), Segments([length]))] * 2, params).data
+            np.testing.assert_allclose(row, alone[0], rtol=1e-12, atol=1e-14)
+            padded = np.vstack([post, np.zeros((3, 4))])
+            pooled = [
+                np.max([np.maximum((padded[t:t + bank.width] * bank.kernels.data).sum(axis=(1, 2))
+                                   + bank.bias.data, 0.0)
+                        for t in range(max(length - bank.width, 0) + 1)], axis=0)
+                for channel in params.banks for bank in channel]
+            expected = np.concatenate(pooled) @ params.dense_w.data + params.dense_b.data
+            np.testing.assert_allclose(row, expected, rtol=1e-12, atol=1e-12)
 
     def test_channel_count_mismatch_rejected(self):
         params = make_params(num_channels=3)
         with pytest.raises(ShapeError):
-            classify(self.channels_for(params, lengths=(4, 4)), params)
+            classify_logits(self.channels_for(params, lengths=(4, 4)), params)
+
+    def test_valid_length_layout_rejected_naming_segments(self):
+        params = make_params(num_channels=1, d=4)
+        with pytest.raises(ShapeError, match="Segments"):
+            classify_logits([(Tensor(np.zeros((5, 4))), 5)], params)
 
     def test_full_classify_passes_grad_check(self):
         params = make_params(num_channels=3, d=8, sizes=(2, 3, 4), filters=2, seed=9)
         rng = np.random.default_rng(10)
-        channels = [(Tensor(rng.standard_normal((5, 8))), 5) for _ in range(3)]
+        channels = [(Tensor(rng.standard_normal((5, 8))), Segments([5])) for _ in range(3)]
 
         def f(_):
-            return cross_entropy_logits(classify_logits(channels, params), 1)
+            return cross_entropy_logits(classify_logits(channels, params), [1])
 
         for _, tensor in named_parameters(params):
             err = grad_check(lambda t: f(None), tensor)
@@ -160,32 +169,37 @@ class TestClassify:
 
 class TestCrossEntropy:
     def test_certain_prediction_is_zero_loss(self):
-        assert cross_entropy(Tensor([0.0, 1.0]), 1).item() == 0.0
+        assert cross_entropy_logits(Tensor([[0.0, 800.0]]), [1]).item() == 0.0
 
     def test_uniform_four_classes(self):
-        loss = cross_entropy(Tensor([0.25] * 4), 2)
+        loss = cross_entropy_logits(Tensor(np.zeros((1, 4))), [2])
         assert loss.item() == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_invalid_label_rejected(self):
         with pytest.raises(ValueError):
-            cross_entropy(Tensor([0.5, 0.5]), 2)
+            cross_entropy_logits(Tensor([[0.5, 0.5]]), [2])
 
     def test_logits_version_matches_probability_version(self):
         rng = np.random.default_rng(11)
-        logits = rng.standard_normal(5)
-        probs = ad.row_softmax(Tensor(logits))
-        a = cross_entropy(probs, 3).item()
-        b = cross_entropy_logits(Tensor(logits), 3).item()
-        assert a == pytest.approx(b, abs=1e-12)
+        logits = rng.standard_normal((4, 5))
+        labels = [3, 0, 4, 3]
+        probs = softmax_rows(logits)
+        expected = -sum(math.log(probs[i, label]) for i, label in enumerate(labels))
+        assert cross_entropy_logits(Tensor(logits), labels).item() == pytest.approx(expected, abs=1e-12)
 
     def test_logits_version_stable_for_large_scores(self):
-        loss = cross_entropy_logits(Tensor([1000.0, 0.0]), 0)
+        loss = cross_entropy_logits(Tensor([[1000.0, 0.0]]), [0])
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_batch_mean_equals_mean_of_losses(self):
         rng = np.random.default_rng(12)
-        losses = []
-        for label in (0, 1, 1):
-            logits = Tensor(rng.standard_normal(2))
-            losses.append(cross_entropy_logits(logits, label).item())
-        assert np.mean(losses) == pytest.approx(sum(losses) / 3.0, abs=1e-15)
+        logits = rng.standard_normal((3, 2))
+        labels = [0, 1, 1]
+        losses = [cross_entropy_logits(Tensor(logits[i:i + 1]), [label]).item()
+                  for i, label in enumerate(labels)]
+        total = cross_entropy_logits(Tensor(logits), labels).item()
+        assert total / 3.0 == pytest.approx(np.mean(losses), abs=1e-15)
+
+    def test_score_vector_rejected_naming_the_form(self):
+        with pytest.raises(ShapeError, match=r"\(posts, classes\)"):
+            cross_entropy_logits(Tensor([0.2, 0.8]), [1])

@@ -11,7 +11,6 @@ from emofuse.exceptions import TrainingError
 from emofuse.graph import CoocGraph, binarize_edges, build_cooc_graph, count_cooccurrences, normalize_adjacency
 from emofuse.tokenization import tokenize
 from emofuse.vgae import (
-    EdgeProbabilities,
     LatentPosterior,
     VgaeConfig,
     VgaeParams,
@@ -22,10 +21,11 @@ from emofuse.vgae import (
     train_vgae,
     vgae_loss,
 )
+from tape_ops import tensor_sum
 
 
 def scalar_loss_oracle(a_hat, a_bin, mu, logvar):
-    """Plain-float re-implementation of the training objective."""
+    """Plain-float re-implementation of the training objective on edge probabilities a_hat = sigmoid(S)."""
     n = a_bin.shape[0]
     total = n * n
     positives = sum(a_bin[i][j] for i in range(n) for j in range(n))
@@ -56,6 +56,15 @@ def softplus_limit(t):
 
 def plain_sigmoid(t):
     return 1.0 / (1.0 + math.exp(-t)) if t >= 0 else math.exp(t) / (1.0 + math.exp(t))
+
+
+def sigmoid_matrix(logits):
+    return np.array([[plain_sigmoid(t) for t in row] for row in logits])
+
+
+def edge_probabilities(z):
+    """The decoder's edge probabilities, sigmoid of `decode`'s logits, in plain math."""
+    return sigmoid_matrix(decode(Tensor(z)).data)
 
 
 def tape_nodes(root):
@@ -124,107 +133,104 @@ class TestEncode:
 
 class TestDecode:
     def test_zero_latents_give_half(self):
-        out = decode(Tensor(np.zeros((3, 4))))
-        np.testing.assert_allclose(out.data, np.full((3, 3), 0.5), atol=1e-15)
+        np.testing.assert_array_equal(edge_probabilities(np.zeros((3, 4))), np.full((3, 3), 0.5))
 
     def test_orthogonal_rows_give_half_off_diagonal(self):
         z = np.array([[1.0, 0.0], [0.0, 1.0]])
-        out = decode(Tensor(z))
-        assert out.data[0, 1] == pytest.approx(0.5, abs=1e-15)
+        assert edge_probabilities(z)[0, 1] == pytest.approx(0.5, abs=1e-15)
 
     def test_norm_log3_gives_three_quarters(self):
         # equal rows with squared norm ln 3: sigmoid(ln 3) = 0.75
         row = np.sqrt(math.log(3.0) / 2.0) * np.ones(2)
-        out = decode(Tensor(np.stack([row, row])))
-        assert out.data[0, 1] == pytest.approx(0.75, abs=1e-12)
+        assert edge_probabilities(np.stack([row, row]))[0, 1] == pytest.approx(0.75, abs=1e-12)
 
     def test_symmetric_and_open_interval(self):
         rng = np.random.default_rng(5)
-        out = decode(Tensor(rng.standard_normal((6, 4))))
-        np.testing.assert_allclose(out.data, out.data.T, atol=1e-12)
-        assert (out.data > 0).all() and (out.data < 1).all()
+        probs = edge_probabilities(rng.standard_normal((6, 4)))
+        np.testing.assert_allclose(probs, probs.T, atol=1e-12)
+        assert (probs > 0).all() and (probs < 1).all()
 
     def test_keeps_logits_and_latents(self):
-        z = Tensor(np.random.default_rng(6).standard_normal((4, 3)))
+        # the output is the logits z z^T, one node whose only parent is z
+        z = Tensor(np.random.default_rng(6).standard_normal((4, 3)), requires_grad=True)
         out = decode(z)
-        assert isinstance(out, EdgeProbabilities)
-        np.testing.assert_array_equal(out.logits, z.data @ z.data.T)
-        assert out.latents is z
+        assert type(out) is Tensor
+        np.testing.assert_array_equal(out.data, z.data @ z.data.T)
+        assert out._parents == (z,)
 
     def test_own_gradient_passes_grad_check(self):
-        # the rule other losses than vgae_loss use
         rng = np.random.default_rng(8)
         z = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
         mix = rng.standard_normal((4, 4))
-        assert grad_check(lambda t: ad.tensor_sum(ad.mul(decode(t), mix)), z) < 1e-7
+        assert grad_check(lambda t: tensor_sum(ad.mul(decode(t), mix)), z) < 1e-7
+
+
+def standard_posterior(n, latent):
+    return LatentPosterior(mu=Tensor(np.zeros((n, latent))), logvar=Tensor(np.zeros((n, latent))))
 
 
 class TestVgaeLoss:
     def test_standard_normal_posterior_has_zero_kl(self):
         n = 3
         a_bin = np.eye(n)
-        a_hat = Tensor(np.full((n, n), 0.5))
-        posterior = LatentPosterior(mu=Tensor(np.zeros((n, 2))), logvar=Tensor(np.zeros((n, 2))))
-        loss = vgae_loss(a_hat, a_bin, posterior)
-        oracle = scalar_loss_oracle(a_hat.data, a_bin, posterior.mu.data, posterior.logvar.data)
+        posterior = standard_posterior(n, 2)
+        loss = vgae_loss(Tensor(np.zeros((n, n))), a_bin, posterior)
+        oracle = scalar_loss_oracle(np.full((n, n), 0.5), a_bin, posterior.mu.data, posterior.logvar.data)
         assert loss.item() == pytest.approx(oracle, abs=1e-12)
 
     def test_matched_saturation_drives_bce_to_zero(self):
         n = 3
         a_bin = binarize_edges(np.array([[0, 1.0, 0], [1.0, 0, 0], [0, 0, 0]]))
-        near = np.where(a_bin == 1.0, 1.0 - 1e-12, 1e-12)
-        posterior = LatentPosterior(mu=Tensor(np.zeros((n, 2))), logvar=Tensor(np.zeros((n, 2))))
-        loss = vgae_loss(Tensor(near), a_bin, posterior)
+        near = np.where(a_bin == 1.0, 40.0, -40.0)
+        loss = vgae_loss(Tensor(near), a_bin, standard_posterior(n, 2))
         assert loss.item() == pytest.approx(0.0, abs=1e-9)
 
     def test_three_node_instance_matches_scalar_oracle(self):
         rng = np.random.default_rng(7)
         n = 3
         a_bin = binarize_edges(np.array([[0, 1.2, 0], [1.2, 0, 0.4], [0, 0.4, 0]]))
-        a_hat = rng.uniform(0.1, 0.9, (n, n))
-        a_hat = (a_hat + a_hat.T) / 2
+        logits = rng.uniform(-2.0, 2.0, (n, n))
+        logits = (logits + logits.T) / 2
         mu = rng.standard_normal((n, 2))
         logvar = rng.standard_normal((n, 2)) * 0.3
-        loss = vgae_loss(Tensor(a_hat), a_bin, LatentPosterior(mu=Tensor(mu), logvar=Tensor(logvar)))
-        assert loss.item() == pytest.approx(scalar_loss_oracle(a_hat, a_bin, mu, logvar), abs=1e-9)
+        loss = vgae_loss(Tensor(logits), a_bin, LatentPosterior(mu=Tensor(mu), logvar=Tensor(logvar)))
+        oracle = scalar_loss_oracle(sigmoid_matrix(logits), a_bin, mu, logvar)
+        assert loss.item() == pytest.approx(oracle, abs=1e-9)
 
     def test_no_positive_edges_rejected(self):
         n = 2
-        posterior = LatentPosterior(mu=Tensor(np.zeros((n, 1))), logvar=Tensor(np.zeros((n, 1))))
         with pytest.raises(TrainingError):
-            vgae_loss(Tensor(np.full((n, n), 0.5)), np.zeros((n, n)), posterior)
+            vgae_loss(Tensor(np.zeros((n, n))), np.zeros((n, n)), standard_posterior(n, 1))
 
     def test_complete_graph_rejected(self):
         n = 2
-        posterior = LatentPosterior(mu=Tensor(np.zeros((n, 1))), logvar=Tensor(np.zeros((n, 1))))
         with pytest.raises(TrainingError):
-            vgae_loss(Tensor(np.full((n, n), 0.5)), np.ones((n, n)), posterior)
+            vgae_loss(Tensor(np.zeros((n, n))), np.ones((n, n)), standard_posterior(n, 1))
 
     def test_kl_nonnegative_and_zero_only_at_standard_normal(self):
         rng = np.random.default_rng(11)
         n = 4
         a_bin = np.eye(n)
-        a_hat = Tensor(np.full((n, n), 0.5))
+        logits = Tensor(np.zeros((n, n)))
+        base = vgae_loss(logits, a_bin, standard_posterior(n, 3))
         for _ in range(25):
             mu = rng.standard_normal((n, 3))
             logvar = rng.standard_normal((n, 3))
-            loss = vgae_loss(a_hat, a_bin, LatentPosterior(mu=Tensor(mu), logvar=Tensor(logvar)))
-            base = vgae_loss(a_hat, a_bin, LatentPosterior(
-                mu=Tensor(np.zeros((n, 3))), logvar=Tensor(np.zeros((n, 3)))))
+            loss = vgae_loss(logits, a_bin, LatentPosterior(mu=Tensor(mu), logvar=Tensor(logvar)))
             assert loss.item() >= base.item() - 1e-12
 
 
 class TestLossFromLogits:
     def test_matches_probability_path(self):
+        # the scalar oracle scores the probabilities sigmoid(S) with plain logs
         rng = np.random.default_rng(12)
         n = 6
         a_bin = ring_target(n)
-        probs = decode(Tensor(rng.standard_normal((n, 3))))
-        posterior = LatentPosterior(mu=Tensor(rng.standard_normal((n, 3))),
-                                    logvar=Tensor(rng.standard_normal((n, 3)) * 0.3))
-        fused = vgae_loss(probs, a_bin, posterior).item()
-        plain = vgae_loss(Tensor(probs.data), a_bin, posterior).item()
-        assert fused == pytest.approx(plain, rel=1e-12)
+        z = rng.standard_normal((n, 3))
+        mu, logvar = rng.standard_normal((n, 3)), rng.standard_normal((n, 3)) * 0.3
+        loss = vgae_loss(decode(Tensor(z)), a_bin, LatentPosterior(mu=Tensor(mu), logvar=Tensor(logvar)))
+        oracle = scalar_loss_oracle(edge_probabilities(z), a_bin, mu, logvar)
+        assert loss.item() == pytest.approx(oracle, rel=1e-12)
 
     def test_passes_grad_check_with_both_edge_classes(self):
         rng = np.random.default_rng(13)
@@ -242,11 +248,13 @@ class TestLossFromLogits:
     def test_loss_does_not_pass_through_probabilities(self):
         rng = np.random.default_rng(14)
         z = Tensor(rng.standard_normal((5, 2)), requires_grad=True)
-        probs = decode(z)
+        logits = decode(z)
         posterior = LatentPosterior(mu=z, logvar=Tensor(np.zeros((5, 2))))
-        nodes = tape_nodes(vgae_loss(probs, ring_target(5), posterior))
-        assert all(node is not probs for node in nodes)
-        assert len(nodes) == 5  # loss = bce + kl, then z and the constant logvar
+        loss = vgae_loss(logits, ring_target(5), posterior)
+        bce, _ = loss._parents
+        assert bce._parents == (logits,)
+        # loss = bce + kl; bce reads the logits, which read z; kl reads z and the constant logvar
+        assert len(tape_nodes(loss)) == 6
 
     def test_saturated_latents_give_analytic_loss_and_gradient(self):
         # the 0-1 edge is a positive scored -800 (sigmoid exactly 0), the 0-2
@@ -257,10 +265,9 @@ class TestLossFromLogits:
         z = Tensor(np.linalg.cholesky(gram), requires_grad=True)
         s = z.data @ z.data.T
         assert (np.abs(s) >= 50).all()
-        probs = decode(z)
-        assert probs.data[0, 1] == 0.0 and probs.data[0, 2] == 1.0
+        assert plain_sigmoid(s[0, 1]) == 0.0 and plain_sigmoid(s[0, 2]) == 1.0
         zeros = Tensor(np.zeros((n, 2)))
-        loss = vgae_loss(probs, a_bin, LatentPosterior(mu=zeros, logvar=zeros))
+        loss = vgae_loss(decode(z), a_bin, LatentPosterior(mu=zeros, logvar=zeros))
 
         total, positives = n * n, a_bin.sum()
         pos_weight = (total - positives) / positives
