@@ -26,6 +26,14 @@ every post of a chunk is one node; in ``textcnn`` the convolution with its
 relu, the per-post max-pool and the cross-entropy are one node each; in
 ``vgae`` the decoder, the reconstruction cross-entropy and the KL term are
 one node each.
+
+Training packs its parameter list into one contiguous buffer, the arena
+(``pack_parameters``), each tensor a view of it. ``AdamState`` keeps the
+moments as two flat buffers beside it, and ``adam_step`` updates runs of
+whole tensors of up to ``GROUP_FLOATS`` floats with 14 in-place ufunc calls
+each, bit for bit the per-tensor update. Gradients stay per tensor, as
+``backward`` makes them: adding leaf gradients into views of a second
+buffer made a paper-dims training call 7-15% slower.
 """
 
 from __future__ import annotations
@@ -35,7 +43,6 @@ import functools
 import math
 import os
 import struct
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -466,7 +473,8 @@ def load_parameters(root, tensors, source, prefix=""):
     """Copy `tensors[name]` into every parameter `named_parameters` yields.
 
     Raises ConfigError naming `source` and the tensor when a name is missing
-    or a shape differs; nothing is copied unless every tensor fits.
+    or a shape differs; nothing is copied unless every tensor fits. Values
+    are written in place, so packed parameters stay views of their arena.
     """
     pairs = []
     for name, param in named_parameters(root, prefix):
@@ -478,7 +486,7 @@ def load_parameters(root, tensors, source, prefix=""):
                               f"expected {param.data.shape}")
         pairs.append((param, stored))
     for param, stored in pairs:
-        param.data = stored.copy()
+        param.data[...] = stored
 
 
 def zero_grads(params):
@@ -486,42 +494,106 @@ def zero_grads(params):
         p.grad = None
 
 
-@dataclass
+# Adam updates the arena in runs of whole tensors of at most this many floats
+# (a larger tensor is a run of its own), so a run's temporaries stay in cache.
+GROUP_FLOATS = 1 << 16
+
+
+def pack_parameters(params) -> np.ndarray:
+    """Make the tensors of `params` views into one contiguous float64 buffer, in order.
+
+    Returns the buffer, the parameter arena. Tensors that already are
+    consecutive views of one buffer keep it, so packing again copies
+    nothing; otherwise every value is copied into a new buffer and its
+    tensor rebound to its view. The arena lives as long as its tensors do.
+    """
+    arena = params[0].data.base if params else None
+    if isinstance(arena, np.ndarray) and arena.ndim == 1 and arena.dtype == np.float64:
+        address = arena.ctypes.data
+        for p in params:
+            if (p.data.base is not arena or not p.data.flags.c_contiguous
+                    or p.data.ctypes.data != address):
+                break
+            address += p.data.nbytes
+        else:
+            if address == arena.ctypes.data + arena.nbytes:
+                return arena
+    arena = np.empty(sum(p.data.size for p in params))
+    offset = 0
+    for p in params:
+        view = arena[offset:offset + p.data.size].reshape(p.data.shape)
+        view[...] = p.data
+        p.data = view
+        offset += view.size
+    return arena
+
+
 class AdamState:
-    """First/second moment accumulators for one ordered parameter list."""
+    """Bias-corrected Adam moments for one ordered parameter list, kept flat.
 
-    lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step_count: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    Building the state packs the parameters (`pack_parameters`); the
+    moments m and v are flat buffers laid out like the arena. `groups` cuts
+    that layout into runs of consecutive tensors, each (lo, hi, first, last):
+    arena floats lo to hi - 1, parameters first to last - 1.
+    """
 
-    @classmethod
-    def for_params(cls, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        state = cls(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-        state.m = [np.zeros_like(p.data) for p in params]
-        state.v = [np.zeros_like(p.data) for p in params]
-        return state
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.step_count = 0
+        self.count = len(params)
+        self.data = pack_parameters(params)
+        self.m = np.zeros_like(self.data)
+        self.v = np.zeros_like(self.data)
+        self.groups = []
+        lo = first = offset = 0
+        for i, p in enumerate(params):
+            if i > first and offset + p.data.size - lo > GROUP_FLOATS:
+                self.groups.append((lo, offset, first, i))
+                lo, first = offset, i
+            offset += p.data.size
+        if params:
+            self.groups.append((lo, offset, first, len(params)))
+        # two temporaries and a gathered gradient, each as long as the longest group
+        self.work = np.empty((3, max((hi - lo for lo, hi, _, _ in self.groups), default=0)))
 
 
 def adam_step(params, state: AdamState):
-    """One bias-corrected Adam update over `params` (same order as init)."""
-    if len(params) != len(state.m):
-        raise ShapeError(f"adam_step got {len(params)} params for state of {len(state.m)}")
+    """One bias-corrected Adam update of `params`, the list `state` was built on.
+
+    Gradients stay per tensor: a group's are gathered into one scratch row,
+    a None gradient as zeros (a one-tensor group reads its gradient as it
+    is). Then 14 in-place ufunc calls update the group's slice of the arena.
+    They repeat the per-tensor update's expressions in the same order, so
+    every float gets the same bits:
+    m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g,
+    p -= (lr (m / bc1)) / (sqrt(v / bc2) + eps).
+    """
+    if len(params) != state.count:
+        raise ShapeError(f"adam_step got {len(params)} params for state of {state.count}")
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
-    for p, m, v in zip(params, state.m, state.v):
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        step = state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        p.data -= step
+    b1, b2 = state.beta1, state.beta2
+    bc1 = 1.0 - b1 ** t
+    bc2 = 1.0 - b2 ** t
+    for lo, hi, first, last in state.groups:
+        flat = [np.zeros(p.data.size) if p.grad is None else p.grad.reshape(-1)
+                for p in params[first:last]]
+        t1, t2, gathered = state.work[:, :hi - lo]
+        g = flat[0] if len(flat) == 1 else np.concatenate(flat, out=gathered)
+        m, v = state.m[lo:hi], state.v[lo:hi]
+        m *= b1
+        m += np.multiply(1.0 - b1, g, out=t1)
+        v *= b2
+        np.multiply(1.0 - b2, g, out=t1)
+        t1 *= g
+        v += t1
+        np.divide(v, bc2, out=t1)
+        np.sqrt(t1, out=t1)
+        t1 += state.eps
+        np.divide(m, bc1, out=t2)
+        np.multiply(state.lr, t2, out=t2)
+        t2 /= t1
+        state.data[lo:hi] -= t2
 
 
 # --- verification -----------------------------------------------------------

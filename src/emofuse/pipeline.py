@@ -100,7 +100,7 @@ def train_classifier(model: SentimentModel, posts: list[RawPost], rng) -> list[E
     rows = [len(model.split(seq)[0]) for seq in sequences]
     labels = np.array([p.label for p in posts])
     params = [p for _, p in ad.named_parameters(model.params)]
-    opt = ad.AdamState.for_params(params, lr=config.lr)
+    opt = ad.AdamState(params, lr=config.lr)
     history: list[EpochStats] = []
     for epoch in range(config.epochs):
         order = rng.permutation(len(posts))

@@ -197,7 +197,7 @@ def train_vgae(graph: CoocGraph, config: VgaeConfig, rng) -> tuple[EmojiEmbeddin
     a_bin = binarize_edges(graph.adjacency)
     params = VgaeParams.create(graph.attributes.shape[1], config.hidden, config.latent, rng)
     param_list = [p for _, p in ad.named_parameters(params)]
-    opt = ad.AdamState.for_params(param_list, lr=config.lr)
+    opt = ad.AdamState(param_list, lr=config.lr)
     history: list[float] = []
     for epoch in range(config.epochs):
         ad.zero_grads(param_list)

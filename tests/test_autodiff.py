@@ -11,7 +11,7 @@ from emofuse.exceptions import CheckpointError, EmofuseError, ShapeError
 from emofuse.text_encoder import BiLstmParams, bilstm_layer
 from emofuse.textcnn import conv_relu, cross_entropy_logits, segment_max
 from emofuse.vgae import _sigmoid_values
-from tape_ops import mean, sigmoid, tanh, tensor_sum, tslice
+from tape_ops import ReferenceAdam, mean, sigmoid, tanh, tensor_sum, tslice
 
 
 class TestBackwardBasics:
@@ -314,7 +314,7 @@ class TestLeafAccumulation:
 class TestAdam:
     def test_zero_gradient_from_fresh_state_keeps_params(self):
         p = Tensor([1.0, -2.0], requires_grad=True)
-        state = AdamState.for_params([p], lr=0.1)
+        state = AdamState([p], lr=0.1)
         p.grad = np.zeros(2)
         before = p.data.copy()
         adam_step([p], state)
@@ -322,14 +322,14 @@ class TestAdam:
 
     def test_first_step_is_signed_lr(self):
         p = Tensor([1.0, 1.0], requires_grad=True)
-        state = AdamState.for_params([p], lr=0.1)
+        state = AdamState([p], lr=0.1)
         p.grad = np.array([0.5, -3.0])
         adam_step([p], state)
         np.testing.assert_allclose(p.data, [1.0 - 0.1, 1.0 + 0.1], atol=1e-6)
 
     def test_converges_on_quadratic(self):
         p = Tensor(np.array(1.0), requires_grad=True)
-        state = AdamState.for_params([p], lr=0.1)
+        state = AdamState([p], lr=0.1)
         for _ in range(100):
             ad.zero_grads([p])
             ad.mul(p, p).backward()
@@ -338,9 +338,49 @@ class TestAdam:
 
     def test_missing_grad_treated_as_zero(self):
         p = Tensor([1.0], requires_grad=True)
-        state = AdamState.for_params([p], lr=0.1)
+        state = AdamState([p], lr=0.1)
         adam_step([p], state)
         np.testing.assert_array_equal(p.data, [1.0])
+
+    def test_grouped_step_matches_per_tensor_oracle(self):
+        rng = np.random.default_rng(12)
+        # runs of small tensors, a tensor alone over the group bound, a 0-d
+        # tensor, and two tensors that do not fit one group together
+        shapes = [(3, 4), (), (ad.GROUP_FLOATS + 5,), (7,), (2, 3, 5), (200, 200), (150, 200), (1,)]
+        values = [np.asarray(rng.normal(size=shape)) for shape in shapes]
+        packed = [Tensor(v.copy(), requires_grad=True) for v in values]
+        loose = [Tensor(v.copy(), requires_grad=True) for v in values]
+        state = AdamState(packed, lr=0.01)
+        oracle = ReferenceAdam(loose, lr=0.01)
+        assert [(first, last) for _, _, first, last in state.groups] == [(0, 2), (2, 3), (3, 6), (6, 8)]
+        assert all(p.data.base is state.data for p in packed)
+        for step in range(5):
+            for i, (a, b) in enumerate(zip(packed, loose)):
+                missing = i == 3 or (i == 2 and step == 1)  # a None grad, in a run and alone
+                g = None if missing else np.asarray(rng.normal(size=shapes[i]) * 10.0 ** rng.integers(-6, 3))
+                a.grad = b.grad = g
+            adam_step(packed, state)
+            oracle.step(loose)
+            for a, b in zip(packed, loose):
+                assert a.data.tobytes() == b.data.tobytes()
+        assert state.m.tobytes() == b"".join(m.tobytes() for m in oracle.m)
+        assert state.v.tobytes() == b"".join(v.tobytes() for v in oracle.v)
+
+    def test_packing_is_idempotent(self):
+        params = [Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True),
+                  Tensor(np.ones(4), requires_grad=True)]
+        arena = ad.pack_parameters(params)
+        np.testing.assert_array_equal(arena, [0, 1, 2, 3, 4, 5, 1, 1, 1, 1])
+        views = [p.data for p in params]
+        assert ad.pack_parameters(params) is arena
+        assert all(p.data is view for p, view in zip(params, views))
+        assert ad.pack_parameters(params[::-1]) is not arena  # another order is another arena
+
+    def test_step_rejects_another_list(self):
+        params = [Tensor(np.ones(2), requires_grad=True) for _ in range(2)]
+        state = AdamState(params, lr=0.1)
+        with pytest.raises(ShapeError):
+            adam_step(params[:1], state)
 
 
 class TestDeterminism:

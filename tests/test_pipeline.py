@@ -282,6 +282,29 @@ class TestModelPersistence:
         np.testing.assert_array_equal(model.forward_logits(seq).data,
                                       clone.forward_logits(seq).data)
 
+    def test_loaded_model_trains_on_in_its_arena(self, word_table, tmp_path):
+        config = tiny_config(epochs=1)
+        posts = make_emoji_labeled_posts(6, seed=7)
+        runs = []
+        for run in range(2):
+            model = SentimentModel(config, word_table, tiny_embeddings(), np.random.default_rng(5))
+            keys = list(model.state_tensors())
+            params = [t for _, t in named_parameters(model.params)]
+            train_classifier(model, posts, np.random.default_rng(5))
+            arena = ad.pack_parameters(params)  # training packed them: no new buffer
+            path = tmp_path / f"run{run}.ntc"
+            save_tensors(path, model.state_tensors())
+            train_classifier(model, posts, np.random.default_rng(6))
+            model.load_state(load_tensors(path), str(path))
+            assert all(t.data.base is arena for t in params)  # written in place
+            np.testing.assert_array_equal(arena, np.concatenate(
+                [value.reshape(-1) for name, value in load_tensors(path).items() if name != "emoji_matrix"]))
+            history = train_classifier(model, posts, np.random.default_rng(6))
+            assert all(t.data.base is arena for t in params)
+            assert list(model.state_tensors()) == keys
+            runs.append(([(h.loss, h.accuracy) for h in history], arena.tobytes()))
+        assert runs[0] == runs[1]
+
     def test_missing_tensor_rejected(self, word_table):
         config = tiny_config()
         model = SentimentModel(config, word_table, tiny_embeddings(), np.random.default_rng(0))
@@ -362,9 +385,13 @@ class TestParameterRegistry:
         train_classifier(model, make_emoji_labeled_posts(4, seed=3), np.random.default_rng(2))
         walked = list(named_parameters(model.params))
         params, state = seen[0]
-        assert len(params) == len(state.m) == len(walked)
-        for (_, tensor), slot, moment in zip(walked, params, state.m):
-            assert slot is tensor and moment.shape == tensor.data.shape
+        assert len(params) == state.count == len(walked)
+        offset = 0  # each tensor is the next slice of the arena, as the moments are
+        for (_, tensor), slot in zip(walked, params):
+            assert slot is tensor and tensor.data.base is state.data
+            assert np.shares_memory(tensor.data, state.data[offset:offset + tensor.data.size])
+            offset += tensor.data.size
+        assert offset == state.data.size == state.m.size == state.v.size
         names = [name for name, _ in walked]
         save_tensors(tmp_path / "c.ntc", model.state_tensors())
         assert list(load_tensors(tmp_path / "c.ntc")) == names + ["emoji_matrix"]
