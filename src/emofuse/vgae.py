@@ -102,12 +102,14 @@ def decode(z) -> Tensor:
     return Tensor(logits, True, (z,), lambda g: ((g + g.T) @ z.data,))
 
 
-def _sigmoid_values(x: np.ndarray) -> np.ndarray:
+def _sigmoid_values(x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
     """1 / (1 + e) for x >= 0 and e / (1 + e) below, with e = exp(-|x|): no overflow.
 
     The numerator max(e, x >= 0) picks the branch without masked indexing.
+    A caller that already holds exp(-|x|) passes it as `e`.
     """
-    e = np.exp(-np.abs(x))
+    if e is None:
+        e = np.exp(-np.abs(x))
     return np.maximum(e, x >= 0) / (1.0 + e)
 
 
@@ -117,11 +119,13 @@ def _bce_from_logits(logits: Tensor, y: np.ndarray, pos_weight: float, scale: fl
     softplus(-S) = -log sigmoid(S) and softplus(S) = -log(1 - sigmoid(S)), so
     this is the re-weighted cross-entropy, finite for every finite logit.
     softplus(t) is np.logaddexp(0, t) written out as max(t, 0) + log1p(exp(-|t|)),
-    which is several times faster on an N x N matrix.
+    which is several times faster on an N x N matrix. Its exp(-|S|) is kept
+    for the backward's sigmoid.
     """
     s = logits.data
     signed = (1.0 - 2.0 * y) * s  # -S on positives, S elsewhere
-    softplus = np.maximum(signed, 0.0) + np.log1p(np.exp(-np.abs(s)))
+    e = np.exp(-np.abs(s))
+    softplus = np.maximum(signed, 0.0) + np.log1p(e)
     weights = 1.0 + (pos_weight - 1.0) * y  # pos_weight on positives, 1 elsewhere
     value = scale * np.vdot(weights, softplus)
     if not logits.requires_grad:
@@ -129,7 +133,7 @@ def _bce_from_logits(logits: Tensor, y: np.ndarray, pos_weight: float, scale: fl
 
     def bw(g):
         # dS = scale * ((1 - y) sigmoid(S) - pos_weight * y * sigmoid(-S))
-        return ((g * scale) * (weights * _sigmoid_values(s) - pos_weight * y),)
+        return ((g * scale) * (weights * _sigmoid_values(s, e) - pos_weight * y),)
     return Tensor(value, True, (logits,), bw)
 
 
