@@ -1,8 +1,9 @@
 """End-to-end sentiment model: text encoder, attention fusion, classifier.
 
 The model owns every trainable parameter plus two frozen inputs: the
-pretrained word table and the emoji embedding matrix. Both are constants on
-the tape: no gradient is computed for them and the optimizer never sees them.
+pretrained word table and the emoji embedding matrix, which the model keeps
+scaled to unit root-mean-square. Both are constants on the tape: no
+gradient is computed for them and the optimizer never sees them.
 There is one forward path, over a chunk of posts whose word rows and emoji
 rows are each packed into one matrix; a single post is a one-post chunk.
 """
@@ -62,7 +63,14 @@ class SentimentModel:
         self.word_table = word_table
         self.embedding_ids = list(embeddings.ids)
         self._emoji_index = {e: i for i, e in enumerate(self.embedding_ids)}
-        self.emoji_matrix = Tensor(embeddings.vectors.copy())  # frozen, off the tape
+        # Frozen, off the tape, and scaled to unit root-mean-square: the
+        # positional encoding added to each row has entries in [-1, 1], and
+        # VGAE posterior means can be a hundred times smaller than that, so
+        # the emoji that decides a label would drown in its position. An
+        # all-zero table stays as it is.
+        vectors = embeddings.vectors
+        rms = np.sqrt(np.vdot(vectors, vectors) / vectors.size) if vectors.size else 0.0
+        self.emoji_matrix = Tensor(vectors / rms if rms > 0.0 else vectors.copy())
         self.emoji_dim = embeddings.vectors.shape[1]
         self._positional_rows = {}  # position -> its positional_encoding row, filled as met
         self.wiring = apply_ablation(config.ablation, config.emoji_reads_fused_text)

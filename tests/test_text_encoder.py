@@ -72,10 +72,10 @@ class TestPositionalEncoding:
 class TestEmojiInputFeatures:
     """The position-encoded emoji rows the model feeds to fusion."""
 
-    def make_model(self, word_table, dim=6):
+    def make_model(self, word_table, dim=6, vectors=None):
         rng = np.random.default_rng(1)
         embeddings = EmojiEmbeddings(ids=["\U0001F600", "\U0001F622"],
-                                     vectors=rng.standard_normal((2, dim)))
+                                     vectors=rng.standard_normal((2, dim)) if vectors is None else vectors)
         config = RunConfig(num_classes=2, lstm_hidden=3, fusion_dim=6, ffn_dim=12,
                            kernel_sizes=(2,), filters=2)
         return SentimentModel(config, word_table, embeddings, rng), embeddings
@@ -84,8 +84,20 @@ class TestEmojiInputFeatures:
         model, emb = self.make_model(word_table)
         _, emojis = split_modalities(tokenize("\U0001F600 hello"))
         feats, _, _ = model._emoji_rows([emojis])
-        expected = emb.get("\U0001F600") + np.array([0, 1, 0, 1, 0, 1])
+        rms = np.sqrt(np.mean(emb.vectors ** 2))  # the model's table is scaled to unit RMS
+        expected = emb.get("\U0001F600") / rms + np.array([0, 1, 0, 1, 0, 1])
         np.testing.assert_allclose(feats.data[0], expected, atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [0.006, 1.0, 40.0])
+    def test_table_is_scaled_to_unit_rms(self, word_table, scale):
+        vectors = scale * np.random.default_rng(2).standard_normal((2, 6))
+        table = self.make_model(word_table, vectors=vectors)[0].emoji_matrix.data
+        assert np.sqrt(np.mean(table ** 2)) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(table * np.sqrt(np.mean(vectors ** 2)), vectors, rtol=1e-12)
+
+    def test_all_zero_table_stays_zero(self, word_table):
+        model, _ = self.make_model(word_table, vectors=np.zeros((2, 6)))
+        np.testing.assert_array_equal(model.emoji_matrix.data, np.zeros((2, 6)))
 
     def test_same_emoji_two_positions_differ_by_pe(self, word_table):
         model, _ = self.make_model(word_table)
