@@ -553,16 +553,16 @@ class AdamState:
             offset += p.data.size
         if params:
             self.groups.append((lo, offset, first, len(params)))
-        # two temporaries and a gathered gradient, each as long as the longest group
-        self.work = np.empty((3, max((hi - lo for lo, hi, _, _ in self.groups), default=0)))
+        # two temporaries as long as the longest group
+        self.work = np.empty((2, max((hi - lo for lo, hi, _, _ in self.groups), default=0)))
 
 
 def adam_step(params, state: AdamState):
     """One bias-corrected Adam update of `params`, the list `state` was built on.
 
-    Gradients stay per tensor: a group's are gathered into one scratch row,
-    a None gradient as zeros (a one-tensor group reads its gradient as it
-    is). Then 14 in-place ufunc calls update the group's slice of the arena.
+    Gradients stay per tensor: a group's are gathered into the second
+    scratch row, which holds them until their last read, a None gradient
+    as zeros (a one-tensor group reads its gradient as it is). Then 14 in-place ufunc calls update the group's slice of the arena.
     They repeat the per-tensor update's expressions in the same order, so
     every float gets the same bits:
     m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g,
@@ -576,10 +576,9 @@ def adam_step(params, state: AdamState):
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
     for lo, hi, first, last in state.groups:
-        flat = [np.zeros(p.data.size) if p.grad is None else p.grad.reshape(-1)
-                for p in params[first:last]]
-        t1, t2, gathered = state.work[:, :hi - lo]
-        g = flat[0] if len(flat) == 1 else np.concatenate(flat, out=gathered)
+        grads = [np.zeros(p.data.size) if p.grad is None else p.grad for p in params[first:last]]
+        t1, t2 = state.work[:, :hi - lo]
+        g = grads[0].reshape(-1) if len(grads) == 1 else np.concatenate(grads, axis=None, out=t2)
         m, v = state.m[lo:hi], state.v[lo:hi]
         m *= b1
         m += np.multiply(1.0 - b1, g, out=t1)
