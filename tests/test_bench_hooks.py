@@ -1,0 +1,36 @@
+"""The traced benchmark run wraps program attributes by name.
+
+`bench/tracing.py` replaces functions such as `clustering.average_linkage`
+with span-recording wrappers and puts the originals back afterwards. A
+renamed or removed attribute makes `install` raise `AttributeError`, and a
+wrapper left behind would time every later call.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def load_tracing(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_install_wraps_and_uninstall_restores_every_attribute(monkeypatch):
+    tracer = load_tracing(monkeypatch).Tracer()
+    try:
+        tracer.install()
+        wrapped = list(tracer._restore)
+        for owner, attr, original in wrapped:
+            assert getattr(owner, attr) is not original, f"{owner}.{attr} not wrapped"
+    finally:
+        tracer.uninstall()
+    names = {f"{getattr(owner, '__name__', owner)}.{attr}" for owner, attr, _ in wrapped}
+    assert {"emofuse.clustering.cosine_matrix", "emofuse.clustering.average_linkage"} <= names
+    for owner, attr, original in wrapped:
+        assert getattr(owner, attr) is original, f"{owner}.{attr} still wrapped"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from emofuse.clustering import (
+    Merge,
     average_linkage,
     cluster_similarity,
     cosine_matrix,
@@ -9,6 +10,58 @@ from emofuse.clustering import (
     write_similarity_tsv,
 )
 from emofuse.vgae import EmojiEmbeddings
+
+
+def reference_average_linkage(distance):
+    """Average linkage over a dict of live pairs, rebuilt on every merge.
+
+    The oracle for `average_linkage`: the minimum of (distance, (a, b)) over
+    the live pairs a < b picks the merge, and each new pair's distance is
+    value * size summed over the two merged clusters, then divided by the
+    merged size.
+    """
+    d = np.asarray(distance, dtype=np.float64)
+    n = d.shape[0]
+    active = {i: [i] for i in range(n)}
+    dist = {(a, b): float(d[a, b]) for a in range(n) for b in range(a + 1, n)}
+    merges = []
+    next_id = n
+    while len(active) > 1:
+        (a, b), best_distance = min(dist.items(), key=lambda item: (item[1], item[0]))
+        size_a, size_b = len(active[a]), len(active[b])
+        members = active.pop(a) + active.pop(b)
+        del dist[(a, b)]
+        updated = {}
+        for (x, y), value in dist.items():
+            if x in (a, b) or y in (a, b):
+                other = y if x in (a, b) else x
+                prior = updated.get(other)
+                weighted = value * (size_a if a in (x, y) else size_b)
+                updated[other] = weighted if prior is None else prior + weighted
+        dist = {pair: value for pair, value in dist.items()
+                if pair[0] not in (a, b) and pair[1] not in (a, b)}
+        for other, weighted_sum in updated.items():
+            dist[(min(other, next_id), max(other, next_id))] = weighted_sum / (size_a + size_b)
+        active[next_id] = members
+        merges.append(Merge(left=a, right=b, distance=best_distance))
+        next_id += 1
+    return merges
+
+
+def merge_bits(merges):
+    return [(m.left, m.right, float(m.distance).hex()) for m in merges]
+
+
+def cosine_distances(vectors):
+    return 1.0 - cosine_matrix(vectors)
+
+
+def ternary_vectors(n, seed):
+    """Vectors in {-1, 0, 1}^6 with about a fifth of the rows zero: many exact ties."""
+    rng = np.random.default_rng(seed)
+    v = rng.integers(-1, 2, (n, 6)).astype(np.float64)
+    v[rng.random(n) < 0.2] = 0.0
+    return v
 
 
 class TestCosineMatrix:
@@ -61,6 +114,58 @@ class TestAverageLinkage:
         assert (merges[0].left, merges[0].right) == (0, 1)
 
 
+class TestAverageLinkageOracle:
+    @pytest.mark.parametrize("n", range(2, 71))
+    def test_cosine_distances_match_reference(self, n):
+        dist = cosine_distances(np.random.default_rng(100 + n).standard_normal((n, 32)))
+        assert merge_bits(average_linkage(dist)) == merge_bits(reference_average_linkage(dist))
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 21, 34, 64])
+    def test_ternary_vectors_with_zero_rows_match_reference(self, n):
+        dist = cosine_distances(ternary_vectors(n, seed=n))
+        assert merge_bits(average_linkage(dist)) == merge_bits(reference_average_linkage(dist))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 16])
+    def test_all_ties_match_reference(self, n):
+        dist = np.ones((n, n)) - np.eye(n)
+        assert merge_bits(average_linkage(dist)) == merge_bits(reference_average_linkage(dist))
+
+    def test_two_leaves(self):
+        dist = np.array([[0.0, 0.25], [0.75, 0.0]])
+        assert average_linkage(dist) == reference_average_linkage(dist) == [Merge(0, 1, 0.25)]
+
+    def test_single_leaf_has_no_merges(self):
+        assert average_linkage(np.zeros((1, 1))) == []
+
+
+class TestAverageLinkageRejects:
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            average_linkage(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_first_non_finite_entry_named(self, bad):
+        dist = np.array([[0.0, 1.0, 2.0, 3.0],
+                         [1.0, 0.0, bad, bad],
+                         [2.0, 3.0, 0.0, 1.0],
+                         [3.0, 1.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match=r"distance\[1, 2\]"):
+            average_linkage(dist)
+
+    def test_nan_is_not_merged_first(self):
+        with pytest.raises(ValueError, match=r"distance\[0, 1\] is nan"):
+            average_linkage([[0.0, np.nan, 2.0], [np.nan, 0.0, 1.0], [2.0, 1.0, 0.0]])
+
+    def test_lower_triangle_is_not_read(self):
+        dist = np.array([[0.0, 1.0, 5.0], [np.nan, 0.0, 4.0], [np.inf, np.nan, 0.0]])
+        assert average_linkage(dist) == [Merge(0, 1, 1.0), Merge(2, 3, 4.5)]
+
+    def test_overflowing_average_rejected(self):
+        dist = np.array([[0.0, 1.0, 1.5e308], [1.0, 0.0, 1.6e308], [1.5e308, 1.6e308, 0.0]])
+        with pytest.raises(ValueError, match="overflowed"), pytest.warns(RuntimeWarning):
+            average_linkage(dist)
+
+
 class TestLeafOrder:
     def test_all_leaves_present_once(self):
         rng = np.random.default_rng(2)
@@ -106,8 +211,10 @@ class TestClusterSimilarity:
         result = cluster_similarity(emb, {"a": 3, "b": 2, "c": 1}, top_k=3)
         pos_a, pos_c = result.labels.index("a"), result.labels.index("c")
         assert abs(pos_a - pos_c) == 1
+        first = result.merges[0]
         i, j = result.ranked_ids.index("a"), result.ranked_ids.index("c")
-        assert cosine_matrix(np.stack([row, row]))[0, 1] == pytest.approx(1.0, abs=1e-12)
+        assert (first.left, first.right) == (min(i, j), max(i, j))
+        assert abs(first.distance) <= 1e-12
 
     def test_frequency_ranking_selects_top_k(self):
         emb = two_group_embeddings()
