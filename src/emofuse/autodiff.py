@@ -315,7 +315,10 @@ class Segments:
     Post i owns rows offsets[i] to offsets[i] + lengths[i] - 1, the posts
     one after another. Rules that see post boundaries take a Segments;
     every other rule runs over the packed rows as one matrix. A one-post
-    layout is the identity: nothing is gathered or scattered.
+    layout is the identity: nothing is gathered or scattered. The general
+    path gives the same bits for one post, but these `count == 1` branches
+    (and the one-post branches of `scaled_dot_attention`, `segment_max` and
+    the model's emoji rows) keep a tiny-dims `predict` 1.3-1.5x faster.
     """
 
     def __init__(self, lengths):

@@ -115,7 +115,7 @@ def cmd_train_classifier(args) -> int:
     model = SentimentModel(config, table, embeddings, rng)
     history = train_classifier(model, posts, rng)
     save_tensors(_out_path(config, CLASSIFIER_CHECKPOINT), model.state_tensors())
-    meta = {"config": config.as_dict(), "emoji_ids": model.embedding_ids}
+    meta = {"config": config.as_dict(), "emoji_ids": model.emoji_table.ids}
     with open(_out_path(config, CLASSIFIER_META), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True, ensure_ascii=False)
     write_history_csv(_out_path(config, "train_history.csv"), history)

@@ -110,8 +110,7 @@ def cluster_similarity(embeddings, occurrence_counts, top_k: int) -> ClusterResu
     ranked = sorted(known, key=lambda e: (-occurrence_counts[e], e))[:top_k]
     if len(ranked) < 2:
         raise ValueError(f"need at least 2 ranked emojis, got {len(ranked)}")
-    rows = np.stack([embeddings.get(e) for e in ranked])
-    similarity = cosine_matrix(rows)
+    similarity = cosine_matrix(embeddings.rows(ranked))
     merges = average_linkage(1.0 - similarity)
     order = leaf_order(merges, len(ranked))
     reordered = similarity[np.ix_(order, order)]

@@ -30,7 +30,6 @@ class RunConfig:
     # shared
     seed: int = 0
     num_classes: int = 2
-    min_count: int = 1
     min_pair_count: int = 1
     # graph autoencoder
     vgae_hidden: int = 256
@@ -137,9 +136,11 @@ def load_config(path) -> RunConfig:
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    """Rebuild a config from its as_dict form (checkpoint echo)."""
+    """Rebuild a config from its as_dict form (checkpoint echo); retired keys are dropped."""
     config = RunConfig()
     for name, value in data.items():
+        if name == "min_count":  # retired, read by nothing; older checkpoint metadata echoes it
+            continue
         if name not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {name!r} in stored config")
         if name == "kernel_sizes":

@@ -1,7 +1,7 @@
 """End-to-end sentiment model: text encoder, attention fusion, classifier.
 
 The model owns every trainable parameter plus two frozen inputs: the
-pretrained word table and the emoji embedding matrix, which the model keeps
+pretrained word table and the emoji embedding table, which the model keeps
 scaled to unit root-mean-square. Both are constants on the tape: no
 gradient is computed for them and the optimizer never sees them.
 There is one forward path, over a chunk of posts whose word rows and emoji
@@ -10,6 +10,7 @@ rows are each packed into one matrix; a single post is a one-post chunk.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,10 +60,12 @@ class SentimentModel:
     def __init__(self, config: RunConfig, word_table: WordEmbeddingTable,
                  embeddings: EmojiEmbeddings, rng):
         config.validate()
+        emoji_dim = embeddings.dimension
+        if emoji_dim % 2:
+            raise ConfigError(f"the emoji table has odd dimension {emoji_dim}; "
+                              "positional encoding needs an even one")
         self.config = config
         self.word_table = word_table
-        self.embedding_ids = list(embeddings.ids)
-        self._emoji_index = {e: i for i, e in enumerate(self.embedding_ids)}
         # Frozen, off the tape, and scaled to unit root-mean-square: the
         # positional encoding added to each row has entries in [-1, 1], and
         # VGAE posterior means can be a hundred times smaller than that, so
@@ -70,18 +73,16 @@ class SentimentModel:
         # all-zero table stays as it is.
         vectors = embeddings.vectors
         rms = np.sqrt(np.vdot(vectors, vectors) / vectors.size) if vectors.size else 0.0
-        self.emoji_matrix = Tensor(vectors / rms if rms > 0.0 else vectors.copy())
-        self.emoji_dim = embeddings.vectors.shape[1]
-        self._positional_rows = {}  # position -> its positional_encoding row, filled as met
+        self.emoji_table = EmojiEmbeddings(embeddings.ids, vectors / rms if rms > 0.0 else vectors.copy())
         self.wiring = apply_ablation(config.ablation, config.emoji_reads_fused_text)
         h = config.lstm_hidden
         word_dim = word_table.dimension
         self.params = ModelParams(
             encoder=TextEncoderParams.create(word_dim, h, rng),
-            no_emoji=ad.parameter((1, self.emoji_dim), rng),
+            no_emoji=ad.parameter((1, emoji_dim), rng),
             fusion=FusionParams.create(
                 text_dim=word_dim + 4 * h,
-                emoji_dim=self.emoji_dim,
+                emoji_dim=emoji_dim,
                 skip_dim=2 * h,
                 d=config.fusion_dim,
                 d_ff=config.ffn_dim,
@@ -106,36 +107,29 @@ class SentimentModel:
         words, emojis = split_modalities(seq.tokens[: self.config.max_len])
         return words or [Token(kind=WORD, surface="", position=0)], emojis
 
+    @functools.cached_property
+    def _positions(self) -> np.ndarray:
+        """Row p is positional_encoding(p) for p < max_len, built on first use."""
+        dim, base = self.emoji_table.dimension, self.config.pe_base
+        return np.array([positional_encoding(p, dim, base) for p in range(self.config.max_len)])
+
     def _emoji_rows(self, chunk: list[list[Token]]) -> tuple[Tensor, Tensor, ad.Segments]:
         """Position-encoded and raw emoji rows of each post, packed, and their layout.
 
         The rows are constants except where an emoji-free post has the
-        learned `no_emoji` row (without position information) instead.
+        learned `no_emoji` row (without position information) instead; an
+        unknown emoji keeps a zero raw row.
         """
         segments = ad.Segments([len(emojis) or 1 for emojis in chunk])
         if len(chunk) == 1 and not chunk[0]:
             return self.params.no_emoji, self.params.no_emoji, segments
-        raw = np.zeros((segments.rows, self.emoji_dim))
-        pe = np.zeros((segments.rows, self.emoji_dim))
-        placeholder = np.zeros((segments.rows, 1))
-        row = 0
-        for emojis in chunk:
-            if not emojis:
-                placeholder[row] = 1.0
-                row += 1
-            for token in emojis:
-                index = self._emoji_index.get(token.surface)
-                if index is not None:  # an unknown emoji keeps a zero row
-                    raw[row] = self.emoji_matrix.data[index]
-                pe_row = self._positional_rows.get(token.position)
-                if pe_row is None:  # first use of this position by this model
-                    pe_row = positional_encoding(token.position, self.emoji_dim, self.config.pe_base)
-                    self._positional_rows[token.position] = pe_row
-                pe[row] = pe_row
-                row += 1
-        raw_rows = Tensor(raw)
-        if placeholder.any():  # 0 + 1 * no_emoji and x + 0 * no_emoji are exact
-            raw_rows = raw_rows + ad.mul(placeholder, self.params.no_emoji)
+        tokens = [token for emojis in chunk for token in emojis or [None]]  # None: a placeholder row
+        raw_rows = Tensor(self.emoji_table.rows([t and t.surface for t in tokens]))
+        pe = self._positions[[t.position if t else 0 for t in tokens]]
+        if None in tokens:  # 0 + 1 * no_emoji and x + 0 * no_emoji are exact
+            placeholder = np.array([t is None for t in tokens])
+            pe[placeholder] = 0.0
+            raw_rows = raw_rows + ad.mul(placeholder[:, None] * 1.0, self.params.no_emoji)
         return raw_rows + pe, raw_rows, segments
 
     def fused_features(self, posts) -> FusedFeatures:
@@ -164,18 +158,18 @@ class SentimentModel:
 
     def state_tensors(self) -> dict[str, np.ndarray]:
         tensors = {name: p.data for name, p in ad.named_parameters(self.params)}
-        tensors["emoji_matrix"] = self.emoji_matrix.data
+        tensors["emoji_matrix"] = self.emoji_table.vectors
         return tensors
 
     def load_state(self, tensors: dict[str, np.ndarray], source: str = "state"):
         """Load `state_tensors` output; `source` names the file in errors."""
         matrix = tensors.get("emoji_matrix")
-        if matrix is not None and matrix.shape != self.emoji_matrix.data.shape:
-            raise ConfigError(f"{source}: tensor emoji_matrix has shape {matrix.shape}, "
-                              f"expected {self.emoji_matrix.data.shape}")
+        expected = self.emoji_table.vectors.shape
+        if matrix is not None and matrix.shape != expected:
+            raise ConfigError(f"{source}: tensor emoji_matrix has shape {matrix.shape}, expected {expected}")
         ad.load_parameters(self.params, tensors, source)
         if matrix is not None:
-            self.emoji_matrix.data = matrix.copy()
+            self.emoji_table = EmojiEmbeddings(self.emoji_table.ids, matrix.copy())
 
 
 def build_model(config: RunConfig, word_table: WordEmbeddingTable,

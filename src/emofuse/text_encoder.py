@@ -25,40 +25,10 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .exceptions import ShapeError
 from .tokenization import Token
-from .vectors import read_vector_table
+from .vectors import VectorTable
 
 
-class WordEmbeddingTable:
-    """Immutable word -> vector map; unknown words read as zero vectors."""
-
-    def __init__(self, ids, matrix):
-        self._index = {word: i for i, word in enumerate(ids)}
-        self._matrix = matrix
-        self.dimension = matrix.shape[1]
-
-    def __len__(self):
-        return len(self._index)
-
-    def __contains__(self, word):
-        return word in self._index
-
-    def get(self, word) -> np.ndarray | None:
-        i = self._index.get(word)
-        return None if i is None else self._matrix[i]
-
-    def rows(self, words) -> np.ndarray:
-        """The vectors of `words` as one (len(words), dimension) matrix, gathered at once."""
-        out = np.zeros((len(words), self.dimension))
-        found = [(at, self._index[word]) for at, word in enumerate(words) if word in self._index]
-        if found:
-            at, index = zip(*found)
-            out[list(at)] = self._matrix[list(index)]
-        return out
-
-    @classmethod
-    def load(cls, path) -> "WordEmbeddingTable":
-        ids, matrix = read_vector_table(path)
-        return cls(ids, matrix)
+WordEmbeddingTable = VectorTable  # word -> pretrained vector; unknown words read as zero rows
 
 
 def positional_encoding(pos: int, d_model: int, base: float = 1000.0) -> np.ndarray:

@@ -1,9 +1,10 @@
-"""Text format for embedding tables.
+"""Embedding tables: one id -> vector map type and its text format.
 
 The first line is "<count> <dimension>"; each following line is an id
 followed by that many decimals, space separated. The same format serves
 pretrained word vectors, exported emoji embeddings, and externally published
-alternatives, so tables can be swapped for comparison runs.
+alternatives, so tables can be swapped for comparison runs; `VectorTable`
+holds any of them in memory, the classifier's frozen emoji inputs too.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from .exceptions import CorpusError
 def read_vector_table(path) -> tuple[list[str], np.ndarray]:
     """Read (ids, matrix) from the text format; rows align with ids.
 
-    A malformed header, a row of the wrong width, a non-numeric field or a
-    nan/inf value raises CorpusError naming the file and line. Rows are
+    A malformed header, a row of the wrong width, a non-numeric field, a
+    repeated id or a nan/inf value raises CorpusError naming the file and
+    line (a repeated id also names the line it first appeared on). Rows are
     collected as they are read, so the header's count never sizes an
     allocation.
     """
@@ -29,7 +31,7 @@ def read_vector_table(path) -> tuple[list[str], np.ndarray]:
                 raise CorpusError(f"{path}: line 1: header must be '<count> <dimension>'") from None
             if count < 0 or dim < 0:
                 raise CorpusError(f"{path}: line 1: header count {count} or dimension {dim} is negative")
-            ids: list[str] = []
+            first_line: dict[str, int] = {}  # id -> the line it is on; the keys are the ids in order
             rows: list[np.ndarray] = []
             for line_no in range(2, count + 2):
                 parts = fh.readline().split()
@@ -39,14 +41,16 @@ def read_vector_table(path) -> tuple[list[str], np.ndarray]:
                     rows.append(np.array([float(x) for x in parts[1:]], dtype=np.float64))
                 except ValueError:
                     raise CorpusError(f"{path}: line {line_no} has a non-numeric value") from None
-                ids.append(parts[0])
+                first = first_line.setdefault(parts[0], line_no)
+                if first != line_no:
+                    raise CorpusError(f"{path}: line {line_no} repeats the id {parts[0]!r} of line {first}")
     except (OSError, UnicodeDecodeError) as err:
         raise CorpusError(f"cannot read vector table {path}: {err}") from err
     matrix = np.array(rows, dtype=np.float64).reshape(count, dim)
     bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if bad.size:
         raise CorpusError(f"{path}: line {bad[0] + 2} has a nan or inf value")
-    return ids, matrix
+    return list(first_line), matrix
 
 
 def write_vector_table(path, ids, matrix):
@@ -61,3 +65,44 @@ def write_vector_table(path, ids, matrix):
             for value in row:
                 fh.write(f" {float(value)!r}")
             fh.write("\n")
+
+
+class VectorTable:
+    """Immutable id -> vector map: `ids[i]` names row i of `vectors`."""
+
+    def __init__(self, ids, vectors):
+        self.ids = ids
+        self.vectors = vectors
+        self._index = {name: i for i, name in enumerate(ids)}
+
+    @property
+    def dimension(self) -> int:
+        return self.vectors.shape[1]
+
+    def __len__(self):
+        return len(self.ids)
+
+    def __contains__(self, name):
+        return name in self._index
+
+    def get(self, name) -> np.ndarray | None:
+        i = self._index.get(name)
+        return None if i is None else self.vectors[i]
+
+    def rows(self, names) -> np.ndarray:
+        """The vectors of `names` as one (len(names), dimension) matrix; unknown names read as zero rows."""
+        index = [self._index.get(name) for name in names]
+        if None not in index:
+            return self.vectors[index]
+        out = np.zeros((len(names), self.dimension))
+        at = [k for k, i in enumerate(index) if i is not None]
+        if at:
+            out[at] = self.vectors[[index[k] for k in at]]
+        return out
+
+    def save(self, path):
+        write_vector_table(path, self.ids, self.vectors)
+
+    @classmethod
+    def load(cls, path) -> "VectorTable":
+        return cls(*read_vector_table(path))

@@ -24,7 +24,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .exceptions import ShapeError, TrainingError
 from .graph import CoocGraph, binarize_edges, normalize_adjacency
-from .vectors import read_vector_table, write_vector_table
+from .vectors import VectorTable
 
 logger = logging.getLogger("emofuse")
 
@@ -50,29 +50,7 @@ class LatentPosterior:
     logvar: Tensor  # N x latent, stores log of the variance
 
 
-@dataclass
-class EmojiEmbeddings:
-    ids: list[str]
-    vectors: np.ndarray  # N x latent
-
-    def __post_init__(self):
-        self._index = {e: i for i, e in enumerate(self.ids)}
-
-    @property
-    def dimension(self) -> int:
-        return self.vectors.shape[1]
-
-    def get(self, emoji: str) -> np.ndarray | None:
-        i = self._index.get(emoji)
-        return None if i is None else self.vectors[i]
-
-    def save(self, path):
-        write_vector_table(path, self.ids, self.vectors)
-
-    @classmethod
-    def load(cls, path) -> "EmojiEmbeddings":
-        ids, vectors = read_vector_table(path)
-        return cls(ids=ids, vectors=vectors)
+EmojiEmbeddings = VectorTable  # emoji -> posterior mean, one row per graph node
 
 
 def encode(a_norm, ax, params: VgaeParams) -> LatentPosterior:

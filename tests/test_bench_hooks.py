@@ -1,16 +1,23 @@
-"""The traced benchmark run wraps program attributes by name.
+"""The benchmark imports and wraps program names, which must keep existing.
 
 `bench/tracing.py` replaces functions such as `clustering.average_linkage`
 with span-recording wrappers and puts the originals back afterwards. A
 renamed or removed attribute makes `install` raise `AttributeError`, and a
-wrapper left behind would time every later call.
+wrapper left behind would time every later call. `bench/workloads.py` and
+`bench/selftest.py` import classes such as `WordEmbeddingTable`,
+`EmojiEmbeddings` and `VgaeConfig` by name; importing them here, running
+nothing, catches a rename before a benchmark run does.
 """
 
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def load_tracing(monkeypatch):
@@ -34,3 +41,16 @@ def test_install_wraps_and_uninstall_restores_every_attribute(monkeypatch):
     assert {"emofuse.clustering.cosine_matrix", "emofuse.clustering.average_linkage"} <= names
     for owner, attr, original in wrapped:
         assert getattr(owner, attr) is original, f"{owner}.{attr} still wrapped"
+
+
+@pytest.mark.parametrize("name", ["workloads", "selftest"])
+def test_bench_modules_import(monkeypatch, name):
+    monkeypatch.setattr(sys, "path", [str(BENCH), *sys.path])  # selftest prepends to this copy
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as checked out
+    before = set(sys.modules)
+    try:
+        importlib.import_module(name)
+    finally:
+        for added in set(sys.modules) - before:  # bench's generic names (run, metrics) leave with it
+            if Path(getattr(sys.modules[added], "__file__", None) or "").parent == BENCH:
+                del sys.modules[added]

@@ -100,6 +100,13 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and setting.split("=")[0] in err
 
+    def test_odd_emoji_table_dimension_exits_1(self, workspace, capsys):
+        (workspace / "odd.txt").write_text("1 5\n\U0001F600 1 2 3 4 5\n", encoding="utf-8")
+        code = cli_main(["train-classifier", "--config", "run.cfg", "--set", "embeddings=odd.txt"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: the emoji table has odd dimension 5")
+        assert not (workspace / "out" / "classifier.ntc").exists()
+
     def test_cluster_viz_on_a_corpus_without_two_embedded_emojis_names_it(self, workspace, capsys):
         assert cli_main(["build-graph", "--config", "run.cfg"]) == 0
         assert cli_main(["train-vgae", "--config", "run.cfg"]) == 0

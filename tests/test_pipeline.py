@@ -80,6 +80,17 @@ class TestConfig:
         rebuilt = config_from_dict(config.as_dict())
         assert rebuilt == config
 
+    def test_retired_min_count_is_unknown_but_dropped_from_stored_configs(self, tmp_path):
+        from emofuse.config import config_from_dict
+        with pytest.raises(ConfigError, match="min_count"):
+            apply_overrides(RunConfig(), ["min_count=99"])
+        path = tmp_path / "run.cfg"
+        path.write_text("min_count = 1\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="min_count"):
+            load_config(path)
+        stored = {**tiny_config(seed=3).as_dict(), "min_count": 1}  # metadata written before it was retired
+        assert config_from_dict(stored) == tiny_config(seed=3)
+
 
 class TestApplyAblation:
     def test_full_is_identity_wiring(self):
@@ -179,10 +190,11 @@ class TestTrainClassifier:
         posts = make_emoji_labeled_posts(8, seed=4)
         embeddings = tiny_embeddings()
         model = SentimentModel(tiny_config(), word_table, embeddings, np.random.default_rng(3))
-        before = model.emoji_matrix.data.copy()  # the table scaled to unit root-mean-square
+        before = model.emoji_table.vectors.copy()  # the table scaled to unit root-mean-square
         train_classifier(model, posts, np.random.default_rng(3))
-        np.testing.assert_array_equal(model.emoji_matrix.data, before)
-        assert model.emoji_matrix.grad is None
+        np.testing.assert_array_equal(model.emoji_table.vectors, before)
+        assert not any(np.shares_memory(p.data, model.emoji_table.vectors)
+                       for _, p in named_parameters(model.params))
 
 
 CHUNK_TEXTS = [
@@ -415,7 +427,7 @@ class TestParameterRegistry:
         assert "cnn.ch0.k3.kernels" in state and "encoder.lstm1.fwd.wx" in state
         path, meta = tmp_path / "classifier.ntc", tmp_path / "classifier_meta.json"
         save_tensors(path, state)
-        meta.write_text(json.dumps({"config": config.as_dict(), "emoji_ids": model.embedding_ids}),
+        meta.write_text(json.dumps({"config": config.as_dict(), "emoji_ids": model.emoji_table.ids}),
                         encoding="utf-8")
         with pytest.raises(ConfigError, match="missing tensor encoder.layer1.forward.w_x") as err:
             load_classifier(path, meta, word_table)

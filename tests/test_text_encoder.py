@@ -91,13 +91,13 @@ class TestEmojiInputFeatures:
     @pytest.mark.parametrize("scale", [0.006, 1.0, 40.0])
     def test_table_is_scaled_to_unit_rms(self, word_table, scale):
         vectors = scale * np.random.default_rng(2).standard_normal((2, 6))
-        table = self.make_model(word_table, vectors=vectors)[0].emoji_matrix.data
+        table = self.make_model(word_table, vectors=vectors)[0].emoji_table.vectors
         assert np.sqrt(np.mean(table ** 2)) == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(table * np.sqrt(np.mean(vectors ** 2)), vectors, rtol=1e-12)
 
     def test_all_zero_table_stays_zero(self, word_table):
         model, _ = self.make_model(word_table, vectors=np.zeros((2, 6)))
-        np.testing.assert_array_equal(model.emoji_matrix.data, np.zeros((2, 6)))
+        np.testing.assert_array_equal(model.emoji_table.vectors, np.zeros((2, 6)))
 
     def test_same_emoji_two_positions_differ_by_pe(self, word_table):
         model, _ = self.make_model(word_table)
@@ -114,17 +114,18 @@ class TestEmojiInputFeatures:
         np.testing.assert_allclose(feats.data[0], positional_encoding(0, 6), atol=1e-12)
 
     def test_positional_rows_memoized_on_first_use(self, word_table):
-        """Rows are computed as positions occur, once per model, in positional_encoding's bits."""
+        """The position table is built on first use, once per model; row p is positional_encoding(p)."""
         model, emb = self.make_model(word_table)
-        assert model._positional_rows == {}
+        assert "_positions" not in vars(model)  # building it in __init__ would cost every setup
         text = "\U0001F600 a \U0001F622 b c \U0001F600 d e f g h i j k l \U0001F916"
         _, emojis = split_modalities(tokenize(text))
         for _ in range(2):
             feats, raw, _ = model._emoji_rows([emojis, emojis[:2]])
             pe = [positional_encoding(t.position, 6, model.config.pe_base) for t in emojis + emojis[:2]]
             np.testing.assert_array_equal(feats.data, raw.data + np.array(pe))
-        assert sorted(model._positional_rows) == [t.position for t in emojis]
-        for position, row in model._positional_rows.items():
+        table = vars(model)["_positions"]
+        assert table.shape == (model.config.max_len, 6)
+        for position, row in enumerate(table):
             np.testing.assert_array_equal(row, positional_encoding(position, 6, model.config.pe_base))
 
 

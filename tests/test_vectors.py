@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from emofuse.exceptions import CorpusError, EmofuseError
-from emofuse.vectors import read_vector_table
+from emofuse.text_encoder import WordEmbeddingTable
+from emofuse.vectors import VectorTable, read_vector_table
+from emofuse.vgae import EmojiEmbeddings
 
 
 class TestReadVectorTable:
@@ -23,6 +25,7 @@ class TestReadVectorTable:
         ("2 2\na 1 2\nb 1 inf\n", 3),
         ("2 2\na 1 2\nb 1\n", 3),          # short row
         ("3 2\na 1 2\n", 3),               # fewer rows than the header
+        ("3 1\na 1\nb 2\na 3\n", 4),       # repeated id
     ])
     def test_malformed_table_names_file_and_line(self, tmp_path, text, line):
         path = tmp_path / "t.txt"
@@ -36,6 +39,28 @@ class TestReadVectorTable:
         path.write_text("1000000000000 1000000000000\n", encoding="utf-8")
         with pytest.raises(CorpusError, match="line 2"):
             read_vector_table(path)
+
+
+class TestVectorTable:
+    def test_one_class_for_every_table(self):
+        assert WordEmbeddingTable is EmojiEmbeddings is VectorTable
+
+    @pytest.mark.parametrize("names", [["c", "a", "c"], ["b", "zz", "", "a"], ["zz"], []])
+    def test_rows_gather_known_names_and_zero_the_rest(self, names):
+        matrix = np.arange(6.0).reshape(3, 2)
+        table = VectorTable(["a", "b", "c"], matrix.copy())
+        expected = [table.get(name) if name in table else np.zeros(2) for name in names]
+        got = table.rows(names)
+        np.testing.assert_array_equal(got, np.array(expected).reshape(len(names), 2))
+        got[...] = -1.0  # a copy, never a view of the table
+        np.testing.assert_array_equal(table.vectors, matrix)
+
+    def test_save_and_load_round_trip(self, tmp_path):
+        table = VectorTable(["a", "b"], np.array([[0.1, -2.5], [1e-300, 3.0]]))
+        table.save(tmp_path / "t.txt")
+        loaded = VectorTable.load(tmp_path / "t.txt")
+        assert loaded.ids == table.ids and loaded.vectors.tobytes() == table.vectors.tobytes()
+        assert (len(loaded), loaded.dimension, "b" in loaded, "z" in loaded) == (2, 2, True, False)
 
 
 @given(st.one_of(st.text(alphabet="0123-.xnaif \n e", max_size=40), st.binary(max_size=40)))
