@@ -139,6 +139,8 @@ def load_classifier(checkpoint_path, meta_path, word_table: WordEmbeddingTable) 
     ids = meta.get("emoji_ids")
     if not isinstance(ids, list) or not all(isinstance(e, str) for e in ids):
         raise ConfigError(f"classifier metadata {meta_path}: emoji_ids must be a list of strings")
+    if len(set(ids)) != len(ids):
+        raise ConfigError(f"classifier metadata {meta_path}: emoji_ids repeats an id")
     try:
         config = config_from_dict(meta["config"]).validate()
     except (ConfigError, TypeError, ValueError) as err:

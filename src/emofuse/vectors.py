@@ -92,8 +92,6 @@ class VectorTable:
     def rows(self, names) -> np.ndarray:
         """The vectors of `names` as one (len(names), dimension) matrix; unknown names read as zero rows."""
         index = [self._index.get(name) for name in names]
-        if None not in index:
-            return self.vectors[index]
         out = np.zeros((len(names), self.dimension))
         at = [k for k, i in enumerate(index) if i is not None]
         if at:

@@ -217,6 +217,7 @@ class TestCliPipeline:
         '{"config": {}}',
         '{"config": {}, "emoji_ids": "abc"}',
         '{"config": {}, "emoji_ids": [1, 2]}',
+        '{"config": {}, "emoji_ids": ["a", "a"]}',
         '{"config": {"kernel_sizes": 5}, "emoji_ids": []}',
     ])
     def test_bad_classifier_metadata_exits_1_naming_the_file(self, workspace, capsys, meta):
