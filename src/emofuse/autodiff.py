@@ -22,8 +22,9 @@ Fused rules live beside the models that use them, each checked by
 Bi-LSTM layer is one tape node with a hand-written BPTT backward, its gates
 from one tanh each (also checked against the per-step reference oracle in
 the tests); in ``attention`` the attention core of
-every post of a chunk is one node; in ``textcnn`` the convolution with its
-relu, the per-post max-pool and the cross-entropy are one node each; in
+every post of a chunk is one node; in ``textcnn`` a channel's convolutions
+at every kernel width, one GEMM, with their relu and the per-post max-pool
+are one node, and the cross-entropy another; in
 ``vgae`` the decoder, the reconstruction cross-entropy and the KL term are
 one node each.
 
@@ -317,8 +318,8 @@ class Segments:
     every other rule runs over the packed rows as one matrix. A one-post
     layout is the identity: nothing is gathered or scattered. The general
     path gives the same bits for one post, but these `count == 1` branches
-    (and the one-post branches of `scaled_dot_attention`, `segment_max` and
-    the model's emoji rows) keep a tiny-dims `predict` 1.3-1.5x faster.
+    (and the one-post branches of `scaled_dot_attention`, `textcnn.conv_pool`'s
+    pooling and the model's emoji rows) keep a tiny-dims `predict` 1.3-1.5x faster.
     """
 
     def __init__(self, lengths):
@@ -456,7 +457,7 @@ def named_parameters(root, prefix=""):
     Dataclass fields are walked in declaration order and list items by
     index; other fields (sizes such as ``BiLstmParams.hidden``) are skipped.
     A name is the dotted attribute path under `prefix`, e.g.
-    ``encoder.layer1.forward.w_x`` or ``cnn.banks.0.1.kernels``. This one
+    ``encoder.layer1.forward.w_x`` or ``cnn.banks.0.kernels``. This one
     order is the optimizer's slot order and the checkpoint's key order.
     """
     if isinstance(root, Tensor):

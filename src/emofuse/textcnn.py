@@ -1,13 +1,16 @@
 """Convolutional classifier over the fused channels.
 
-Each channel runs banks of relu convolutions at several kernel widths; each
+Each channel runs relu convolutions at several kernel widths; each
 feature map is max-pooled over time, the pooled features of all channels are
 concatenated, and a dense layer gives the class scores (logits), which
-the softmax cross-entropy reads. Every channel comes with the `Segments`
-layout of a chunk of posts: their rows are packed one after another, the
-posts share each convolution, and each post is pooled over its own taps
-only. Posts shorter than the widest kernel are zero-padded on the right,
-and taps that only exist because of padding never win the pooling.
+the softmax cross-entropy reads. A channel's kernels at every width are one
+weight, laid out tap-major, so the whole convolution of a channel is one
+GEMM whose column blocks are summed along shifted rows. Every channel
+comes with the `Segments` layout of a chunk of posts: their rows are packed
+one after another, the posts share each convolution, and each post is
+pooled over its own taps only. Posts shorter than the widest kernel are
+zero-padded on the right, and taps that only exist because of padding
+never win the pooling.
 """
 
 from __future__ import annotations
@@ -23,67 +26,71 @@ from .exceptions import ShapeError
 
 @dataclass
 class ConvBank:
-    kernels: Tensor  # n x k x d
-    bias: Tensor     # n
+    """One channel's kernels at every width, as one GEMM's weight.
 
-    @property
-    def width(self) -> int:
-        return self.kernels.data.shape[1]
+    Column off_j + dt * n + f of `kernels` is tap dt of filter f at width
+    widths[j], where off_j is n times the sum of the widths before j;
+    `bias` holds the n biases of each width in turn.
+    """
+
+    kernels: Tensor  # d x (sum(widths) * n)
+    bias: Tensor     # len(widths) * n
 
 
 @dataclass
 class TextCnnParams:
     """Per-channel convolution banks plus the dense output layer."""
 
-    banks: list[list[ConvBank]]  # banks[channel][size_index]
-    dense_w: Tensor              # (num_channels * len(sizes) * n) x num_classes
+    banks: list[ConvBank]        # one per channel
+    dense_w: Tensor              # (num_channels * len(widths) * n) x num_classes
     dense_b: Tensor              # num_classes
+    widths: tuple[int, ...]      # the kernel widths, in column order
 
     @classmethod
     def create(cls, num_channels: int, d: int, kernel_sizes, filters: int,
                num_classes: int, rng) -> "TextCnnParams":
+        widths = tuple(int(k) for k in kernel_sizes)
         banks = []
         for _ in range(num_channels):
-            channel = []
-            for k in kernel_sizes:
-                channel.append(ConvBank(
-                    kernels=ad.parameter((filters, k, d), rng),
-                    bias=ad.zeros_parameter((filters,)),
-                ))
-            banks.append(channel)
-        total = num_channels * len(kernel_sizes) * filters
+            kernels = np.empty((d, sum(widths) * filters))
+            off = 0
+            for k in widths:  # drawn per width as (n, k, d), then laid out tap-major
+                kernels[:, off:off + k * filters].reshape(d, k, filters)[...] = \
+                    ad.glorot((filters, k, d), rng).transpose(2, 1, 0)
+                off += k * filters
+            banks.append(ConvBank(kernels=Tensor(kernels, requires_grad=True),
+                                  bias=ad.zeros_parameter((len(widths) * filters,))))
+        total = num_channels * len(widths) * filters
         return cls(
             banks=banks,
             dense_w=ad.parameter((total, num_classes), rng),
             dense_b=ad.zeros_parameter((num_classes,)),
+            widths=widths,
         )
 
     @property
     def num_classes(self) -> int:
         return self.dense_w.data.shape[1]
 
-    @property
-    def max_kernel(self) -> int:
-        return max(bank.width for channel in self.banks for bank in channel)
 
+def conv_pool(x, bank: ConvBank, widths, segments: ad.Segments) -> Tensor:
+    """Per post, the max over its taps of relu(convolution + bias) at every width: one node.
 
-def conv_relu(x, kernels, bias, blocks=None) -> Tensor:
-    """relu(valid cross-correlation over time + bias), one GEMM per kernel tap.
-
-    x is (rows, d), kernels (n, k, d), bias (n,); the output is (taps, n)
-    with tap t covering rows t to t + k - 1. `blocks` = (total, dest) first
-    places row r of x at row dest[r] of a zero matrix of `total` rows (the
-    chunk layout's zero padding). No im2col matrix is built; backward
-    rebuilds the padded input rather than keeping it.
+    x is (rows, d) with the posts of `segments` packed along its rows; the
+    output is (posts, len(widths) * n), width by width. The input is padded
+    as `segments.blocks(max(widths))` lays it out and multiplied by the
+    merged kernels in one GEMM; tap t at width k sums column block dt of
+    row t + dt for dt < k. A post pools the taps that start inside it, or
+    the first tap if it is shorter than the width. Ties route the gradient
+    to the earliest tap. Backward keeps only the pooled rows and rebuilds
+    the padded input.
     """
-    x, kernels, bias = ad.as_tensor(x), ad.as_tensor(kernels), ad.as_tensor(bias)
-    n, k, depth = kernels.data.shape
-    total, dest = blocks if blocks is not None else (x.data.shape[0], None)
+    x, kernels, bias = ad.as_tensor(x), bank.kernels, bank.bias
+    depth, columns = kernels.data.shape
+    n = bias.data.shape[0] // len(widths)
     if x.data.ndim != 2 or x.data.shape[1] != depth:
-        raise ShapeError(f"conv_relu depth mismatch: input {x.data.shape}, kernels {kernels.data.shape}")
-    if total < k:
-        raise ShapeError(f"conv_relu input length {total} shorter than kernel {k}")
-    taps = total - k + 1
+        raise ShapeError(f"conv_pool depth mismatch: input {x.data.shape}, kernels {kernels.data.shape}")
+    starts, total, dest = segments.blocks(max(widths))
 
     def padded():
         if dest is None:
@@ -92,68 +99,54 @@ def conv_relu(x, kernels, bias, blocks=None) -> Tensor:
         xp[dest] = x.data
         return xp
 
-    xp = padded()
-    data = xp[:taps] @ kernels.data[:, 0].T
-    for dt in range(1, k):
-        data += xp[dt:dt + taps] @ kernels.data[:, dt].T
-    data += bias.data
-    np.maximum(data, 0.0, out=data)
+    y = padded() @ kernels.data
+    # the pre-activations, width j in columns j * n to (j + 1) * n - 1; rows
+    # past a width's last tap are never read
+    pre = np.empty((total, len(widths) * n))
+    off = 0
+    for j, k in enumerate(widths):
+        taps = total - k + 1
+        out = pre[:taps, j * n:(j + 1) * n]
+        out[...] = y[:taps, off:off + n]
+        for dt in range(1, k):
+            out += y[dt:dt + taps, off + dt * n:off + (dt + 1) * n]
+        out += bias.data[j * n:(j + 1) * n]
+        off += k * n
+    del y
+    # relu is monotone, so pooling the pre-activations and then applying it
+    # gives relu's max; where that max is 0, the gradient is 0 at any row
+    counts = np.maximum(segments.lengths[:, None] - np.array(widths), 0) + 1  # (posts, widths)
+    if segments.count == 1:
+        rows = np.concatenate([pre[:c, j * n:(j + 1) * n].argmax(axis=0)
+                               for j, c in enumerate(counts[0])])[None]
+    else:
+        index = np.minimum(starts[:, None] + np.arange(counts.max()), total - 1)
+        window = pre[index].reshape(segments.count, -1, len(widths), n)
+        window[np.arange(window.shape[1])[:, None] >= counts[:, None]] = -np.inf
+        rows = (window.argmax(axis=1) + starts[:, None, None]).reshape(segments.count, -1)
+    data = np.maximum(pre[rows, np.arange(len(widths) * n)], 0.0)
     if not (x.requires_grad or kernels.requires_grad or bias.requires_grad):
         return Tensor(data)
 
     def bw(g):
         g = g * (data > 0.0)  # subgradient 0 at the kink
-        xp = padded()
+        # kernel tap T (columns T * n to T * n + n - 1) belongs to width
+        # tap_width[T] and reads row tap_shift[T] past its tap's start
+        tap_width = np.repeat(np.arange(len(widths)), widths)
+        tap_shift = np.concatenate([np.arange(k) for k in widths])
+        per_tap = (segments.count, len(widths), n)
+        dy = np.zeros((total, columns))
+        dy[(rows.reshape(per_tap)[:, tap_width] + tap_shift[:, None]).reshape(segments.count, -1),
+           np.arange(columns)] = g.reshape(per_tap)[:, tap_width].reshape(segments.count, -1)
         gx = None
         if x.requires_grad:
-            gxp = np.zeros((total, depth))
-            for dt in range(k):
-                gxp[dt:dt + taps] += g @ kernels.data[:, dt]
+            gxp = dy @ kernels.data.T
             gx = gxp if dest is None else gxp[dest]
-        gk = None
-        if kernels.requires_grad:
-            gk = np.empty_like(kernels.data)
-            for dt in range(k):
-                np.matmul(g.T, xp[dt:dt + taps], out=gk[:, dt])
-        return (gx, gk, g.sum(axis=0) if bias.requires_grad else None)
+        return (gx,
+                padded().T @ dy if kernels.requires_grad else None,
+                g.sum(axis=0) if bias.requires_grad else None)
 
     return Tensor(data, True, (x, kernels, bias), bw)
-
-
-def segment_max(a, starts, counts) -> Tensor:
-    """Column-wise maximum over rows starts[i] to starts[i] + counts[i] - 1, per segment.
-
-    The output is (segments, columns). Segments must not overlap. Ties
-    route the gradient to the earliest maximal row.
-    """
-    a = ad.as_tensor(a)
-    starts, counts = [int(s) for s in starts], [int(c) for c in counts]
-    if (a.data.ndim != 2 or len(starts) != len(counts) or not starts or min(counts) < 1
-            or min(starts) < 0 or max(s + c for s, c in zip(starts, counts)) > a.data.shape[0]):
-        raise ShapeError(f"segment_max: segments at {starts} of {counts} rows do not fit shape {a.data.shape}")
-    columns = np.arange(a.data.shape[1])
-    if len(starts) == 1:
-        first = starts[0]
-        rows = a.data[first:first + counts[0]].argmax(axis=0)[None] + first
-    else:
-        starts, counts = np.array(starts), np.array(counts)
-        ends = starts + counts
-        index = starts[:, None] + np.arange(counts.max())
-        inside = index < ends[:, None]
-        index = np.where(inside, index, 0)
-        window = a.data[index]  # (segments, width, columns)
-        window[~inside] = -np.inf
-        rows = np.take_along_axis(index, window.argmax(axis=1), axis=1)
-    data = a.data[rows, columns]  # argmax takes the first maximum on ties
-    if not a.requires_grad:
-        return Tensor(data)
-
-    def bw(g):
-        full = np.zeros_like(a.data)
-        full[rows, columns] = g
-        return (full,)
-
-    return Tensor(data, True, (a,), bw)
 
 
 def classify_logits(channels, params: TextCnnParams) -> Tensor:
@@ -168,17 +161,13 @@ def classify_logits(channels, params: TextCnnParams) -> Tensor:
     if len(channels) != len(params.banks):
         raise ShapeError(f"classifier has {len(params.banks)} channel banks, got {len(channels)} channels")
     pooled = []
-    max_kernel = params.max_kernel
-    for (matrix, segments), channel_banks in zip(channels, params.banks):
+    for (matrix, segments), bank in zip(channels, params.banks):
         matrix = ad.as_tensor(matrix)
         if not isinstance(segments, ad.Segments):
             raise ShapeError(f"a channel's layout must be a Segments, got {type(segments).__name__}")
         if segments.rows != matrix.data.shape[0]:
             raise ShapeError(f"segments cover {segments.rows} rows, channel has {matrix.data.shape[0]}")
-        starts, total, dest = segments.blocks(max_kernel)
-        for bank in channel_banks:
-            maps = conv_relu(matrix, bank.kernels, bank.bias, (total, dest))
-            pooled.append(segment_max(maps, starts, np.maximum(segments.lengths - bank.width, 0) + 1))
+        pooled.append(conv_pool(matrix, bank, params.widths, segments))
     return ad.linear(ad.concat(pooled, axis=1), params.dense_w, params.dense_b)
 
 

@@ -38,7 +38,7 @@ def read_vector_table(path) -> tuple[list[str], np.ndarray]:
                 if len(parts) != dim + 1:
                     raise CorpusError(f"{path}: line {line_no} has {len(parts)} fields, expected {dim + 1}")
                 try:
-                    rows.append(np.array([float(x) for x in parts[1:]], dtype=np.float64))
+                    rows.append(np.array(parts[1:], dtype=np.float64))
                 except ValueError:
                     raise CorpusError(f"{path}: line {line_no} has a non-numeric value") from None
                 first = first_line.setdefault(parts[0], line_no)

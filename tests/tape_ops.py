@@ -2,16 +2,19 @@
 
 The per-step LSTM oracle (`reference_direction` in test_text_encoder)
 runs on `sigmoid`, `tanh` and `tslice`; the gradient checks reduce an
-op's output to a scalar with `mean` or `tensor_sum`. The models need none
-of them: their fused nodes do this work in numpy. Each op is checked by
-`grad_check` in test_autodiff. `ReferenceAdam` is the per-tensor Adam loop
-that `autodiff.adam_step`'s grouped update over the parameter arena must
-match bit for bit.
+op's output to a scalar with `mean` or `tensor_sum`. The per-tap TextCNN
+oracle (`per_tap_logits`) runs on `conv_relu`, one GEMM per kernel tap,
+and `segment_max`. The models need none of them: their fused nodes do
+this work in numpy. Each op is checked by `grad_check` in test_autodiff.
+`ReferenceAdam` is the per-tensor Adam loop that `autodiff.adam_step`'s
+grouped update over the parameter arena must match bit for bit.
 """
 
 import numpy as np
 
+from emofuse import autodiff as ad
 from emofuse.autodiff import Tensor, as_tensor
+from emofuse.exceptions import ShapeError
 from emofuse.vgae import _sigmoid_values
 
 
@@ -60,6 +63,121 @@ def tensor_sum(a) -> Tensor:
     if not a.requires_grad:
         return Tensor(data)
     return Tensor(data, True, (a,), lambda g: (np.full(a.data.shape, float(g)),))
+
+
+def conv_relu(x, kernels, bias, blocks=None) -> Tensor:
+    """relu(valid cross-correlation over time + bias), one GEMM per kernel tap.
+
+    x is (rows, d), kernels (n, k, d), bias (n,); the output is (taps, n)
+    with tap t covering rows t to t + k - 1. `blocks` = (total, dest) first
+    places row r of x at row dest[r] of a zero matrix of `total` rows (the
+    chunk layout's zero padding). No im2col matrix is built; backward
+    rebuilds the padded input rather than keeping it.
+    """
+    x, kernels, bias = as_tensor(x), as_tensor(kernels), as_tensor(bias)
+    n, k, depth = kernels.data.shape
+    total, dest = blocks if blocks is not None else (x.data.shape[0], None)
+    if x.data.ndim != 2 or x.data.shape[1] != depth:
+        raise ShapeError(f"conv_relu depth mismatch: input {x.data.shape}, kernels {kernels.data.shape}")
+    if total < k:
+        raise ShapeError(f"conv_relu input length {total} shorter than kernel {k}")
+    taps = total - k + 1
+
+    def padded():
+        if dest is None:
+            return x.data
+        xp = np.zeros((total, depth))
+        xp[dest] = x.data
+        return xp
+
+    xp = padded()
+    data = xp[:taps] @ kernels.data[:, 0].T
+    for dt in range(1, k):
+        data += xp[dt:dt + taps] @ kernels.data[:, dt].T
+    data += bias.data
+    np.maximum(data, 0.0, out=data)
+    if not (x.requires_grad or kernels.requires_grad or bias.requires_grad):
+        return Tensor(data)
+
+    def bw(g):
+        g = g * (data > 0.0)  # subgradient 0 at the kink
+        xp = padded()
+        gx = None
+        if x.requires_grad:
+            gxp = np.zeros((total, depth))
+            for dt in range(k):
+                gxp[dt:dt + taps] += g @ kernels.data[:, dt]
+            gx = gxp if dest is None else gxp[dest]
+        gk = None
+        if kernels.requires_grad:
+            gk = np.empty_like(kernels.data)
+            for dt in range(k):
+                np.matmul(g.T, xp[dt:dt + taps], out=gk[:, dt])
+        return (gx, gk, g.sum(axis=0) if bias.requires_grad else None)
+
+    return Tensor(data, True, (x, kernels, bias), bw)
+
+
+def segment_max(a, starts, counts) -> Tensor:
+    """Column-wise maximum over rows starts[i] to starts[i] + counts[i] - 1, per segment.
+
+    The output is (segments, columns). Segments must not overlap. Ties
+    route the gradient to the earliest maximal row.
+    """
+    a = as_tensor(a)
+    starts, counts = [int(s) for s in starts], [int(c) for c in counts]
+    if (a.data.ndim != 2 or len(starts) != len(counts) or not starts or min(counts) < 1
+            or min(starts) < 0 or max(s + c for s, c in zip(starts, counts)) > a.data.shape[0]):
+        raise ShapeError(f"segment_max: segments at {starts} of {counts} rows do not fit shape {a.data.shape}")
+    columns = np.arange(a.data.shape[1])
+    if len(starts) == 1:
+        first = starts[0]
+        rows = a.data[first:first + counts[0]].argmax(axis=0)[None] + first
+    else:
+        starts, counts = np.array(starts), np.array(counts)
+        ends = starts + counts
+        index = starts[:, None] + np.arange(counts.max())
+        inside = index < ends[:, None]
+        index = np.where(inside, index, 0)
+        window = a.data[index]  # (segments, width, columns)
+        window[~inside] = -np.inf
+        rows = np.take_along_axis(index, window.argmax(axis=1), axis=1)
+    data = a.data[rows, columns]  # argmax takes the first maximum on ties
+    if not a.requires_grad:
+        return Tensor(data)
+
+    def bw(g):
+        full = np.zeros_like(a.data)
+        full[rows, columns] = g
+        return (full,)
+
+    return Tensor(data, True, (a,), bw)
+
+
+def width_kernels(kernels, widths):
+    """Per width, the (n, k, d) kernels held in a channel's merged (d, sum(widths) * n) kernels."""
+    depth, columns = kernels.shape
+    n = columns // sum(widths)
+    out, off = [], 0
+    for k in widths:
+        out.append(kernels[:, off:off + k * n].reshape(depth, k, n).transpose(2, 1, 0))
+        off += k * n
+    return out
+
+
+def per_tap_logits(channels, kernels, biases, widths, dense_w, dense_b) -> Tensor:
+    """`textcnn.classify_logits` on the per-tap path: conv_relu and segment_max per width.
+
+    `kernels[c][j]` (n, k, d) and `biases[c][j]` (n,) are channel c's at
+    width widths[j]; `channels` holds (matrix, Segments) pairs.
+    """
+    pooled = []
+    for (matrix, segments), channel_kernels, channel_biases in zip(channels, kernels, biases):
+        starts, total, dest = segments.blocks(max(widths))
+        for k, kernel, bias in zip(widths, channel_kernels, channel_biases):
+            maps = conv_relu(matrix, kernel, bias, (total, dest))
+            pooled.append(segment_max(maps, starts, np.maximum(segments.lengths - k, 0) + 1))
+    return ad.linear(ad.concat(pooled, axis=1), dense_w, dense_b)
 
 
 class ReferenceAdam:

@@ -9,9 +9,9 @@ from emofuse.attention import scaled_dot_attention
 from emofuse.autodiff import AdamState, Segments, Tensor, adam_step, grad_check, load_tensors, save_tensors
 from emofuse.exceptions import CheckpointError, EmofuseError, ShapeError
 from emofuse.text_encoder import BiLstmParams, bilstm_layer
-from emofuse.textcnn import conv_relu, cross_entropy_logits, segment_max
+from emofuse.textcnn import cross_entropy_logits
 from emofuse.vgae import _sigmoid_values
-from tape_ops import ReferenceAdam, mean, sigmoid, tanh, tensor_sum, tslice
+from tape_ops import ReferenceAdam, conv_relu, mean, segment_max, sigmoid, tanh, tensor_sum, tslice
 
 
 class TestBackwardBasics:

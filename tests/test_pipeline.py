@@ -18,6 +18,7 @@ from emofuse.pipeline import evaluate, train_classifier, write_history_csv
 from emofuse.textcnn import cross_entropy_logits
 from emofuse.tokenization import RawPost, tokenize
 from emofuse.vgae import EmojiEmbeddings
+from tape_ops import width_kernels
 
 
 def tiny_config(**overrides):
@@ -354,6 +355,26 @@ class TestModelPersistence:
         assert float(lines[1].split(",")[1]) == history[0].loss
 
 
+def per_width_state(state, kernel_sizes):
+    """`state` with each channel's merged conv tensors split per width, as stored before they merged.
+
+    `cnn.banks.<c>.kernels` (d, sum(sizes) * n) becomes `cnn.banks.<c>.<j>.kernels`
+    (n, k, d) for each width j, and the bias likewise.
+    """
+    out = {}
+    for name, value in state.items():
+        match = re.fullmatch(r"cnn\.banks\.(\d+)\.(kernels|bias)", name)
+        if match is None:
+            out[name] = value
+            continue
+        channel, part = match.groups()
+        parts = (width_kernels(value, kernel_sizes) if part == "kernels"
+                 else value.reshape(len(kernel_sizes), -1))
+        for size_index, tensor in enumerate(parts):
+            out[f"cnn.banks.{channel}.{size_index}.{part}"] = np.ascontiguousarray(tensor)
+    return out
+
+
 def parent_format_key(name, kernel_sizes):
     """The key the earlier hand-kept name list gave a tensor (encoder.lstm1.fwd.wx, cnn.ch0.k3.bias)."""
     match = re.fullmatch(r"encoder\.layer(\d)\.(forward|backward)\.(w_x|w_h|b)", name)
@@ -377,11 +398,11 @@ class TestParameterRegistry:
                                word_table, tiny_embeddings(), np.random.default_rng(0))
         walked = list(named_parameters(model.params))
         names = [name for name, _ in walked]
-        assert len(set(names)) == len(names) == (63 if ablation == "N" else 69)
+        assert len(set(names)) == len(names) == (55 if ablation == "N" else 57)
         assert len({id(t) for _, t in walked}) == len(walked)
         assert all(t.requires_grad for _, t in walked)
         assert names[0] == "encoder.layer1.forward.w_x"
-        assert "cnn.banks.0.2.kernels" in names
+        assert "cnn.banks.0.kernels" in names
         assert names[-2:] == ["cnn.dense_w", "cnn.dense_b"]
 
     def test_walk_order_is_adam_and_checkpoint_order(self, word_table, tmp_path, monkeypatch):
@@ -423,13 +444,26 @@ class TestParameterRegistry:
         config = tiny_config(kernel_sizes=(3,))
         model = SentimentModel(config, word_table, tiny_embeddings(), np.random.default_rng(0))
         state = {parent_format_key(name, config.kernel_sizes): value
-                 for name, value in model.state_tensors().items()}
+                 for name, value in per_width_state(model.state_tensors(), config.kernel_sizes).items()}
         assert "cnn.ch0.k3.kernels" in state and "encoder.lstm1.fwd.wx" in state
         path, meta = tmp_path / "classifier.ntc", tmp_path / "classifier_meta.json"
         save_tensors(path, state)
         meta.write_text(json.dumps({"config": config.as_dict(), "emoji_ids": model.emoji_table.ids}),
                         encoding="utf-8")
         with pytest.raises(ConfigError, match="missing tensor encoder.layer1.forward.w_x") as err:
+            load_classifier(path, meta, word_table)
+        assert str(path) in str(err.value)
+
+    def test_per_width_conv_checkpoint_names_the_merged_key(self, word_table, tmp_path):
+        config = tiny_config(kernel_sizes=(2, 3))
+        model = SentimentModel(config, word_table, tiny_embeddings(), np.random.default_rng(0))
+        state = per_width_state(model.state_tensors(), config.kernel_sizes)
+        assert state["cnn.banks.0.1.kernels"].shape == (config.filters, 3, config.fusion_dim)
+        path, meta = tmp_path / "classifier.ntc", tmp_path / "classifier_meta.json"
+        save_tensors(path, state)
+        meta.write_text(json.dumps({"config": config.as_dict(), "emoji_ids": model.emoji_table.ids}),
+                        encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"missing tensor cnn\.banks\.0\.kernels") as err:
             load_classifier(path, meta, word_table)
         assert str(path) in str(err.value)
 

@@ -21,6 +21,8 @@ class TestReadVectorTable:
         ("-1 2\n", 1),                     # negative count
         ("1 -2\n", 1),                     # negative dimension
         ("2 2\na 1.0 x\nb 1 2\n", 2),      # non-numeric field
+        ("3 2\na 1 2\nb 1 0x10\nc 1 2\n", 3),  # non-numeric field on line 3
+        ("3 1\na 1\nb x\na 3\n", 3),           # the first bad line wins
         ("2 2\na 1 2\nb nan 1\n", 3),
         ("2 2\na 1 2\nb 1 inf\n", 3),
         ("2 2\na 1 2\nb 1\n", 3),          # short row
@@ -33,6 +35,13 @@ class TestReadVectorTable:
         with pytest.raises(CorpusError, match=f"line {line}") as err:
             read_vector_table(path)
         assert str(path) in str(err.value)
+
+    def test_fields_parse_as_python_floats(self, tmp_path):
+        fields = ["1_0", "-0.5", "1e-400", "+.5", "1.", "\u0661"]
+        path = tmp_path / "t.txt"
+        path.write_text(f"1 {len(fields)}\na {' '.join(fields)}\n", encoding="utf-8")
+        _, matrix = read_vector_table(path)
+        assert matrix[0].tolist() == [float(field) for field in fields]
 
     def test_huge_header_count_allocates_nothing_up_front(self, tmp_path):
         path = tmp_path / "t.txt"
