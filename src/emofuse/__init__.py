@@ -7,6 +7,7 @@ text encoder, attention fusion, convolutional classifier). The CLI in
 `emofuse.cli` drives the full pipeline.
 """
 
+from .attention import ABLATIONS
 from .autodiff import Tensor, grad_check
 from .config import RunConfig, load_config
 from .exceptions import (
@@ -19,7 +20,7 @@ from .exceptions import (
     TrainingError,
 )
 from .graph import CoocGraph, build_cooc_graph, count_cooccurrences
-from .model import SentimentModel, apply_ablation, build_model
+from .model import SentimentModel, build_model
 from .pipeline import EvalReport, evaluate, train_classifier
 from .senses import SenseInventory, load_emojinet
 from .text_encoder import WordEmbeddingTable, positional_encoding
@@ -29,6 +30,7 @@ from .vgae import EmojiEmbeddings, VgaeConfig, train_vgae
 __version__ = "0.1.0"
 
 __all__ = [
+    "ABLATIONS",
     "CheckpointError",
     "ConfigError",
     "CoocGraph",
@@ -48,7 +50,6 @@ __all__ = [
     "TrainingError",
     "VgaeConfig",
     "WordEmbeddingTable",
-    "apply_ablation",
     "build_cooc_graph",
     "build_model",
     "count_cooccurrences",

@@ -7,7 +7,8 @@ into layer norm. The self-attention unit attends a sequence to itself; a
 co-attention unit takes its queries from one modality and its keys and values
 from the other, so the output keeps the query side's length. Fusion emits
 three channels: the self-attended text, the emoji features conditioned on
-text, and the text features conditioned on emojis.
+text, and the text features conditioned on emojis, as the `ABLATIONS` row
+of a selector wires them.
 """
 
 from __future__ import annotations
@@ -142,47 +143,70 @@ def co_attention_unit(query_side, context_side, p: AttentionUnitParams, context_
                            query_segments, context_segments)
 
 
-@dataclass
-class FusionParams:
-    """Input projections plus the three attention units."""
-
-    proj_text: Tensor   # stacked text dim x d
-    proj_emoji: Tensor  # emoji dim x d
-    proj_skip: Tensor   # lstm2 dim x d, used by the bypass wirings
-    unit_text: AttentionUnitParams
-    unit_emoji: AttentionUnitParams
-    unit_cross: AttentionUnitParams
-
-    @classmethod
-    def create(cls, text_dim: int, emoji_dim: int, skip_dim: int, d: int, d_ff: int, rng) -> "FusionParams":
-        return cls(
-            proj_text=ad.parameter((text_dim, d), rng),
-            proj_emoji=ad.parameter((emoji_dim, d), rng),
-            proj_skip=ad.parameter((skip_dim, d), rng),
-            unit_text=AttentionUnitParams.create(d, d_ff, rng),
-            unit_emoji=AttentionUnitParams.create(d, d_ff, rng),
-            unit_cross=AttentionUnitParams.create(d, d_ff, rng),
-        )
-
-
 @dataclass(frozen=True)
 class FusionWiring:
-    """Which attention paths are live; ablations flip these switches.
+    """Which attention paths are live; each ablation is one row of `ABLATIONS`.
 
     use_emoji=False drops the emoji modality entirely (the cross channel
     degrades to the self-attended text). bypass_emoji replaces the
     text-conditioned emoji channel with projected raw emoji vectors;
     bypass_cross replaces the emoji-conditioned text channel with the
     projected second LSTM layer. self_attend_text=False feeds the projected
-    stacked text straight through. emoji_reads_fused_text picks whether the
-    emoji channel attends over the self-attended text or the raw projection.
+    stacked text straight through. The emoji channel attends over the
+    self-attended text.
     """
 
     use_emoji: bool = True
     self_attend_text: bool = True
     bypass_emoji: bool = False
     bypass_cross: bool = False
-    emoji_reads_fused_text: bool = True
+
+
+# The one map from an ablation selector to its wiring: seven names, five rows.
+_BYPASS_EMOJI, _BYPASS_CROSS = FusionWiring(bypass_emoji=True), FusionWiring(bypass_cross=True)
+ABLATIONS = {
+    "full": FusionWiring(),
+    "N": FusionWiring(use_emoji=False),
+    "T": _BYPASS_EMOJI,
+    "E": _BYPASS_CROSS,
+    "RA1": FusionWiring(self_attend_text=False),
+    "RA2": _BYPASS_EMOJI,
+    "RA3": _BYPASS_CROSS,
+}
+
+
+@dataclass
+class FusionParams:
+    """Input projections and attention units, only those `wiring` reads.
+
+    The rest are None, so they are neither trained nor checkpointed.
+    """
+
+    proj_text: Tensor                      # stacked text dim x d
+    proj_emoji: Tensor | None              # emoji dim x d
+    proj_skip: Tensor | None               # lstm2 dim x d, the cross bypass
+    unit_text: AttentionUnitParams | None
+    unit_emoji: AttentionUnitParams | None
+    unit_cross: AttentionUnitParams | None
+    wiring: FusionWiring
+
+    @classmethod
+    def create(cls, text_dim: int, emoji_dim: int, skip_dim: int, d: int, d_ff: int, rng,
+               wiring: FusionWiring = FusionWiring()) -> "FusionParams":
+        emoji = wiring.use_emoji
+
+        def unit(live):
+            return AttentionUnitParams.create(d, d_ff, rng) if live else None
+
+        return cls(
+            proj_text=ad.parameter((text_dim, d), rng),
+            proj_emoji=ad.parameter((emoji_dim, d), rng) if emoji else None,
+            proj_skip=ad.parameter((skip_dim, d), rng) if emoji and wiring.bypass_cross else None,
+            unit_text=unit(wiring.self_attend_text),
+            unit_emoji=unit(emoji and not wiring.bypass_emoji),
+            unit_cross=unit(emoji and not wiring.bypass_cross),
+            wiring=wiring,
+        )
 
 
 @dataclass
@@ -204,9 +228,9 @@ class FusedFeatures:
 
 
 def fuse(text, lstm2, emoji_feats, emoji_raw, params: FusionParams,
-         wiring: FusionWiring = FusionWiring(), text_segments: ad.Segments | None = None,
+         text_segments: ad.Segments | None = None,
          emoji_segments: ad.Segments | None = None) -> FusedFeatures:
-    """Produce the three classifier channels from both modalities.
+    """Produce the classifier channels from both modalities, wired as `params.wiring` says.
 
     `text` is the skip-connected text: one matrix, or its levels (the
     embedding rows and both LSTM outputs), which are projected block by
@@ -214,8 +238,9 @@ def fuse(text, lstm2, emoji_feats, emoji_raw, params: FusionParams,
     level (feeding the bypass wiring), `emoji_feats` the position-encoded
     emoji rows and `emoji_raw` the same rows without position information.
     Text and emoji rows pack a chunk's posts as the two layouts say
-    (default: one post each).
+    (default: one post each). The wiring is the params' own, never another's.
     """
+    wiring = params.wiring
     levels = [ad.as_tensor(t) for t in text] if isinstance(text, (list, tuple)) else [ad.as_tensor(text)]
     text_segments = text_segments or ad.Segments([levels[0].data.shape[0]])
     p_text = ad.linear(levels, params.proj_text)
@@ -232,8 +257,7 @@ def fuse(text, lstm2, emoji_feats, emoji_raw, params: FusionParams,
     if wiring.bypass_emoji:
         w_emoji = ad.matmul(ad.as_tensor(emoji_raw), params.proj_emoji)
     else:
-        emoji_context = w_text if wiring.emoji_reads_fused_text else p_text
-        w_emoji = co_attention_unit(p_emoji, emoji_context, params.unit_emoji,
+        w_emoji = co_attention_unit(p_emoji, w_text, params.unit_emoji,
                                     query_segments=emoji_segments, context_segments=text_segments)
     if wiring.bypass_cross:
         w_cross = ad.matmul(ad.as_tensor(lstm2), params.proj_skip)

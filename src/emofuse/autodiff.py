@@ -7,8 +7,8 @@ numpy float64 arrays; each operation records a backward rule, and calling
 is the finite-difference oracle the test suite uses against every rule.
 
 The engine holds only the ops some model calls: ``add`` and ``mul`` with
-broadcasting (also as ``+`` and ``*``), ``matmul`` (``@``), ``relu``,
-``exp``, ``concat``, ``layer_norm``, ``linear`` and ``gaussian_sample``.
+broadcasting (also as ``+`` and ``*``), ``matmul`` (``@``), ``concat``,
+``layer_norm``, ``linear`` (with an optional relu) and ``gaussian_sample``.
 
 The engine is deliberately single-threaded and allocation-heavy: precision
 and determinism come before speed. Identical seeds give bit-identical
@@ -196,23 +196,6 @@ def matmul(a, b) -> Tensor:
         return (g @ b.data.T if a.requires_grad else None,
                 a.data.T @ g if b.requires_grad else None)
     return Tensor(data, True, (a, b), bw)
-
-
-def relu(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.maximum(a.data, 0.0)
-    if not a.requires_grad:
-        return Tensor(data)
-    mask = a.data > 0.0  # subgradient 0 at the kink
-    return Tensor(data, True, (a,), lambda g: (g * mask,))
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.exp(a.data)
-    if not a.requires_grad:
-        return Tensor(data)
-    return Tensor(data, True, (a,), lambda g: (g * data,))
 
 
 def concat(tensors, axis=0) -> Tensor:
@@ -409,7 +392,7 @@ class Segments:
 
 
 def gaussian_sample(mu, logvar, rng=None, noise=None) -> Tensor:
-    """Reparameterized Gaussian sample z = mu + exp(logvar / 2) * noise.
+    """Reparameterized Gaussian sample z = mu + exp(logvar / 2) * noise, one node.
 
     `noise` pins the standard-normal draw (gradient checks); otherwise it is
     drawn from `rng`. Gradients flow to mu and logvar, never to the noise.
@@ -421,8 +404,11 @@ def gaussian_sample(mu, logvar, rng=None, noise=None) -> Tensor:
         if rng is None:
             raise ValueError("gaussian_sample needs rng or explicit noise")
         noise = rng.standard_normal(mu.data.shape)
-    std = exp(mul(logvar, 0.5))
-    return add(mu, mul(std, Tensor(noise)))
+    std = np.exp(logvar.data * 0.5)
+    data = mu.data + std * noise
+    if not (mu.requires_grad or logvar.requires_grad):
+        return Tensor(data)
+    return Tensor(data, True, (mu, logvar), lambda g: (g, g * noise * std * 0.5))
 
 
 # --- parameters and optimization -------------------------------------------

@@ -8,11 +8,15 @@ a documented choice and stays overridable from the command line.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, asdict
 
+from .attention import ABLATIONS
 from .exceptions import ConfigError
 
-ABLATIONS = ("full", "N", "T", "E", "RA1", "RA2", "RA3")
+# Retired keys that older checkpoint metadata echoes: `min_count` (None) is
+# dropped at any value, the others only at the one value that is built now.
+_RETIRED = {"min_count": None, "pe_base": 1000.0, "emoji_reads_fused_text": True}
 
 
 @dataclass
@@ -47,26 +51,23 @@ class RunConfig:
     kernel_sizes: tuple[int, ...] = (3, 4, 5)
     filters: int = 100
     ablation: str = "full"
-    pe_base: float = 1000.0
-    emoji_reads_fused_text: bool = True
     # clustering
     top_k: int = 64
 
     def validate(self):
         if self.ablation not in ABLATIONS:
             raise ConfigError(f"unknown ablation {self.ablation!r}, expected one of {', '.join(ABLATIONS)}")
-        if self.num_classes < 2:
-            raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
         if not self.kernel_sizes or any(k < 1 for k in self.kernel_sizes):
             raise ConfigError(f"kernel_sizes must be positive, got {self.kernel_sizes}")
-        if self.fusion_dim < 1 or self.filters < 1 or self.lstm_hidden < 1:
-            raise ConfigError("fusion_dim, filters, and lstm_hidden must be positive")
-        if self.max_len < 1:
-            raise ConfigError(f"max_len must be >= 1, got {self.max_len}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.top_k < 2:
-            raise ConfigError(f"top_k must be >= 2, got {self.top_k}")
+        for name, least in (("num_classes", 2), ("fusion_dim", 1), ("filters", 1), ("lstm_hidden", 1),
+                            ("ffn_dim", 1), ("vgae_hidden", 1), ("max_len", 1), ("batch_size", 1),
+                            ("top_k", 2), ("vgae_latent", 2), ("epochs", 0), ("vgae_epochs", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        for name in ("lr", "vgae_lr"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
         if self.vgae_latent % 2 != 0:
             raise ConfigError(f"vgae_latent must be even for positional encoding, got {self.vgae_latent}")
         return self
@@ -80,13 +81,6 @@ class RunConfig:
 def _parse_value(name: str, text: str, kind):
     text = text.strip()
     try:
-        if kind is bool:
-            lowered = text.lower()
-            if lowered in ("true", "1", "yes"):
-                return True
-            if lowered in ("false", "0", "no"):
-                return False
-            raise ValueError(f"not a boolean: {text!r}")
         if kind is int:
             return int(text)
         if kind is float:
@@ -136,10 +130,13 @@ def load_config(path) -> RunConfig:
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    """Rebuild a config from its as_dict form (checkpoint echo); retired keys are dropped."""
+    """Rebuild a config from its as_dict form (checkpoint echo); see `_RETIRED`."""
     config = RunConfig()
     for name, value in data.items():
-        if name == "min_count":  # retired, read by nothing; older checkpoint metadata echoes it
+        if name in _RETIRED:
+            if _RETIRED[name] is not None and value != _RETIRED[name]:
+                raise ConfigError(f"stored config key {name!r} is {value!r}; it is retired "
+                                  f"and only {_RETIRED[name]!r} is built now")
             continue
         if name not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {name!r} in stored config")

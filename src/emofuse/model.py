@@ -6,6 +6,8 @@ scaled to unit root-mean-square. Both are constants on the tape: no
 gradient is computed for them and the optimizer never sees them.
 There is one forward path, over a chunk of posts whose word rows and emoji
 rows are each packed into one matrix; a single post is a one-post chunk.
+The config's `ablation` selects one row of `attention.ABLATIONS`; the model
+allocates, trains and checkpoints only the tensors that wiring reads.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .attention import FusionParams, FusionWiring, FusedFeatures, fuse
+from .attention import ABLATIONS, FusionParams, FusedFeatures, fuse
 from .autodiff import Tensor
 from .config import RunConfig
 from .exceptions import ConfigError
@@ -31,25 +33,10 @@ from .tokenization import Token, TokenSequence, WORD, split_modalities
 from .vgae import EmojiEmbeddings
 
 
-def apply_ablation(selector: str, emoji_reads_fused_text: bool = True) -> FusionWiring:
-    """Map an ablation selector to the fusion wiring it induces."""
-    if selector == "full":
-        return FusionWiring(emoji_reads_fused_text=emoji_reads_fused_text)
-    if selector == "N":
-        return FusionWiring(use_emoji=False, emoji_reads_fused_text=emoji_reads_fused_text)
-    if selector in ("T", "RA2"):
-        return FusionWiring(bypass_emoji=True, emoji_reads_fused_text=emoji_reads_fused_text)
-    if selector in ("E", "RA3"):
-        return FusionWiring(bypass_cross=True, emoji_reads_fused_text=emoji_reads_fused_text)
-    if selector == "RA1":
-        return FusionWiring(self_attend_text=False, emoji_reads_fused_text=emoji_reads_fused_text)
-    raise ConfigError(f"unknown ablation selector {selector!r}")
-
-
 @dataclass
 class ModelParams:
     encoder: TextEncoderParams
-    no_emoji: Tensor  # 1 x emoji_dim, learned placeholder for emoji-free posts
+    no_emoji: Tensor | None  # 1 x emoji_dim, learned placeholder for emoji-free posts; None under `N`
     fusion: FusionParams
     cnn: TextCnnParams
 
@@ -74,12 +61,12 @@ class SentimentModel:
         vectors = embeddings.vectors
         rms = np.sqrt(np.vdot(vectors, vectors) / vectors.size) if vectors.size else 0.0
         self.emoji_table = EmojiEmbeddings(embeddings.ids, vectors / rms if rms > 0.0 else vectors.copy())
-        self.wiring = apply_ablation(config.ablation, config.emoji_reads_fused_text)
+        wiring = ABLATIONS[config.ablation]
         h = config.lstm_hidden
         word_dim = word_table.dimension
         self.params = ModelParams(
             encoder=TextEncoderParams.create(word_dim, h, rng),
-            no_emoji=ad.parameter((1, emoji_dim), rng),
+            no_emoji=ad.parameter((1, emoji_dim), rng) if wiring.use_emoji else None,
             fusion=FusionParams.create(
                 text_dim=word_dim + 4 * h,
                 emoji_dim=emoji_dim,
@@ -87,9 +74,10 @@ class SentimentModel:
                 d=config.fusion_dim,
                 d_ff=config.ffn_dim,
                 rng=rng,
+                wiring=wiring,
             ),
             cnn=TextCnnParams.create(
-                num_channels=2 if not self.wiring.use_emoji else 3,
+                num_channels=3 if wiring.use_emoji else 2,
                 d=config.fusion_dim,
                 kernel_sizes=config.kernel_sizes,
                 filters=config.filters,
@@ -110,8 +98,8 @@ class SentimentModel:
     @functools.cached_property
     def _positions(self) -> np.ndarray:
         """Row p is positional_encoding(p) for p < max_len, built on first use."""
-        dim, base = self.emoji_table.dimension, self.config.pe_base
-        return np.array([positional_encoding(p, dim, base) for p in range(self.config.max_len)])
+        dim = self.emoji_table.dimension
+        return np.array([positional_encoding(p, dim) for p in range(self.config.max_len)])
 
     def _emoji_rows(self, chunk: list[list[Token]]) -> tuple[Tensor, Tensor, ad.Segments]:
         """Position-encoded and raw emoji rows of each post, packed, and their layout.
@@ -141,10 +129,10 @@ class SentimentModel:
         text_segments = ad.Segments([len(post_words) for post_words, _ in parts])
         encoded = encode_text(words, self.word_table, self.params.encoder, text_segments)
         emoji_feats = emoji_raw = emoji_segments = None
-        if self.wiring.use_emoji:
+        if self.params.fusion.wiring.use_emoji:
             emoji_feats, emoji_raw, emoji_segments = self._emoji_rows([emojis for _, emojis in parts])
         return fuse(encoded.levels, encoded.lstm2, emoji_feats, emoji_raw, self.params.fusion,
-                    self.wiring, text_segments, emoji_segments)
+                    text_segments, emoji_segments)
 
     def forward_logits(self, posts) -> Tensor:
         """Class scores (posts, classes) for a chunk: a list of tokenized posts, or one post."""

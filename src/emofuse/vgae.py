@@ -60,7 +60,7 @@ def encode(a_norm, ax, params: VgaeParams) -> LatentPosterior:
     depend on the parameters, so training computes it once for all epochs.
     Both heads read the one second propagation a_norm @ hidden.
     """
-    propagated = ad.matmul(a_norm, ad.relu(ad.matmul(ax, params.w_in)))
+    propagated = ad.matmul(a_norm, ad.linear(ax, params.w_in, relu=True))
     return LatentPosterior(mu=ad.matmul(propagated, params.w_mu),
                            logvar=ad.matmul(propagated, params.w_logvar))
 

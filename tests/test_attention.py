@@ -153,10 +153,11 @@ class TestAttentionUnits:
         np.testing.assert_allclose(out.data, oracle_unit(q, c, p), atol=1e-10)
 
 
-def make_fusion_setup(seed=0, text_len=3, emoji_len=2, text_dim=10, skip_dim=4,
-                      emoji_dim=6, d=8, d_ff=16):
+def make_fusion_setup(wiring=FusionWiring(), seed=0, text_len=3, emoji_len=2, text_dim=10,
+                      skip_dim=4, emoji_dim=6, d=8, d_ff=16):
+    """Fusion params built for `wiring`, and one post's inputs."""
     rng = np.random.default_rng(seed)
-    params = FusionParams.create(text_dim, emoji_dim, skip_dim, d, d_ff, rng)
+    params = FusionParams.create(text_dim, emoji_dim, skip_dim, d, d_ff, rng, wiring)
     stacked = Tensor(rng.standard_normal((text_len, text_dim)))
     lstm2 = Tensor(rng.standard_normal((text_len, skip_dim)))
     emoji_raw = Tensor(rng.standard_normal((emoji_len, emoji_dim)), requires_grad=True)
@@ -173,23 +174,23 @@ class TestFuse:
         assert fused.cross.data.shape == (5, 8)
 
     def test_bypass_emoji_uses_raw_projection(self):
-        params, stacked, lstm2, feats, raw = make_fusion_setup()
-        fused = fuse(stacked, lstm2, feats, raw, params, FusionWiring(bypass_emoji=True))
+        params, stacked, lstm2, feats, raw = make_fusion_setup(FusionWiring(bypass_emoji=True))
+        fused = fuse(stacked, lstm2, feats, raw, params)
         np.testing.assert_array_equal(fused.emoji.data, raw.data @ params.proj_emoji.data)
 
     def test_bypass_cross_uses_skip_projection(self):
-        params, stacked, lstm2, feats, raw = make_fusion_setup()
-        fused = fuse(stacked, lstm2, feats, raw, params, FusionWiring(bypass_cross=True))
+        params, stacked, lstm2, feats, raw = make_fusion_setup(FusionWiring(bypass_cross=True))
+        fused = fuse(stacked, lstm2, feats, raw, params)
         np.testing.assert_array_equal(fused.cross.data, lstm2.data @ params.proj_skip.data)
 
     def test_no_self_attention_passes_projection_through(self):
-        params, stacked, lstm2, feats, raw = make_fusion_setup()
-        fused = fuse(stacked, lstm2, feats, raw, params, FusionWiring(self_attend_text=False))
+        params, stacked, lstm2, feats, raw = make_fusion_setup(FusionWiring(self_attend_text=False))
+        fused = fuse(stacked, lstm2, feats, raw, params)
         np.testing.assert_array_equal(fused.text.data, stacked.data @ params.proj_text.data)
 
     def test_dropping_emoji_duplicates_text_channel(self):
-        params, stacked, lstm2, feats, raw = make_fusion_setup()
-        fused = fuse(stacked, lstm2, None, None, params, FusionWiring(use_emoji=False))
+        params, stacked, lstm2, feats, raw = make_fusion_setup(FusionWiring(use_emoji=False))
+        fused = fuse(stacked, lstm2, None, None, params)
         assert fused.emoji is None
         np.testing.assert_array_equal(fused.cross.data, fused.text.data)
         assert len(fused.channels()) == 2

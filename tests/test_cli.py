@@ -94,6 +94,15 @@ class TestCliErrors:
         ("train-classifier", "batch_size=0"),
         ("cluster-viz", "top_k=1"),
         ("build-graph", "top_k=0"),
+        ("train-classifier", "ffn_dim=-2"),
+        ("train-classifier", "lr=-1"),
+        ("train-classifier", "lr=nan"),
+        ("train-classifier", "epochs=-1"),
+        ("train-vgae", "vgae_hidden=-3"),
+        ("train-vgae", "vgae_hidden=0"),
+        ("train-vgae", "vgae_latent=0"),
+        ("train-vgae", "vgae_lr=-1"),
+        ("train-vgae", "vgae_epochs=-2"),
     ])
     def test_out_of_range_setting_exits_1_naming_the_key(self, workspace, capsys, command, setting):
         assert cli_main([command, "--config", "run.cfg", "--set", setting]) == 1

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import make_emoji_labeled_posts
-from emofuse.attention import FusionWiring
+from emofuse.attention import ABLATIONS, FusionWiring
 from emofuse import autodiff as ad
 from emofuse.autodiff import load_tensors, named_parameters, save_tensors
 from emofuse.cli import load_classifier
-from emofuse.config import ABLATIONS, RunConfig, apply_overrides, load_config
+from emofuse.config import RunConfig, apply_overrides, config_from_dict, load_config
 from emofuse.exceptions import ConfigError, TrainingError
 from emofuse import pipeline
-from emofuse.model import SentimentModel, apply_ablation, build_model
+from emofuse.model import SentimentModel, build_model
 from emofuse.pipeline import evaluate, train_classifier, write_history_csv
 from emofuse.textcnn import cross_entropy_logits
 from emofuse.tokenization import RawPost, tokenize
@@ -64,8 +64,8 @@ class TestConfig:
             load_config(path)
 
     def test_overrides(self):
-        config = apply_overrides(RunConfig(), ["seed=4", "lr=0.5", "emoji_reads_fused_text=false"])
-        assert (config.seed, config.lr, config.emoji_reads_fused_text) == (4, 0.5, False)
+        config = apply_overrides(RunConfig(), ["seed=4", "lr=0.5", "ablation=N"])
+        assert (config.seed, config.lr, config.ablation) == (4, 0.5, "N")
 
     def test_override_unknown_key(self):
         with pytest.raises(ConfigError):
@@ -77,37 +77,45 @@ class TestConfig:
 
     def test_round_trip_through_dict(self):
         config = tiny_config(ablation="RA1", seed=3)
-        from emofuse.config import config_from_dict
         rebuilt = config_from_dict(config.as_dict())
         assert rebuilt == config
 
     def test_retired_min_count_is_unknown_but_dropped_from_stored_configs(self, tmp_path):
-        from emofuse.config import config_from_dict
-        with pytest.raises(ConfigError, match="min_count"):
-            apply_overrides(RunConfig(), ["min_count=99"])
+        for setting in ("min_count=99", "emoji_reads_fused_text=true"):
+            with pytest.raises(ConfigError, match=setting.split("=")[0]):
+                apply_overrides(RunConfig(), [setting])
         path = tmp_path / "run.cfg"
         path.write_text("min_count = 1\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="min_count"):
             load_config(path)
-        stored = {**tiny_config(seed=3).as_dict(), "min_count": 1}  # metadata written before it was retired
+        # metadata written before they were retired
+        stored = {**tiny_config(seed=3).as_dict(), "min_count": 1, "pe_base": 1000.0,
+                  "emoji_reads_fused_text": True}
         assert config_from_dict(stored) == tiny_config(seed=3)
+        # a retired key at a value no longer built names the key, in the metadata file too
+        for key, value in (("emoji_reads_fused_text", False), ("pe_base", 500.0)):
+            with pytest.raises(ConfigError, match=key):
+                config_from_dict({**stored, key: value})
+        meta = tmp_path / "classifier_meta.json"
+        meta.write_text(json.dumps({"config": {**stored, "emoji_reads_fused_text": False},
+                                    "emoji_ids": ["\U0001F600"]}), encoding="utf-8")
+        with pytest.raises(ConfigError, match="emoji_reads_fused_text") as err:
+            load_classifier(tmp_path / "missing.ntc", meta, None)
+        assert str(meta) in str(err.value)
 
 
 class TestApplyAblation:
+    """`ABLATIONS` maps the seven selectors to five wirings."""
+
     def test_full_is_identity_wiring(self):
-        assert apply_ablation("full") == FusionWiring()
+        assert ABLATIONS["full"] == FusionWiring()
 
     def test_selector_table(self):
-        assert apply_ablation("N").use_emoji is False
-        assert apply_ablation("T").bypass_emoji is True
-        assert apply_ablation("RA2").bypass_emoji is True
-        assert apply_ablation("E").bypass_cross is True
-        assert apply_ablation("RA3").bypass_cross is True
-        assert apply_ablation("RA1").self_attend_text is False
-
-    def test_unknown_selector_rejected(self):
-        with pytest.raises(ConfigError):
-            apply_ablation("XX")
+        assert ABLATIONS["N"] == FusionWiring(use_emoji=False)
+        assert ABLATIONS["T"] is ABLATIONS["RA2"] == FusionWiring(bypass_emoji=True)
+        assert ABLATIONS["E"] is ABLATIONS["RA3"] == FusionWiring(bypass_cross=True)
+        assert ABLATIONS["RA1"] == FusionWiring(self_attend_text=False)
+        assert len(ABLATIONS) == 7 and len(set(ABLATIONS.values())) == 5
 
 
 class TestTrainClassifier:
@@ -212,11 +220,9 @@ CHUNK_TEXTS = [
 class TestChunks:
     """A chunk of posts gives every post the logits and gradients it gets alone."""
 
-    @pytest.mark.parametrize("fused_text", [True, False])
     @pytest.mark.parametrize("ablation", ABLATIONS)
-    def test_chunk_matches_one_post_chunks(self, word_table, ablation, fused_text):
-        config = tiny_config(ablation=ablation, emoji_reads_fused_text=fused_text,
-                             kernel_sizes=(2, 4), max_len=12)
+    def test_chunk_matches_one_post_chunks(self, word_table, ablation):
+        config = tiny_config(ablation=ablation, kernel_sizes=(2, 4), max_len=12)
         model = SentimentModel(config, word_table, tiny_embeddings(), np.random.default_rng(0))
         noise = np.random.default_rng(1)
         for _, tensor in named_parameters(model.params):  # no zero biases or unit gains
@@ -228,6 +234,8 @@ class TestChunks:
         logits = model.forward_logits(seqs)
         cross_entropy_logits(logits, labels).backward()
         chunk_grads = [t.grad for t in params]
+        # the wiring allocates nothing it does not train
+        assert [name for name, t in named_parameters(model.params) if t.grad is None] == []
         ad.zero_grads(params)
         alone = []
         for seq, label in zip(seqs, labels):
@@ -398,7 +406,8 @@ class TestParameterRegistry:
                                word_table, tiny_embeddings(), np.random.default_rng(0))
         walked = list(named_parameters(model.params))
         names = [name for name, _ in walked]
-        assert len(set(names)) == len(names) == (55 if ablation == "N" else 57)
+        counts = {"full": 56, "N": 30, "T": 45, "RA2": 45, "E": 46, "RA3": 46, "RA1": 45}
+        assert len(set(names)) == len(names) == counts[ablation]
         assert len({id(t) for _, t in walked}) == len(walked)
         assert all(t.requires_grad for _, t in walked)
         assert names[0] == "encoder.layer1.forward.w_x"
@@ -439,6 +448,23 @@ class TestParameterRegistry:
         clone.load_state(load_tensors(tmp_path / "a.ntc"), str(tmp_path / "a.ntc"))
         save_tensors(tmp_path / "b.ntc", clone.state_tensors())
         assert (tmp_path / "a.ntc").read_bytes() == (tmp_path / "b.ntc").read_bytes()
+
+    def test_checkpoint_with_proj_skip_and_retired_keys_loads_bit_identical(self, word_table, tmp_path):
+        """A `full` checkpoint from before each wiring stored only its own tensors still loads."""
+        config = tiny_config(epochs=1)
+        model = SentimentModel(config, word_table, tiny_embeddings(), np.random.default_rng(4))
+        train_classifier(model, make_emoji_labeled_posts(4, seed=5), np.random.default_rng(4))
+        state = model.state_tensors()
+        skip = np.random.default_rng(6).normal(size=(2 * config.lstm_hidden, config.fusion_dim))
+        state = {**state, "fusion.proj_skip": skip}  # unused by `full`, stored all the same
+        path, meta = tmp_path / "classifier.ntc", tmp_path / "classifier_meta.json"
+        save_tensors(path, state)
+        echo = {**config.as_dict(), "pe_base": 1000.0, "emoji_reads_fused_text": True}
+        meta.write_text(json.dumps({"config": echo, "emoji_ids": model.emoji_table.ids}), encoding="utf-8")
+        loaded = load_classifier(path, meta, word_table)
+        assert loaded.params.fusion.proj_skip is None
+        seqs = [tokenize(text) for text in CHUNK_TEXTS]
+        np.testing.assert_array_equal(loaded.forward_logits(seqs).data, model.forward_logits(seqs).data)
 
     def test_parent_format_checkpoint_names_a_missing_key(self, word_table, tmp_path):
         config = tiny_config(kernel_sizes=(3,))

@@ -121,12 +121,12 @@ class TestEmojiInputFeatures:
         _, emojis = split_modalities(tokenize(text))
         for _ in range(2):
             feats, raw, _ = model._emoji_rows([emojis, emojis[:2]])
-            pe = [positional_encoding(t.position, 6, model.config.pe_base) for t in emojis + emojis[:2]]
+            pe = [positional_encoding(t.position, 6) for t in emojis + emojis[:2]]
             np.testing.assert_array_equal(feats.data, raw.data + np.array(pe))
         table = vars(model)["_positions"]
         assert table.shape == (model.config.max_len, 6)
         for position, row in enumerate(table):
-            np.testing.assert_array_equal(row, positional_encoding(position, 6, model.config.pe_base))
+            np.testing.assert_array_equal(row, positional_encoding(position, 6))
 
 
 def scalar_lstm_unroll(xs, wx, wh, b):
