@@ -66,9 +66,6 @@ def scaled_dot_attention(q, k, v, mask=None, q_segments: ad.Segments | None = No
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     weights = e / e.sum(axis=-1, keepdims=True)
     data = q_segments.packed(weights @ vp)
-    if not (q.requires_grad or k.requires_grad or v.requires_grad):
-        return Tensor(data)
-
     def bw(g):
         qp, kp, vp = gather()
         gp = q_segments.padded(g, zero_pad=True)
@@ -78,7 +75,7 @@ def scaled_dot_attention(q, k, v, mask=None, q_segments: ad.Segments | None = No
                 k_segments.packed(d_s.swapaxes(-1, -2) @ qp) if k.requires_grad else None,
                 k_segments.packed(weights.swapaxes(-1, -2) @ gp) if v.requires_grad else None)
 
-    return Tensor(data, True, (q, k, v), bw)
+    return ad.node(data, (q, k, v), bw)
 
 
 @dataclass
@@ -127,7 +124,6 @@ def _attention_unit(query, context, p: AttentionUnitParams, mask=None, q_segment
 
 def self_attention_unit(x, p: AttentionUnitParams, mask=None, segments=None) -> Tensor:
     """Attend a d-projected sequence, or each post of a chunk, to itself; output keeps its rows."""
-    x = ad.as_tensor(x)
     return _attention_unit(x, x, p, mask, segments, segments)
 
 
@@ -139,8 +135,7 @@ def co_attention_unit(query_side, context_side, p: AttentionUnitParams, context_
     side's rows. With query_side == context_side this is exactly the
     self-attention unit. In a chunk, post i's queries read post i's context.
     """
-    return _attention_unit(ad.as_tensor(query_side), ad.as_tensor(context_side), p, context_mask,
-                           query_segments, context_segments)
+    return _attention_unit(query_side, context_side, p, context_mask, query_segments, context_segments)
 
 
 @dataclass(frozen=True)
@@ -255,12 +250,12 @@ def fuse(text, lstm2, emoji_feats, emoji_raw, params: FusionParams,
     emoji_segments = emoji_segments or ad.Segments([emoji_feats.data.shape[0]])
     p_emoji = ad.matmul(emoji_feats, params.proj_emoji)
     if wiring.bypass_emoji:
-        w_emoji = ad.matmul(ad.as_tensor(emoji_raw), params.proj_emoji)
+        w_emoji = ad.matmul(emoji_raw, params.proj_emoji)
     else:
         w_emoji = co_attention_unit(p_emoji, w_text, params.unit_emoji,
                                     query_segments=emoji_segments, context_segments=text_segments)
     if wiring.bypass_cross:
-        w_cross = ad.matmul(ad.as_tensor(lstm2), params.proj_skip)
+        w_cross = ad.matmul(lstm2, params.proj_skip)
     else:
         w_cross = co_attention_unit(p_text, p_emoji, params.unit_cross,
                                     query_segments=text_segments, context_segments=emoji_segments)

@@ -9,6 +9,10 @@ is the finite-difference oracle the test suite uses against every rule.
 The engine holds only the ops some model calls: ``add`` and ``mul`` with
 broadcasting (also as ``+`` and ``*``), ``matmul`` (``@``), ``concat``,
 ``layer_norm``, ``linear`` (with an optional relu) and ``gaussian_sample``.
+Every op, these and the fused rules below, returns through ``node``: its
+result joins the tape only when some input requires a gradient, and is a
+constant with no parents otherwise. ``Tensor(...)`` builds only leaves and
+constants.
 
 The engine is deliberately single-threaded and allocation-heavy: precision
 and determinism come before speed. Identical seeds give bit-identical
@@ -53,20 +57,20 @@ from .exceptions import CheckpointError, ConfigError, ShapeError
 class Tensor:
     """A float64 array plus the bookkeeping for reverse-mode autodiff.
 
-    Tensors built directly with ``requires_grad=True`` are leaves; operation
-    results carry the flag implicitly and route gradients back to the leaves
-    they derive from. Repeated ``backward()`` calls accumulate into ``grad``
-    until ``zero_grads`` clears them.
+    ``Tensor(data)`` is a constant and ``Tensor(data, requires_grad=True)``
+    a leaf; only ``node`` builds an operation result, which routes
+    gradients back to the leaves it derives from. Repeated ``backward()``
+    calls accumulate into ``grad`` until ``zero_grads`` clears them.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
+    def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents = _parents
-        self._backward = _backward
+        self._parents = ()
+        self._backward = None
 
     @property
     def shape(self):
@@ -145,6 +149,23 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def node(data, parents, backward) -> Tensor:
+    """An op's result `data`, on the tape only if some parent requires a gradient.
+
+    Tracked, it keeps `parents` and `backward`, which maps the result's
+    gradient to one gradient (or None) per parent. Otherwise it is a
+    constant with no parents. Every op returns through here.
+    """
+    out = Tensor(data)
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad = True
+            out._parents = parents
+            out._backward = backward
+            break
+    return out
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a gradient back down to `shape` after numpy broadcasting."""
     extra = g.ndim - len(shape)
@@ -163,11 +184,9 @@ def add(a, b) -> Tensor:
         data = a.data + b.data
     except ValueError:
         raise ShapeError(f"add shapes incompatible: {a.data.shape} + {b.data.shape}") from None
-    if not (a.requires_grad or b.requires_grad):
-        return Tensor(data)
     def bw(g):
         return (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape))
-    return Tensor(data, True, (a, b), bw)
+    return node(data, (a, b), bw)
 
 
 def mul(a, b) -> Tensor:
@@ -177,11 +196,9 @@ def mul(a, b) -> Tensor:
         data = a.data * b.data
     except ValueError:
         raise ShapeError(f"mul shapes incompatible: {a.data.shape} * {b.data.shape}") from None
-    if not (a.requires_grad or b.requires_grad):
-        return Tensor(data)
     def bw(g):
         return (_unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape))
-    return Tensor(data, True, (a, b), bw)
+    return node(data, (a, b), bw)
 
 
 def matmul(a, b) -> Tensor:
@@ -190,12 +207,10 @@ def matmul(a, b) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul shapes incompatible: {a.data.shape} @ {b.data.shape}")
     data = a.data @ b.data
-    if not (a.requires_grad or b.requires_grad):
-        return Tensor(data)
     def bw(g):  # no product for a constant operand
         return (g @ b.data.T if a.requires_grad else None,
                 a.data.T @ g if b.requires_grad else None)
-    return Tensor(data, True, (a, b), bw)
+    return node(data, (a, b), bw)
 
 
 def concat(tensors, axis=0) -> Tensor:
@@ -203,13 +218,9 @@ def concat(tensors, axis=0) -> Tensor:
     if not tensors:
         raise ShapeError("concat of zero tensors")
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    if not any(t.requires_grad for t in tensors):
-        return Tensor(data)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum(sizes)[:-1]
     def bw(g):
-        return tuple(np.split(g, offsets, axis=axis))
-    return Tensor(data, True, tuple(tensors), bw)
+        return tuple(np.split(g, np.cumsum([t.data.shape[axis] for t in tensors])[:-1], axis=axis))
+    return node(data, tuple(tensors), bw)
 
 
 def _row_mean(x: np.ndarray) -> np.ndarray:
@@ -236,15 +247,13 @@ def layer_norm(a, gain, bias, residual=None, eps=1e-5) -> Tensor:
     inv_std = 1.0 / np.sqrt(var + eps)
     normed = centered * inv_std
     data = normed * gain.data + bias.data
-    if not any(p.requires_grad for p in parents):
-        return Tensor(data)
     def bw(g):
         d_normed = g * gain.data
         dx = (d_normed - _row_mean(d_normed) - normed * _row_mean(d_normed * normed)) * inv_std
         d_gain = _unbroadcast(g * normed, gain.data.shape)
         d_bias = _unbroadcast(g, bias.data.shape)
         return (dx, d_gain, d_bias) + ((dx,) if residual is not None else ())
-    return Tensor(data, True, parents, bw)
+    return node(data, parents, bw)
 
 
 def linear(x, w, b=None, relu=False) -> Tensor:
@@ -274,8 +283,6 @@ def linear(x, w, b=None, relu=False) -> Tensor:
         parents += (b,)
     if relu:
         np.maximum(data, 0.0, out=data)
-    if not any(p.requires_grad for p in parents):
-        return Tensor(data)
     def bw(g):
         if relu:
             g = g * (data > 0.0)
@@ -290,7 +297,7 @@ def linear(x, w, b=None, relu=False) -> Tensor:
         if b is not None:
             out.append(g.sum(axis=0) if b.requires_grad else None)
         return tuple(out)
-    return Tensor(data, True, parents, bw)
+    return node(data, parents, bw)
 
 
 class Segments:
@@ -406,9 +413,7 @@ def gaussian_sample(mu, logvar, rng=None, noise=None) -> Tensor:
         noise = rng.standard_normal(mu.data.shape)
     std = np.exp(logvar.data * 0.5)
     data = mu.data + std * noise
-    if not (mu.requires_grad or logvar.requires_grad):
-        return Tensor(data)
-    return Tensor(data, True, (mu, logvar), lambda g: (g, g * noise * std * 0.5))
+    return node(data, (mu, logvar), lambda g: (g, g * noise * std * 0.5))
 
 
 # --- parameters and optimization -------------------------------------------

@@ -158,7 +158,7 @@ def cmd_evaluate(args) -> int:
     config = _load_run_config(args)
     _require(config, "test_data", "word_vectors")
     checkpoint = config.checkpoint or _out_path(config, CLASSIFIER_CHECKPOINT)
-    meta_path = os.path.splitext(checkpoint)[0] + "_meta.json" if config.checkpoint else _out_path(config, CLASSIFIER_META)
+    meta_path = os.path.splitext(checkpoint)[0] + "_meta.json"
     table = WordEmbeddingTable.load(config.word_vectors)
     model = load_classifier(checkpoint, meta_path, table)
     posts, _ = load_labeled_dataset(config.test_data)

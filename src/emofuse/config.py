@@ -13,10 +13,11 @@ from dataclasses import dataclass, fields, asdict
 
 from .attention import ABLATIONS
 from .exceptions import ConfigError
+from .text_encoder import PE_BASE
 
 # Retired keys that older checkpoint metadata echoes: `min_count` (None) is
 # dropped at any value, the others only at the one value that is built now.
-_RETIRED = {"min_count": None, "pe_base": 1000.0, "emoji_reads_fused_text": True}
+_RETIRED = {"min_count": None, "pe_base": PE_BASE, "emoji_reads_fused_text": True}
 
 
 @dataclass

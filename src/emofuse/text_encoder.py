@@ -31,12 +31,14 @@ from .vectors import VectorTable
 WordEmbeddingTable = VectorTable  # word -> pretrained vector; unknown words read as zero rows
 
 
-def positional_encoding(pos: int, d_model: int, base: float = 1000.0) -> np.ndarray:
+PE_BASE = 1000.0  # the positional encoding's wavelength base
+
+
+def positional_encoding(pos: int, d_model: int) -> np.ndarray:
     """Sinusoidal position vector: sin at even entries, cos at odd entries.
 
-    Entry 2i is sin(pos / base^(2i / d_model)) and entry 2i+1 the matching
-    cos. The default base of 1000 is deliberate; switch it via `base` if a
-    different scale is wanted.
+    Entry 2i is sin(pos / PE_BASE^(2i / d_model)) and entry 2i+1 the
+    matching cos.
     """
     if d_model % 2 != 0:
         raise ValueError(f"d_model must be even, got {d_model}")
@@ -44,7 +46,7 @@ def positional_encoding(pos: int, d_model: int, base: float = 1000.0) -> np.ndar
         raise ValueError(f"pos must be >= 0, got {pos}")
     out = np.empty(d_model, dtype=np.float64)
     for i in range(d_model // 2):
-        angle = pos / base ** (2 * i / d_model)
+        angle = pos / PE_BASE ** (2 * i / d_model)
         out[2 * i] = math.sin(angle)
         out[2 * i + 1] = math.cos(angle)
     return out
@@ -130,9 +132,6 @@ def bilstm_layer(inputs, params: BiLstmParams, segments: ad.Segments | None = No
     out = np.concatenate([segments.from_time_major(h_all[1:, 0], False),
                           segments.from_time_major(h_all[1:, 1], True)], axis=1)
     parents = (z_fwd, z_bwd, w_f, w_b)
-    if not any(p.requires_grad for p in parents):
-        return Tensor(out)
-
     def bw(g):
         gp = np.empty((steps, 2, posts, hidden))
         gp[:, 0] = segments.time_major(g[:, :hidden], False, zero_pad=True)
@@ -160,7 +159,7 @@ def bilstm_layer(inputs, params: BiLstmParams, segments: ad.Segments | None = No
         return (segments.from_time_major(dz_flat[:, 0], False) if z_fwd.requires_grad else None,
                 segments.from_time_major(dz_flat[:, 1], True) if z_bwd.requires_grad else None, *dw)
 
-    return Tensor(out, True, parents, bw)
+    return ad.node(out, parents, bw)
 
 
 @dataclass

@@ -125,9 +125,6 @@ def conv_pool(x, bank: ConvBank, widths, segments: ad.Segments) -> Tensor:
         window[np.arange(window.shape[1])[:, None] >= counts[:, None]] = -np.inf
         rows = (window.argmax(axis=1) + starts[:, None, None]).reshape(segments.count, -1)
     data = np.maximum(pre[rows, np.arange(len(widths) * n)], 0.0)
-    if not (x.requires_grad or kernels.requires_grad or bias.requires_grad):
-        return Tensor(data)
-
     def bw(g):
         g = g * (data > 0.0)  # subgradient 0 at the kink
         # kernel tap T (columns T * n to T * n + n - 1) belongs to width
@@ -146,7 +143,7 @@ def conv_pool(x, bank: ConvBank, widths, segments: ad.Segments) -> Tensor:
                 padded().T @ dy if kernels.requires_grad else None,
                 g.sum(axis=0) if bias.requires_grad else None)
 
-    return Tensor(data, True, (x, kernels, bias), bw)
+    return ad.node(data, (x, kernels, bias), bw)
 
 
 def classify_logits(channels, params: TextCnnParams) -> Tensor:
@@ -192,12 +189,9 @@ def cross_entropy_logits(logits, labels) -> Tensor:
     e = np.exp(shifted)
     sums = e.sum(axis=1)
     data = (np.log(sums) - shifted[rows, labels]).sum()
-    if not logits.requires_grad:
-        return Tensor(data)
-
     def bw(g):
         d = e / sums[:, None]
         d[rows, labels] -= 1.0
         return (g * d,)
 
-    return Tensor(data, True, (logits,), bw)
+    return ad.node(data, (logits,), bw)

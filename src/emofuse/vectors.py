@@ -18,8 +18,9 @@ def read_vector_table(path) -> tuple[list[str], np.ndarray]:
     """Read (ids, matrix) from the text format; rows align with ids.
 
     A malformed header, a row of the wrong width, a non-numeric field, a
-    repeated id or a nan/inf value raises CorpusError naming the file and
-    line (a repeated id also names the line it first appeared on). Rows are
+    repeated id, a nan/inf value or a non-blank line past the header's count
+    raises CorpusError naming the file and line (a repeated id also names
+    the line it first appeared on). Trailing blank lines are allowed. Rows are
     collected as they are read, so the header's count never sizes an
     allocation.
     """
@@ -44,6 +45,9 @@ def read_vector_table(path) -> tuple[list[str], np.ndarray]:
                 first = first_line.setdefault(parts[0], line_no)
                 if first != line_no:
                     raise CorpusError(f"{path}: line {line_no} repeats the id {parts[0]!r} of line {first}")
+            for line_no, line in enumerate(fh, count + 2):
+                if line.strip():
+                    raise CorpusError(f"{path}: line {line_no} is a row past the header's count of {count}")
     except (OSError, UnicodeDecodeError) as err:
         raise CorpusError(f"cannot read vector table {path}: {err}") from err
     matrix = np.array(rows, dtype=np.float64).reshape(count, dim)

@@ -75,9 +75,7 @@ def decode(z) -> Tensor:
     if z.data.ndim != 2:
         raise ShapeError(f"decode expects an N x latent matrix, got shape {z.data.shape}")
     logits = z.data @ z.data.T
-    if not z.requires_grad:
-        return Tensor(logits)
-    return Tensor(logits, True, (z,), lambda g: ((g + g.T) @ z.data,))
+    return ad.node(logits, (z,), lambda g: ((g + g.T) @ z.data,))
 
 
 def _sigmoid_values(x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
@@ -106,13 +104,11 @@ def _bce_from_logits(logits: Tensor, y: np.ndarray, pos_weight: float, scale: fl
     softplus = np.maximum(signed, 0.0) + np.log1p(e)
     weights = 1.0 + (pos_weight - 1.0) * y  # pos_weight on positives, 1 elsewhere
     value = scale * np.vdot(weights, softplus)
-    if not logits.requires_grad:
-        return Tensor(value)
 
     def bw(g):
         # dS = scale * ((1 - y) sigmoid(S) - pos_weight * y * sigmoid(-S))
         return ((g * scale) * (weights * _sigmoid_values(s, e) - pos_weight * y),)
-    return Tensor(value, True, (logits,), bw)
+    return ad.node(value, (logits,), bw)
 
 
 def _kl_term(posterior: LatentPosterior, n: int) -> Tensor:
@@ -121,10 +117,8 @@ def _kl_term(posterior: LatentPosterior, n: int) -> Tensor:
     var = np.exp(logvar.data)
     scale = -1.0 / (2.0 * n)
     value = scale * np.sum(1.0 + logvar.data - mu.data * mu.data - var)
-    if not (mu.requires_grad or logvar.requires_grad):
-        return Tensor(value)
-    return Tensor(value, True, (mu, logvar),
-                  lambda g: ((-2.0 * scale * g) * mu.data, (scale * g) * (1.0 - var)))
+    return ad.node(value, (mu, logvar),
+                   lambda g: ((-2.0 * scale * g) * mu.data, (scale * g) * (1.0 - var)))
 
 
 def vgae_loss(logits, a_bin: np.ndarray, posterior: LatentPosterior) -> Tensor:

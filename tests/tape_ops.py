@@ -21,48 +21,37 @@ from emofuse.vgae import _sigmoid_values
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     data = _sigmoid_values(a.data)
-    if not a.requires_grad:
-        return Tensor(data)
-    return Tensor(data, True, (a,), lambda g: (g * data * (1.0 - data),))
+    return ad.node(data, (a,), lambda g: (g * data * (1.0 - data),))
 
 
 def tanh(a) -> Tensor:
     a = as_tensor(a)
     data = np.tanh(a.data)
-    if not a.requires_grad:
-        return Tensor(data)
-    return Tensor(data, True, (a,), lambda g: (g * (1.0 - data * data),))
+    return ad.node(data, (a,), lambda g: (g * (1.0 - data * data),))
 
 
 def tslice(a, key) -> Tensor:
     """Basic (non-fancy) indexing, a[key], with gradient scatter into the source."""
     a = as_tensor(a)
     data = a.data[key]
-    if not a.requires_grad:
-        return Tensor(data)
 
     def bw(g):
         full = np.zeros_like(a.data)
         full[key] = g
         return (full,)
-    return Tensor(data, True, (a,), bw)
+    return ad.node(data, (a,), bw)
 
 
 def mean(a) -> Tensor:
     a = as_tensor(a)
     data = np.asarray(a.data.mean())
-    if not a.requires_grad:
-        return Tensor(data)
-    size = a.data.size
-    return Tensor(data, True, (a,), lambda g: (np.full(a.data.shape, float(g) / size),))
+    return ad.node(data, (a,), lambda g: (np.full(a.data.shape, float(g) / a.data.size),))
 
 
 def tensor_sum(a) -> Tensor:
     a = as_tensor(a)
     data = np.asarray(a.data.sum())
-    if not a.requires_grad:
-        return Tensor(data)
-    return Tensor(data, True, (a,), lambda g: (np.full(a.data.shape, float(g)),))
+    return ad.node(data, (a,), lambda g: (np.full(a.data.shape, float(g)),))
 
 
 def conv_relu(x, kernels, bias, blocks=None) -> Tensor:
@@ -96,8 +85,6 @@ def conv_relu(x, kernels, bias, blocks=None) -> Tensor:
         data += xp[dt:dt + taps] @ kernels.data[:, dt].T
     data += bias.data
     np.maximum(data, 0.0, out=data)
-    if not (x.requires_grad or kernels.requires_grad or bias.requires_grad):
-        return Tensor(data)
 
     def bw(g):
         g = g * (data > 0.0)  # subgradient 0 at the kink
@@ -115,7 +102,7 @@ def conv_relu(x, kernels, bias, blocks=None) -> Tensor:
                 np.matmul(g.T, xp[dt:dt + taps], out=gk[:, dt])
         return (gx, gk, g.sum(axis=0) if bias.requires_grad else None)
 
-    return Tensor(data, True, (x, kernels, bias), bw)
+    return ad.node(data, (x, kernels, bias), bw)
 
 
 def segment_max(a, starts, counts) -> Tensor:
@@ -143,15 +130,13 @@ def segment_max(a, starts, counts) -> Tensor:
         window[~inside] = -np.inf
         rows = np.take_along_axis(index, window.argmax(axis=1), axis=1)
     data = a.data[rows, columns]  # argmax takes the first maximum on ties
-    if not a.requires_grad:
-        return Tensor(data)
 
     def bw(g):
         full = np.zeros_like(a.data)
         full[rows, columns] = g
         return (full,)
 
-    return Tensor(data, True, (a,), bw)
+    return ad.node(data, (a,), bw)
 
 
 def width_kernels(kernels, widths):

@@ -346,7 +346,7 @@ def test_criterion_7_positional_encoding():
     rng = np.random.default_rng(70)
     for _ in range(50):
         pos = int(rng.integers(0, 300))
-        pe = positional_encoding(pos, d, base)
+        pe = positional_encoding(pos, d)
         for i in range(d // 2):
             angle = pos / base ** (2 * i / d)
             assert abs(pe[2 * i] - math.sin(angle)) <= 1e-12
@@ -354,8 +354,8 @@ def test_criterion_7_positional_encoding():
     # fixed-offset property: PE(pos+t) is a trigonometric combination of PE(pos)
     for _ in range(50):
         pos, t = int(rng.integers(0, 300)), int(rng.integers(0, 80))
-        pe_pos = positional_encoding(pos, d, base)
-        pe_shift = positional_encoding(pos + t, d, base)
+        pe_pos = positional_encoding(pos, d)
+        pe_shift = positional_encoding(pos + t, d)
         for i in range(d // 2):
             freq = 1.0 / base ** (2 * i / d)
             s, c = pe_pos[2 * i], pe_pos[2 * i + 1]

@@ -1,17 +1,48 @@
+import ast
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import emofuse
 from emofuse import autodiff as ad
 from emofuse.attention import scaled_dot_attention
 from emofuse.autodiff import AdamState, Segments, Tensor, adam_step, grad_check, load_tensors, save_tensors
 from emofuse.exceptions import CheckpointError, EmofuseError, ShapeError
-from emofuse.text_encoder import BiLstmParams, bilstm_layer
-from emofuse.textcnn import cross_entropy_logits
-from emofuse.vgae import _sigmoid_values
+from emofuse.text_encoder import BiLstmParams, LstmDirectionParams, bilstm_layer
+from emofuse.textcnn import ConvBank, conv_pool, cross_entropy_logits
+from emofuse.vgae import LatentPosterior, _bce_from_logits, _kl_term, _sigmoid_values, decode
 from tape_ops import ReferenceAdam, conv_relu, mean, segment_max, sigmoid, tanh, tensor_sum, tslice
+
+
+def _bilstm(w_h, x, w_x, b):  # both directions share one set of weights
+    direction = LstmDirectionParams(w_x=w_x, w_h=w_h, b=b)
+    return bilstm_layer(x, BiLstmParams(forward=direction, backward=direction, hidden=2))
+
+
+NOISE = np.random.default_rng(1).standard_normal((2, 3))
+EDGES = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+# every op of the package that puts its result on the tape: the shapes of
+# its tensor inputs, then the call; the first input is one of the result's parents
+NODE_OPS = {
+    "add": ([(2, 3), (3,)], ad.add),
+    "mul": ([(2, 3), (3,)], ad.mul),
+    "matmul": ([(2, 3), (3, 4)], ad.matmul),
+    "concat": ([(2, 3), (1, 3)], lambda a, b: ad.concat([a, b])),
+    "layer_norm": ([(2, 3), (3,), (3,), (2, 3)], lambda a, g, b, r: ad.layer_norm(a, g, b, residual=r)),
+    "linear": ([(2, 3), (3, 4), (4,)], lambda x, w, b: ad.linear(x, w, b, relu=True)),
+    "gaussian_sample": ([(2, 3), (2, 3)], lambda mu, logvar: ad.gaussian_sample(mu, logvar, noise=NOISE)),
+    "scaled_dot_attention": ([(2, 4), (3, 4), (3, 2)], scaled_dot_attention),
+    "bilstm_layer": ([(2, 8), (3, 4), (4, 8), (8,)], _bilstm),
+    "conv_pool": ([(5, 4), (4, 6), (4,)],
+                  lambda x, k, b: conv_pool(x, ConvBank(kernels=k, bias=b), (1, 2), Segments([5]))),
+    "cross_entropy_logits": ([(2, 3)], lambda s: cross_entropy_logits(s, [0, 2])),
+    "decode": ([(3, 2)], decode),
+    "_bce_from_logits": ([(3, 3)], lambda s: _bce_from_logits(s, EDGES, 2.0, 0.5)),
+    "_kl_term": ([(3, 2), (3, 2)], lambda mu, logvar: _kl_term(LatentPosterior(mu=mu, logvar=logvar), 3)),
+}
 
 
 class TestBackwardBasics:
@@ -42,10 +73,31 @@ class TestBackwardBasics:
         tensor_sum(y).backward()
         np.testing.assert_array_equal(x.grad, [4.0])
 
-    def test_constant_subgraphs_are_pruned(self):
-        c = Tensor([1.0, 2.0])
-        out = ad.mul(c, 3.0)
-        assert out._parents == ()
+    @pytest.mark.parametrize("op", NODE_OPS)
+    def test_constant_subgraphs_are_pruned(self, op):
+        shapes, call = NODE_OPS[op]
+        rng = np.random.default_rng(zlib.crc32(op.encode()))
+        arrays = [rng.standard_normal(shape) for shape in shapes]
+        constant = call(*[Tensor(a) for a in arrays])
+        assert not constant.requires_grad and constant._parents == ()
+        first = Tensor(arrays[0], requires_grad=True)
+        tracked = call(first, *[Tensor(a) for a in arrays[1:]])
+        assert tracked.requires_grad and any(p is first for p in tracked._parents)
+        assert tracked.data.tobytes() == constant.data.tobytes()
+
+    def test_the_table_holds_every_op_that_builds_a_node(self):
+        def calls_node(function):
+            return any(isinstance(n, ast.Call) and "node" in (getattr(n.func, "id", None),
+                                                             getattr(n.func, "attr", None))
+                       for n in ast.walk(function))
+        builders = {f.name for path in Path(emofuse.__file__).parent.glob("*.py")
+                    for f in ast.parse(path.read_text(encoding="utf-8")).body
+                    if isinstance(f, ast.FunctionDef) and calls_node(f)}
+        assert builders == set(NODE_OPS)
+
+    def test_the_constructor_builds_no_tracked_result(self):
+        with pytest.raises(TypeError):
+            Tensor(np.ones(2), True, (Tensor(np.ones(2), requires_grad=True),), lambda g: (g,))
 
     def test_matmul_backward_skips_constant_operand(self):
         rng = np.random.default_rng(0)

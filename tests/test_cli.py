@@ -174,6 +174,24 @@ class TestCliPipeline:
         b = (workspace / "b" / "embeddings.txt").read_text(encoding="utf-8")
         assert a != b
 
+    def test_evaluate_reads_the_metadata_beside_a_set_checkpoint(self, workspace, capsys):
+        assert cli_main(["build-graph", "--config", "run.cfg"]) == 0
+        assert cli_main(["train-vgae", "--config", "run.cfg"]) == 0
+        assert cli_main(["train-classifier", "--config", "run.cfg"]) == 0
+        assert cli_main(["evaluate", "--config", "run.cfg"]) == 0
+        report = workspace / "out" / "eval_report.json"
+        expected = report.read_text(encoding="utf-8")
+        report.unlink()
+        (workspace / "saved").mkdir()
+        (workspace / "out" / "classifier.ntc").rename(workspace / "saved" / "model.ntc")
+        meta = (workspace / "out" / "classifier_meta.json").rename(workspace / "saved" / "model_meta.json")
+        assert cli_main(["evaluate", "--config", "run.cfg", "--set", "checkpoint=saved/model.ntc"]) == 0
+        assert report.read_text(encoding="utf-8") == expected
+        meta.unlink()
+        capsys.readouterr()
+        assert cli_main(["evaluate", "--config", "run.cfg", "--set", "checkpoint=saved/model.ntc"]) == 1
+        assert "saved/model_meta.json" in capsys.readouterr().err
+
     def test_evaluate_rejects_label_overflow(self, workspace, capsys):
         assert cli_main(["build-graph", "--config", "run.cfg"]) == 0
         assert cli_main(["train-vgae", "--config", "run.cfg"]) == 0

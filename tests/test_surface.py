@@ -1,8 +1,9 @@
-"""The library keeps no function that only tests call.
+"""The library keeps no function that only tests call, and one way onto the tape.
 
 Every top-level function of every module of the package must be used
 somewhere in the package outside its own definition, be exported in
-`emofuse.__all__`, or be listed below with the reason it stays.
+`emofuse.__all__`, or be listed below with the reason it stays. Only
+`autodiff.node` gives a tensor parents and a backward rule.
 """
 
 import ast
@@ -67,3 +68,30 @@ def test_allowlist_names_only_existing_functions():
                for node in ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8")).body
                if isinstance(node, ast.FunctionDef)}
     assert set(ALLOWED) <= defined
+
+
+def tape_writes(node, scope=""):
+    """(scope, attribute, value source) of every assignment to an `_parents` or `_backward` attribute.
+
+    The scope is the dotted name of the enclosing class and function definitions.
+    """
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from tape_writes(child, f"{scope}.{child.name}" if scope else child.name)
+            continue
+        if isinstance(child, (ast.Assign, ast.AugAssign)):
+            for target in child.targets if isinstance(child, ast.Assign) else [child.target]:
+                for t in ast.walk(target):
+                    if isinstance(t, ast.Attribute) and t.attr in ("_parents", "_backward"):
+                        yield scope, t.attr, ast.unparse(child.value)
+        yield from tape_writes(child, scope)
+
+
+def test_only_node_puts_a_result_on_the_tape():
+    writes = [(f"{path.stem}.{scope}", attr, value) for path in sorted(PACKAGE.glob("*.py"))
+              for scope, attr, value in tape_writes(ast.parse(path.read_text(encoding="utf-8")))]
+    # the constructor only clears both, so every tensor it builds is a leaf or a constant
+    cleared = {("autodiff.Tensor.__init__", "_parents", "()"), ("autodiff.Tensor.__init__", "_backward", "None")}
+    stray = [w for w in writes if w[0] != "autodiff.node" and w not in cleared]
+    assert stray == [], f"tape bookkeeping written outside autodiff.node: {stray}"
+    assert {("autodiff.node", "_parents"), ("autodiff.node", "_backward")} <= {w[:2] for w in writes}

@@ -29,7 +29,7 @@ class TestPositionalEncoding:
         np.testing.assert_array_equal(pe, [0, 1, 0, 1, 0, 1, 0, 1])
 
     def test_direct_evaluation_pos1_d4(self):
-        pe = positional_encoding(1, 4, base=1000.0)
+        pe = positional_encoding(1, 4)
         expected = [math.sin(1.0), math.cos(1.0),
                     math.sin(1000.0 ** -0.5), math.cos(1000.0 ** -0.5)]
         np.testing.assert_allclose(pe, expected, atol=1e-12)
@@ -47,7 +47,7 @@ class TestPositionalEncoding:
     def test_matches_formula_for_many_positions(self):
         base, d = 1000.0, 10
         for pos in (0, 1, 2, 11, 63):
-            pe = positional_encoding(pos, d, base)
+            pe = positional_encoding(pos, d)
             for i in range(d // 2):
                 angle = pos / base ** (2 * i / d)
                 assert pe[2 * i] == pytest.approx(math.sin(angle), abs=1e-12)
@@ -59,8 +59,8 @@ class TestPositionalEncoding:
         rng = np.random.default_rng(0)
         for _ in range(20):
             pos, t = int(rng.integers(0, 200)), int(rng.integers(0, 50))
-            pe_pos = positional_encoding(pos, d, base)
-            pe_shift = positional_encoding(pos + t, d, base)
+            pe_pos = positional_encoding(pos, d)
+            pe_shift = positional_encoding(pos + t, d)
             for i in range(d // 2):
                 freq = 1.0 / base ** (2 * i / d)
                 s, c = pe_pos[2 * i], pe_pos[2 * i + 1]

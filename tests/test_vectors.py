@@ -28,6 +28,8 @@ class TestReadVectorTable:
         ("2 2\na 1 2\nb 1\n", 3),          # short row
         ("3 2\na 1 2\n", 3),               # fewer rows than the header
         ("3 1\na 1\nb 2\na 3\n", 4),       # repeated id
+        ("1 2\na 1 2\nb 3 4\n", 3),        # more rows than the header
+        ("1 1\na 1\n\n \nb 2\n", 5),        # the first extra non-blank line
     ])
     def test_malformed_table_names_file_and_line(self, tmp_path, text, line):
         path = tmp_path / "t.txt"
@@ -35,6 +37,12 @@ class TestReadVectorTable:
         with pytest.raises(CorpusError, match=f"line {line}") as err:
             read_vector_table(path)
         assert str(path) in str(err.value)
+
+    def test_trailing_blank_lines_are_accepted(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("1 2\na 1 2\n\n  \n", encoding="utf-8")
+        ids, matrix = read_vector_table(path)
+        assert ids == ["a"] and matrix.tolist() == [[1.0, 2.0]]
 
     def test_fields_parse_as_python_floats(self, tmp_path):
         fields = ["1_0", "-0.5", "1e-400", "+.5", "1.", "\u0661"]
