@@ -9,7 +9,10 @@ benchmark does. Then a classifier at the acceptance dims is trained once per
 shuffle seed `seed + k`, k = 0 .. shuffles - 1, each on a fresh model drawn
 from `seed`. One line per run gives the best train accuracy over the epochs,
 the held-out accuracy and the final loss; the last line counts the runs whose
-best train accuracy is below the benchmark's target for the workload (0.95).
+best train accuracy is below the benchmark's target for the workload (0.95)
+and states the BLAS thread count. Like bench/run.py, the script pins that
+count before numpy loads: other counts can give other low bits, and so
+another miss count.
 """
 
 from __future__ import annotations
@@ -19,7 +22,11 @@ import os
 import sys
 import tempfile
 
-import numpy as np
+BLAS_THREADS = 1
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = str(BLAS_THREADS)
+
+import numpy as np  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "bench"), os.path.join(ROOT, "src")]
@@ -74,7 +81,8 @@ def main(argv=None) -> int:
                 misses += miss
                 print(f"{seed}\t{seed + k}\t{best:.4f}\t{heldout:.4f}\t{loss:.6f}\t{'MISS' if miss else ''}",
                       flush=True)
-    print(f"misses: {misses} of {runs} runs below best train accuracy {target}")
+    print(f"misses: {misses} of {runs} runs below best train accuracy {target}, "
+          f"{BLAS_THREADS} BLAS thread")
     return 0
 
 

@@ -111,31 +111,30 @@ class AttentionUnitParams:
         )
 
 
-def _attention_unit(query, context, p: AttentionUnitParams, mask=None, q_segments=None,
-                    k_segments=None) -> Tensor:
+def _attention_unit(query, context, p: AttentionUnitParams, q_segments=None, k_segments=None) -> Tensor:
     attended = scaled_dot_attention(
-        ad.matmul(query, p.wq), ad.matmul(context, p.wk), ad.matmul(context, p.wv),
-        mask, q_segments, k_segments,
+        ad.linear(query, p.wq), ad.linear(context, p.wk), ad.linear(context, p.wv),
+        q_segments=q_segments, k_segments=k_segments,
     )
-    a1 = ad.layer_norm(attended, p.norm1_gain, p.norm1_bias, residual=query)
+    a1 = ad.layer_norm(attended, p.norm1_gain, p.norm1_bias, query)
     hidden = ad.linear(a1, p.ffn_w1, p.ffn_b1, relu=True)
-    return ad.layer_norm(ad.linear(hidden, p.ffn_w2, p.ffn_b2), p.norm2_gain, p.norm2_bias, residual=a1)
+    return ad.layer_norm(ad.linear(hidden, p.ffn_w2, p.ffn_b2), p.norm2_gain, p.norm2_bias, a1)
 
 
-def self_attention_unit(x, p: AttentionUnitParams, mask=None, segments=None) -> Tensor:
+def self_attention_unit(x, p: AttentionUnitParams, segments=None) -> Tensor:
     """Attend a d-projected sequence, or each post of a chunk, to itself; output keeps its rows."""
-    return _attention_unit(x, x, p, mask, segments, segments)
+    return _attention_unit(x, x, p, segments, segments)
 
 
-def co_attention_unit(query_side, context_side, p: AttentionUnitParams, context_mask=None,
-                      query_segments=None, context_segments=None) -> Tensor:
+def co_attention_unit(query_side, context_side, p: AttentionUnitParams, query_segments=None,
+                      context_segments=None) -> Tensor:
     """Queries from one modality, keys/values from the other.
 
     The residual connects to the query side, so the output has the query
     side's rows. With query_side == context_side this is exactly the
     self-attention unit. In a chunk, post i's queries read post i's context.
     """
-    return _attention_unit(query_side, context_side, p, context_mask, query_segments, context_segments)
+    return _attention_unit(query_side, context_side, p, query_segments, context_segments)
 
 
 @dataclass(frozen=True)
@@ -248,14 +247,14 @@ def fuse(text, lstm2, emoji_feats, emoji_raw, params: FusionParams,
                              text_segments=text_segments, emoji_segments=None)
     emoji_feats = ad.as_tensor(emoji_feats)
     emoji_segments = emoji_segments or ad.Segments([emoji_feats.data.shape[0]])
-    p_emoji = ad.matmul(emoji_feats, params.proj_emoji)
+    p_emoji = ad.linear(emoji_feats, params.proj_emoji)
     if wiring.bypass_emoji:
-        w_emoji = ad.matmul(emoji_raw, params.proj_emoji)
+        w_emoji = ad.linear(emoji_raw, params.proj_emoji)
     else:
         w_emoji = co_attention_unit(p_emoji, w_text, params.unit_emoji,
                                     query_segments=emoji_segments, context_segments=text_segments)
     if wiring.bypass_cross:
-        w_cross = ad.matmul(lstm2, params.proj_skip)
+        w_cross = ad.linear(lstm2, params.proj_skip)
     else:
         w_cross = co_attention_unit(p_text, p_emoji, params.unit_cross,
                                     query_segments=text_segments, context_segments=emoji_segments)

@@ -6,9 +6,11 @@ numpy float64 arrays; each operation records a backward rule, and calling
 ``grad`` of every leaf created with ``requires_grad=True``. ``grad_check``
 is the finite-difference oracle the test suite uses against every rule.
 
-The engine holds only the ops some model calls: ``add`` and ``mul`` with
-broadcasting (also as ``+`` and ``*``), ``matmul`` (``@``), ``concat``,
-``layer_norm``, ``linear`` (with an optional relu) and ``gaussian_sample``.
+The engine holds only the ops some model calls, each taking only what its
+callers pass: ``add`` and ``mul`` with broadcasting (also as ``+`` and
+``*``), ``concat``, ``layer_norm`` (always of a + residual), ``linear``, the
+one matrix product (with an optional bias and relu), and
+``gaussian_sample`` (of the caller's noise draw).
 Every op, these and the fused rules below, returns through ``node``: its
 result joins the tape only when some input requires a gradient, and is a
 constant with no parents otherwise. ``Tensor(...)`` builds only leaves and
@@ -140,9 +142,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(other, self)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def as_tensor(x) -> Tensor:
     """Wrap arrays/scalars as constant tensors; pass tensors through."""
@@ -201,18 +200,6 @@ def mul(a, b) -> Tensor:
     return node(data, (a, b), bw)
 
 
-def matmul(a, b) -> Tensor:
-    """2-D matrix product."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul shapes incompatible: {a.data.shape} @ {b.data.shape}")
-    data = a.data @ b.data
-    def bw(g):  # no product for a constant operand
-        return (g @ b.data.T if a.requires_grad else None,
-                a.data.T @ g if b.requires_grad else None)
-    return node(data, (a, b), bw)
-
-
 def concat(tensors, axis=0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     if not tensors:
@@ -228,32 +215,28 @@ def _row_mean(x: np.ndarray) -> np.ndarray:
     return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
 
 
-def layer_norm(a, gain, bias, residual=None, eps=1e-5) -> Tensor:
-    """Row-wise layer normalization of a (+ residual) over the last axis.
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(a, gain, bias, residual) -> Tensor:
+    """Row-wise layer normalization of a + residual over the last axis.
 
     Folding the residual add in keeps its sum off the tape; both summands
     get the same gradient.
     """
-    a, gain, bias = as_tensor(a), as_tensor(gain), as_tensor(bias)
-    parents = (a, gain, bias)
-    x = a.data
-    if residual is not None:
-        residual = as_tensor(residual)
-        x = x + residual.data
-        parents += (residual,)
+    a, gain, bias, residual = as_tensor(a), as_tensor(gain), as_tensor(bias), as_tensor(residual)
+    x = a.data + residual.data
     mu = _row_mean(x)
     centered = x - mu
     var = _row_mean(centered * centered)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     normed = centered * inv_std
     data = normed * gain.data + bias.data
     def bw(g):
         d_normed = g * gain.data
         dx = (d_normed - _row_mean(d_normed) - normed * _row_mean(d_normed * normed)) * inv_std
-        d_gain = _unbroadcast(g * normed, gain.data.shape)
-        d_bias = _unbroadcast(g, bias.data.shape)
-        return (dx, d_gain, d_bias) + ((dx,) if residual is not None else ())
-    return node(data, parents, bw)
+        return (dx, _unbroadcast(g * normed, gain.data.shape), _unbroadcast(g, bias.data.shape), dx)
+    return node(data, (a, gain, bias, residual), bw)
 
 
 def linear(x, w, b=None, relu=False) -> Tensor:
@@ -261,21 +244,43 @@ def linear(x, w, b=None, relu=False) -> Tensor:
 
     `x` may be a list of matrices with equal row counts, read as their
     concatenation along columns, each multiplying its own block of w's
-    rows; the concatenation and its gradient are never built. The relu's
-    subgradient at 0 is 0.
+    rows; the concatenation and its gradient are never built. One matrix
+    is one product with w whole, forward and backward: the bits of numpy's
+    `x @ w`, `g @ w.T` and `x.T @ g`. The relu's subgradient at 0 is 0.
     """
     blocks = [as_tensor(t) for t in x] if isinstance(x, (list, tuple)) else [as_tensor(x)]
     w = as_tensor(w)
-    starts = [0]  # block i multiplies rows starts[i] to starts[i + 1] - 1 of w
-    for t in blocks:
-        if t.data.ndim != 2 or t.data.shape[0] != blocks[0].data.shape[0]:
-            break
-        starts.append(starts[-1] + t.data.shape[1])
-    if w.data.ndim != 2 or len(starts) != len(blocks) + 1 or starts[-1] != w.data.shape[0]:
+    if len(blocks) == 1:
+        x = blocks[0]
+        fits = x.data.ndim == 2 and x.data.shape[1] == w.data.shape[0]
+    else:
+        starts = [0]  # block i multiplies rows starts[i] to starts[i + 1] - 1 of w
+        for t in blocks:
+            if t.data.ndim != 2 or t.data.shape[0] != blocks[0].data.shape[0]:
+                break
+            starts.append(starts[-1] + t.data.shape[1])
+        fits = len(starts) == len(blocks) + 1 and starts[-1] == w.data.shape[0]
+    if w.data.ndim != 2 or not fits:
         raise ShapeError(f"linear shapes incompatible: {[t.data.shape for t in blocks]} @ {w.data.shape}")
-    data = blocks[0].data @ w.data[:starts[1]]
-    for t, lo, hi in zip(blocks[1:], starts[1:], starts[2:]):
-        data += t.data @ w.data[lo:hi]
+    if len(blocks) == 1:
+        data = x.data @ w.data
+        def products(g):  # the gradients of x and of w
+            return [g @ w.data.T if x.requires_grad else None,
+                    x.data.T @ g if w.requires_grad else None]
+    else:
+        data = blocks[0].data @ w.data[:starts[1]]
+        for t, lo, hi in zip(blocks[1:], starts[1:], starts[2:]):
+            data += t.data @ w.data[lo:hi]
+        def products(g):  # the gradient of each block, then of w
+            out = [g @ w.data[lo:hi].T if t.requires_grad else None
+                   for t, lo, hi in zip(blocks, starts, starts[1:])]
+            gw = None
+            if w.requires_grad:
+                gw = np.empty_like(w.data)
+                for t, lo, hi in zip(blocks, starts, starts[1:]):
+                    np.matmul(t.data.T, g, out=gw[lo:hi])
+            out.append(gw)
+            return out
     parents = (*blocks, w)
     if b is not None:
         b = as_tensor(b)
@@ -286,17 +291,10 @@ def linear(x, w, b=None, relu=False) -> Tensor:
     def bw(g):
         if relu:
             g = g * (data > 0.0)
-        out = [g @ w.data[lo:hi].T if t.requires_grad else None
-               for t, lo, hi in zip(blocks, starts, starts[1:])]
-        gw = None
-        if w.requires_grad:
-            gw = np.empty_like(w.data)
-            for t, lo, hi in zip(blocks, starts, starts[1:]):
-                np.matmul(t.data.T, g, out=gw[lo:hi])
-        out.append(gw)
+        out = products(g)
         if b is not None:
             out.append(g.sum(axis=0) if b.requires_grad else None)
-        return tuple(out)
+        return out
     return node(data, parents, bw)
 
 
@@ -398,19 +396,16 @@ class Segments:
         return self._blocks[min_rows]
 
 
-def gaussian_sample(mu, logvar, rng=None, noise=None) -> Tensor:
+def gaussian_sample(mu, logvar, noise) -> Tensor:
     """Reparameterized Gaussian sample z = mu + exp(logvar / 2) * noise, one node.
 
-    `noise` pins the standard-normal draw (gradient checks); otherwise it is
-    drawn from `rng`. Gradients flow to mu and logvar, never to the noise.
+    `noise` is the caller's standard-normal draw, shaped like mu. Gradients
+    flow to mu and logvar, never to the noise.
     """
     mu, logvar = as_tensor(mu), as_tensor(logvar)
-    if mu.data.shape != logvar.data.shape:
-        raise ShapeError(f"gaussian_sample shapes differ: {mu.data.shape} vs {logvar.data.shape}")
-    if noise is None:
-        if rng is None:
-            raise ValueError("gaussian_sample needs rng or explicit noise")
-        noise = rng.standard_normal(mu.data.shape)
+    if mu.data.shape != logvar.data.shape or np.shape(noise) != mu.data.shape:
+        raise ShapeError(f"gaussian_sample shapes differ: mu {mu.data.shape}, logvar {logvar.data.shape}, "
+                         f"noise {np.shape(noise)}")
     std = np.exp(logvar.data * 0.5)
     data = mu.data + std * noise
     return node(data, (mu, logvar), lambda g: (g, g * noise * std * 0.5))

@@ -79,34 +79,36 @@ class RunConfig:
         return out
 
 
-def _parse_value(name: str, text: str, kind):
-    text = text.strip()
-    try:
-        if kind is int:
-            return int(text)
-        if kind is float:
-            return float(text)
-        if kind is str:
-            return text
-        # remaining field type: tuple of ints
-        return tuple(int(part) for part in text.replace(",", " ").split())
-    except ValueError as err:
-        raise ConfigError(f"bad value for {name}: {err}") from err
-
-
 _FIELD_TYPES = {f.name: type(getattr(RunConfig(), f.name)) for f in fields(RunConfig)}
+
+
+def _assign(config: RunConfig, assignment: str, where: str = "") -> None:
+    """Set one `key = value` assignment on `config`; unknown keys are errors.
+
+    Every message starts with `where`, a config file's `path:line: `; a
+    `--set` override has none, and a malformed one is named as an override.
+    """
+    name, sep, text = assignment.partition("=")
+    if not sep:
+        raise ConfigError(f"{where or 'override '}{assignment!r} is not of the form key=value")
+    name, text = name.strip(), text.strip()
+    kind = _FIELD_TYPES.get(name)
+    if kind is None:
+        raise ConfigError(f"{where}unknown config key {name!r}")
+    try:
+        if kind is tuple:
+            value = tuple(int(part) for part in text.replace(",", " ").split())
+        else:
+            value = kind(text)
+    except ValueError as err:
+        raise ConfigError(f"{where}bad value for {name}: {err}") from err
+    setattr(config, name, value)
 
 
 def apply_overrides(config: RunConfig, assignments) -> RunConfig:
     """Apply `key=value` strings in order; unknown keys are errors."""
     for assignment in assignments:
-        if "=" not in assignment:
-            raise ConfigError(f"override {assignment!r} is not of the form key=value")
-        name, text = assignment.split("=", 1)
-        name = name.strip()
-        if name not in _FIELD_TYPES:
-            raise ConfigError(f"unknown config key {name!r}")
-        setattr(config, name, _parse_value(name, text, _FIELD_TYPES[name]))
+        _assign(config, assignment)
     return config
 
 
@@ -116,15 +118,8 @@ def load_config(path) -> RunConfig:
         with open(path, "r", encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 stripped = line.split("#", 1)[0].strip()
-                if not stripped:
-                    continue
-                if "=" not in stripped:
-                    raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
-                name, text = stripped.split("=", 1)
-                name = name.strip()
-                if name not in _FIELD_TYPES:
-                    raise ConfigError(f"{path}:{line_no}: unknown config key {name!r}")
-                setattr(config, name, _parse_value(name, text, _FIELD_TYPES[name]))
+                if stripped:
+                    _assign(config, stripped, f"{path}:{line_no}: ")
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     return config

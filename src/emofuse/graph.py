@@ -58,7 +58,6 @@ class CoocGraph:
     pair_counts: dict[tuple[int, int], int]  # keyed (i, j) with i < j
     adjacency: np.ndarray  # N x N symmetric, zero diagonal
     attributes: np.ndarray  # N x word_dim
-    occurrences: dict[str, int] = field(default_factory=dict)
 
     @property
     def size(self) -> int:
@@ -130,7 +129,6 @@ def build_cooc_graph(counts: CoocCounts, inventory: SenseInventory, word_table,
         pair_counts=pair_counts,
         adjacency=adjacency,
         attributes=attributes,
-        occurrences=dict(counts.occurrences),
     )
 
 

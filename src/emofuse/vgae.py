@@ -60,9 +60,9 @@ def encode(a_norm, ax, params: VgaeParams) -> LatentPosterior:
     depend on the parameters, so training computes it once for all epochs.
     Both heads read the one second propagation a_norm @ hidden.
     """
-    propagated = ad.matmul(a_norm, ad.linear(ax, params.w_in, relu=True))
-    return LatentPosterior(mu=ad.matmul(propagated, params.w_mu),
-                           logvar=ad.matmul(propagated, params.w_logvar))
+    propagated = ad.linear(a_norm, ad.linear(ax, params.w_in, relu=True))
+    return LatentPosterior(mu=ad.linear(propagated, params.w_mu),
+                           logvar=ad.linear(propagated, params.w_logvar))
 
 
 def decode(z) -> Tensor:
@@ -156,7 +156,7 @@ class VgaeConfig:
 def _encoder_inputs(graph: CoocGraph) -> tuple[Tensor, Tensor]:
     """The constant encoder inputs: a_norm and the propagated attributes a_norm @ x."""
     a_norm = Tensor(normalize_adjacency(graph.adjacency))
-    return a_norm, ad.matmul(a_norm, Tensor(graph.attributes))
+    return a_norm, ad.linear(a_norm, Tensor(graph.attributes))
 
 
 def train_vgae(graph: CoocGraph, config: VgaeConfig, rng) -> tuple[EmojiEmbeddings, VgaeParams, list[float]]:
@@ -178,7 +178,7 @@ def train_vgae(graph: CoocGraph, config: VgaeConfig, rng) -> tuple[EmojiEmbeddin
     for epoch in range(config.epochs):
         ad.zero_grads(param_list)
         posterior = encode(a_norm, ax, params)
-        z = ad.gaussian_sample(posterior.mu, posterior.logvar, rng=rng)
+        z = ad.gaussian_sample(posterior.mu, posterior.logvar, rng.standard_normal(posterior.mu.shape))
         loss = vgae_loss(decode(z), a_bin, posterior)
         value = loss.item()
         if not math.isfinite(value):

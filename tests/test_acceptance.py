@@ -75,7 +75,7 @@ def test_criterion_1_gradient_integrity(word_table):
     noise = rng.standard_normal((n, 2))
 
     def vgae_objective(_):
-        posterior = encode(a_norm, ad.matmul(a_norm, x), vparams)
+        posterior = encode(a_norm, ad.linear(a_norm, x), vparams)
         z = ad.gaussian_sample(posterior.mu, posterior.logvar, noise=noise)
         return vgae_loss(decode(z), a_bin, posterior)
 

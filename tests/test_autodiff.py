@@ -29,9 +29,8 @@ EDGES = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 NODE_OPS = {
     "add": ([(2, 3), (3,)], ad.add),
     "mul": ([(2, 3), (3,)], ad.mul),
-    "matmul": ([(2, 3), (3, 4)], ad.matmul),
     "concat": ([(2, 3), (1, 3)], lambda a, b: ad.concat([a, b])),
-    "layer_norm": ([(2, 3), (3,), (3,), (2, 3)], lambda a, g, b, r: ad.layer_norm(a, g, b, residual=r)),
+    "layer_norm": ([(2, 3), (3,), (3,), (2, 3)], ad.layer_norm),
     "linear": ([(2, 3), (3, 4), (4,)], lambda x, w, b: ad.linear(x, w, b, relu=True)),
     "gaussian_sample": ([(2, 3), (2, 3)], lambda mu, logvar: ad.gaussian_sample(mu, logvar, noise=NOISE)),
     "scaled_dot_attention": ([(2, 4), (3, 4), (3, 2)], scaled_dot_attention),
@@ -99,22 +98,45 @@ class TestBackwardBasics:
         with pytest.raises(TypeError):
             Tensor(np.ones(2), True, (Tensor(np.ones(2), requires_grad=True),), lambda g: (g,))
 
-    def test_matmul_backward_skips_constant_operand(self):
+    def test_linear_backward_skips_constant_operand(self):
         rng = np.random.default_rng(0)
         a_data, b_data = rng.standard_normal((2, 3)), rng.standard_normal((3, 4))
         g = rng.standard_normal((2, 4))
-        ga, gb = ad.matmul(Tensor(a_data), Tensor(b_data, requires_grad=True))._backward(g)
+        ga, gb = ad.linear(Tensor(a_data), Tensor(b_data, requires_grad=True))._backward(g)
         assert ga is None
         np.testing.assert_array_equal(gb, a_data.T @ g)
-        ga, gb = ad.matmul(Tensor(a_data, requires_grad=True), Tensor(b_data))._backward(g)
+        ga, gb = ad.linear(Tensor(a_data, requires_grad=True), Tensor(b_data))._backward(g)
         assert gb is None
         np.testing.assert_array_equal(ga, g @ b_data.T)
 
 
+class TestLinear:
+    @pytest.mark.parametrize("rows, inner, cols", [(4, 32, 32), (185, 300, 300)])
+    @pytest.mark.parametrize("case", ["tracked_x_tracked_w", "constant_x_non_leaf_w", "tracked_x_constant_w"])
+    def test_one_matrix_is_numpys_products_bit_for_bit(self, case, rows, inner, cols):
+        """One-matrix linear gives the bytes of x @ w, g @ w.T and x.T @ g."""
+        rng = np.random.default_rng(zlib.crc32(f"{case}{rows}".encode()))
+        x_data, w_data = rng.standard_normal((rows, inner)), rng.standard_normal((inner, cols))
+        g = rng.standard_normal((rows, cols))
+        x = Tensor(x_data, requires_grad=case != "constant_x_non_leaf_w")
+        if case == "constant_x_non_leaf_w":  # the VGAE's a_norm @ hidden
+            w = ad.mul(Tensor(w_data / 2.0, requires_grad=True), 2.0)
+        else:
+            w = Tensor(w_data, requires_grad=case == "tracked_x_tracked_w")
+        out = ad.linear(x, w)
+        assert out.data.tobytes() == (x_data @ w.data).tobytes()
+        gx, gw = out._backward(g)
+        assert (gx is None) == (not x.requires_grad) and (gw is None) == (not w.requires_grad)
+        if gx is not None:
+            assert gx.tobytes() == (g @ w.data.T).tobytes()
+        if gw is not None:
+            assert gw.tobytes() == (x_data.T @ g).tobytes()
+
+
 class TestShapeErrors:
-    def test_matmul_mismatch_reports_both_shapes(self):
+    def test_linear_mismatch_reports_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+            ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
     def test_add_mismatch(self):
         with pytest.raises(ShapeError):
@@ -141,18 +163,17 @@ class TestElementwise:
 
 
 class TestLayerNorm:
-    @pytest.mark.parametrize("with_residual", [False, True])
-    def test_matches_mean_formula_bit_for_bit(self, with_residual):
+    def test_matches_mean_formula_bit_for_bit(self):
         """Row means from np.add.reduce / d are the bits ndarray.mean gives, forward and backward."""
-        rng = np.random.default_rng(14 + with_residual)
+        rng = np.random.default_rng(15)
         a = Tensor(rng.standard_normal((5, 7)) * 3.0 + 1.0, requires_grad=True)
-        residual = Tensor(rng.standard_normal((5, 7)), requires_grad=True) if with_residual else None
+        residual = Tensor(rng.standard_normal((5, 7)), requires_grad=True)
         gain, bias = Tensor(rng.uniform(0.5, 1.5, 7)), Tensor(rng.standard_normal(7))
         g = rng.standard_normal((5, 7))
-        out = ad.layer_norm(a, gain, bias, residual=residual)
+        out = ad.layer_norm(a, gain, bias, residual)
         tensor_sum(ad.mul(out, g)).backward()
 
-        x = a.data + residual.data if with_residual else a.data
+        x = a.data + residual.data
         centered = x - x.mean(axis=-1, keepdims=True)
         inv_std = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + 1e-5)
         normed = centered * inv_std
@@ -161,14 +182,13 @@ class TestLayerNorm:
         dx = (d_normed - d_normed.mean(axis=-1, keepdims=True)
               - normed * (d_normed * normed).mean(axis=-1, keepdims=True)) * inv_std
         np.testing.assert_array_equal(a.grad, dx)
-        if with_residual:
-            np.testing.assert_array_equal(residual.grad, dx)
+        np.testing.assert_array_equal(residual.grad, dx)
 
 
 class TestGaussianSample:
     def test_near_zero_variance_returns_mean(self):
         mu = Tensor([1.0, -2.0], requires_grad=True)
-        z = ad.gaussian_sample(mu, Tensor([-40.0, -40.0]), rng=np.random.default_rng(0))
+        z = ad.gaussian_sample(mu, Tensor([-40.0, -40.0]), np.random.default_rng(0).standard_normal(2))
         np.testing.assert_allclose(z.data, mu.data, atol=1e-8)
 
     def test_fixed_noise_reproducible(self):
@@ -187,6 +207,10 @@ class TestGaussianSample:
         expected = 0.5 * np.exp(0.1) * 0.7
         np.testing.assert_allclose(logvar.grad, [expected], atol=1e-12)
 
+    def test_noise_of_another_shape_rejected(self):
+        with pytest.raises(ShapeError, match=r"noise \(3,\)"):
+            ad.gaussian_sample(Tensor(np.zeros((2,))), Tensor(np.zeros((2,))), np.zeros(3))
+
 
 class TestGradCheck:
     def test_sum_of_squares_tight(self):
@@ -201,8 +225,8 @@ class TestGradCheck:
         x = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
 
         def f(t):
-            h1 = tanh(ad.matmul(t, w1))
-            h2 = sigmoid(ad.matmul(h1, w2))
+            h1 = tanh(ad.linear(t, w1))
+            h2 = sigmoid(ad.linear(h1, w2))
             return mean(ad.mul(h2, h2))
 
         assert grad_check(f, x) < 1e-5
@@ -213,7 +237,7 @@ class TestGradCheck:
         x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
 
         def f(t):
-            return cross_entropy_logits(ad.matmul(t, w), [3, 1])
+            return cross_entropy_logits(ad.linear(t, w), [3, 1])
 
         assert grad_check(f, x) < 1e-5
 
@@ -257,7 +281,7 @@ class TestGradCheck:
 
         functions = {
             "tanh": lambda t: mean(ad.mul(tanh(t), weights)),
-            "layer_norm": lambda t: mean(ad.mul(ad.layer_norm(t, gain, bias), weights)),
+            "layer_norm": lambda t: mean(ad.mul(ad.layer_norm(t, gain, bias, other), weights)),
             "concat": lambda t: mean(ad.mul(ad.concat([t, other], axis=0),
                                                np.concatenate([weights.data, weights.data]))),
             "slice": lambda t: mean(ad.mul(tslice(t, np.s_[1:, :2]), weights.data[1:, :2])),
@@ -269,7 +293,7 @@ class TestGradCheck:
             "linear": lambda t: mean(ad.mul(ad.linear(t, wide, wide_bias, relu=True), wide_weights)),
             "linear_blocks": lambda t: mean(ad.mul(ad.linear([tslice(t, np.s_[:, :1]), other, tslice(t, np.s_[:, 1:])], block_w),
                                                       wide_weights[:, :2])),
-            "add_layer_norm": lambda t: mean(ad.mul(ad.layer_norm(other, gain, bias, residual=t),
+            "add_layer_norm": lambda t: mean(ad.mul(ad.layer_norm(other, gain, bias, t),
                                                        weights)),
             "bilstm_layer": lambda _: mean(ad.mul(bilstm_layer(packed, lstm, chunk), packed_weights)),
             "segment_attention": lambda t: mean(ad.mul(scaled_dot_attention(
@@ -336,16 +360,16 @@ class TestLeafAccumulation:
         single = []
         for x in inputs:
             w.grad = None
-            tensor_sum(tanh(ad.matmul(x, w))).backward()
+            tensor_sum(tanh(ad.linear(x, w))).backward()
             single.append(w.grad.copy())
         w.grad = None
         for x in inputs:
-            tensor_sum(tanh(ad.matmul(x, w))).backward()
+            tensor_sum(tanh(ad.linear(x, w))).backward()
         np.testing.assert_allclose(w.grad, single[0] + single[1], rtol=1e-15)
 
     def test_no_second_copy_of_a_large_gradient(self):
         w = Tensor(np.ones((2000, 2000)), requires_grad=True)
-        loss = tensor_sum(ad.matmul(np.ones((1, 2000)), w))
+        loss = tensor_sum(ad.linear(np.ones((1, 2000)), w))
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]

@@ -63,6 +63,22 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_file_errors_name_path_and_line_and_overrides_keep_their_messages(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        for text, line, message in (("seed = 1\n# note\nepochs = many\n", 3, "bad value for epochs: "),
+                                    ("bogus = 1\n", 1, "unknown config key 'bogus'"),
+                                    ("\nseed 9\n", 2, "'seed 9' is not of the form key=value")):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(ConfigError) as err:
+                load_config(path)
+            assert str(err.value).startswith(f"{path}:{line}: {message}")
+        for setting, message in (("epochs=many", "bad value for epochs: invalid literal"),
+                                 ("bogus=1", "unknown config key 'bogus'"),
+                                 ("seed9", "override 'seed9' is not of the form key=value")):
+            with pytest.raises(ConfigError) as err:
+                apply_overrides(RunConfig(), [setting])
+            assert str(err.value).startswith(message)
+
     def test_overrides(self):
         config = apply_overrides(RunConfig(), ["seed=4", "lr=0.5", "ablation=N"])
         assert (config.seed, config.lr, config.ablation) == (4, 0.5, "N")

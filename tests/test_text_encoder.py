@@ -155,7 +155,7 @@ def reference_direction(inputs, params, hidden, reverse):
     outputs = [None] * length
     for t in order:
         x_t = tslice(inputs, np.s_[t:t + 1])
-        gates = ad.matmul(x_t, params.w_x) + ad.matmul(h, params.w_h) + params.b
+        gates = ad.linear(x_t, params.w_x) + ad.linear(h, params.w_h) + params.b
         i_gate = sigmoid(tslice(gates, np.s_[:, 0 * hidden:1 * hidden]))
         f_gate = sigmoid(tslice(gates, np.s_[:, 1 * hidden:2 * hidden]))
         g_cell = tanh(tslice(gates, np.s_[:, 2 * hidden:3 * hidden]))

@@ -300,7 +300,7 @@ class TestVgaeGradients:
         noise = rng.standard_normal((n, 2))
 
         def loss_for(params_override):
-            posterior = encode(a_norm, ad.matmul(a_norm, Tensor(x)), params_override)
+            posterior = encode(a_norm, ad.linear(a_norm, Tensor(x)), params_override)
             z = ad.gaussian_sample(posterior.mu, posterior.logvar, noise=noise)
             return vgae_loss(decode(z), a_bin, posterior)
 
