@@ -5,7 +5,15 @@ The package splits into three layers: corpus and knowledge ingestion
 autodiff engine, and the trained components built on it (graph autoencoder,
 text encoder, attention fusion, convolutional classifier). The CLI in
 `emofuse.cli` drives the full pipeline.
+
+Importing the package before numpy pins OpenBLAS to one thread, unless
+OPENBLAS_NUM_THREADS is already set: some matrix products give other bits
+at another thread count, so byte-identical reruns need a fixed one.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .attention import ABLATIONS
 from .autodiff import Tensor, grad_check
@@ -20,7 +28,7 @@ from .exceptions import (
     TrainingError,
 )
 from .graph import CoocGraph, build_cooc_graph, count_cooccurrences
-from .model import SentimentModel, build_model
+from .model import SentimentModel
 from .pipeline import EvalReport, evaluate, train_classifier
 from .senses import SenseInventory, load_emojinet
 from .text_encoder import WordEmbeddingTable, positional_encoding
@@ -51,7 +59,6 @@ __all__ = [
     "VgaeConfig",
     "WordEmbeddingTable",
     "build_cooc_graph",
-    "build_model",
     "count_cooccurrences",
     "evaluate",
     "grad_check",

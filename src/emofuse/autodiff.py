@@ -521,18 +521,19 @@ def pack_parameters(params) -> np.ndarray:
 
 
 class AdamState:
-    """Bias-corrected Adam moments for one ordered parameter list, kept flat.
+    """Bias-corrected Adam moments for the parameters of `root`, kept flat.
 
-    Building the state packs the parameters (`pack_parameters`); the
+    `params` is `named_parameters(root)` in its order; a list of tensors is
+    a root too. Building the state packs them (`pack_parameters`); the
     moments m and v are flat buffers laid out like the arena. `groups` cuts
     that layout into runs of consecutive tensors, each (lo, hi, first, last):
     arena floats lo to hi - 1, parameters first to last - 1.
     """
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, root, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.step_count = 0
-        self.count = len(params)
+        self.params = params = [p for _, p in named_parameters(root)]
         self.data = pack_parameters(params)
         self.m = np.zeros_like(self.data)
         self.v = np.zeros_like(self.data)
@@ -549,8 +550,8 @@ class AdamState:
         self.work = np.empty((2, max((hi - lo for lo, hi, _, _ in self.groups), default=0)))
 
 
-def adam_step(params, state: AdamState):
-    """One bias-corrected Adam update of `params`, the list `state` was built on.
+def adam_step(state: AdamState):
+    """One bias-corrected Adam update of `state.params`.
 
     Gradients stay per tensor. A group's are gathered into the second
     scratch row, a None gradient as zeros; a one-tensor group reads its
@@ -561,15 +562,13 @@ def adam_step(params, state: AdamState):
     p -= (lr (m / bc1)) / (sqrt(v / bc2) + eps).
     The gathered gradient is last read before its row is first written.
     """
-    if len(params) != state.count:
-        raise ShapeError(f"adam_step got {len(params)} params for state of {state.count}")
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
     for lo, hi, first, last in state.groups:
-        grads = [np.zeros(p.data.size) if p.grad is None else p.grad for p in params[first:last]]
+        grads = [np.zeros(p.data.size) if p.grad is None else p.grad for p in state.params[first:last]]
         t1, t2 = state.work[:, :hi - lo]
         g = grads[0].reshape(-1) if len(grads) == 1 else np.concatenate(grads, axis=None, out=t2)
         m, v = state.m[lo:hi], state.v[lo:hi]

@@ -23,8 +23,8 @@ from .clustering import cluster_similarity, write_similarity_tsv
 from .config import RunConfig, apply_overrides, config_from_dict, load_config
 from .exceptions import ConfigError, CorpusError, EmofuseError
 from .graph import build_cooc_graph, count_cooccurrences, load_graph, save_graph
-from .model import SentimentModel, build_model
-from .pipeline import evaluate, train_classifier, write_history_csv, write_loss_csv
+from .model import SentimentModel
+from .pipeline import evaluate, train_classifier, write_csv
 from .senses import load_emojinet
 from .text_encoder import WordEmbeddingTable
 from .tokenization import load_labeled_dataset, load_unlabeled_corpus, tokenize
@@ -39,29 +39,12 @@ CLASSIFIER_META = "classifier_meta.json"
 VGAE_PREFIX = "vgae"  # graph checkpoint keys are vgae.w_in, vgae.w_mu, vgae.w_logvar
 
 
-def _load_run_config(args) -> RunConfig:
-    config = load_config(args.config)
-    if args.set:
-        apply_overrides(config, args.set)
-    if args.seed is not None:
-        config.seed = args.seed
-    return config.validate()
-
-
-def _require(config: RunConfig, *names: str):
-    for name in names:
-        if not getattr(config, name):
-            raise ConfigError(f"config key {name!r} is required for this subcommand")
-
-
 def _out_path(config: RunConfig, name: str) -> str:
     os.makedirs(config.output_dir, exist_ok=True)
     return os.path.join(config.output_dir, name)
 
 
-def cmd_build_graph(args) -> int:
-    config = _load_run_config(args)
-    _require(config, "unlabeled_corpus", "inventory", "word_vectors", "graph_dir")
+def cmd_build_graph(config: RunConfig) -> int:
     inventory = load_emojinet(config.inventory)
     table = WordEmbeddingTable.load(config.word_vectors)
     posts = (tokenize(text) for text in load_unlabeled_corpus(config.unlabeled_corpus))
@@ -72,9 +55,7 @@ def cmd_build_graph(args) -> int:
     return 0
 
 
-def cmd_train_vgae(args) -> int:
-    config = _load_run_config(args)
-    _require(config, "graph_dir")
+def cmd_train_vgae(config: RunConfig) -> int:
     graph = load_graph(config.graph_dir)
     vgae_config = VgaeConfig(hidden=config.vgae_hidden, latent=config.vgae_latent,
                              epochs=config.vgae_epochs, lr=config.vgae_lr)
@@ -84,16 +65,14 @@ def cmd_train_vgae(args) -> int:
     embeddings.save(embeddings_path)
     save_tensors(_out_path(config, GRAPH_CHECKPOINT),
                  {name: p.data for name, p in named_parameters(params, VGAE_PREFIX)})
-    write_loss_csv(_out_path(config, "vgae_history.csv"), history)
+    write_csv(_out_path(config, "vgae_history.csv"), ("epoch", "loss"), enumerate(history, start=1))
     final_loss = history[-1] if history else float("nan")
     print(f"vgae: {len(embeddings.ids)} embeddings of dim {embeddings.dimension} "
           f"-> {embeddings_path} (final loss {final_loss})")
     return 0
 
 
-def cmd_export_embeddings(args) -> int:
-    config = _load_run_config(args)
-    _require(config, "graph_dir", "checkpoint")
+def cmd_export_embeddings(config: RunConfig) -> int:
     graph = load_graph(config.graph_dir)
     params = VgaeParams.create(graph.attributes.shape[1], config.vgae_hidden, config.vgae_latent,
                                np.random.default_rng(config.seed))
@@ -105,9 +84,7 @@ def cmd_export_embeddings(args) -> int:
     return 0
 
 
-def cmd_train_classifier(args) -> int:
-    config = _load_run_config(args)
-    _require(config, "train_data", "word_vectors", "embeddings")
+def cmd_train_classifier(config: RunConfig) -> int:
     posts, _ = load_labeled_dataset(config.train_data)
     table = WordEmbeddingTable.load(config.word_vectors)
     embeddings = EmojiEmbeddings.load(config.embeddings)
@@ -118,7 +95,8 @@ def cmd_train_classifier(args) -> int:
     meta = {"config": config.as_dict(), "emoji_ids": model.emoji_table.ids}
     with open(_out_path(config, CLASSIFIER_META), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True, ensure_ascii=False)
-    write_history_csv(_out_path(config, "train_history.csv"), history)
+    write_csv(_out_path(config, "train_history.csv"), ("epoch", "loss", "accuracy"),
+              [(s.epoch, s.loss, s.accuracy) for s in history])
     final = history[-1] if history else None
     summary = f"loss {final.loss} acc {final.accuracy}" if final else "no epochs"
     print(f"classifier: {len(posts)} posts, {config.epochs} epochs ({summary}) -> {config.output_dir}")
@@ -143,29 +121,24 @@ def load_classifier(checkpoint_path, meta_path, word_table: WordEmbeddingTable) 
         raise ConfigError(f"classifier metadata {meta_path}: emoji_ids repeats an id")
     try:
         config = config_from_dict(meta["config"]).validate()
-    except (ConfigError, TypeError, ValueError) as err:
+    except ConfigError as err:
         raise ConfigError(f"classifier metadata {meta_path}: {err}") from None
     tensors = load_tensors(checkpoint_path)
     matrix = tensors.get("emoji_matrix")
     if matrix is None or matrix.shape[0] != len(ids):
         raise ConfigError(f"checkpoint {checkpoint_path} has no emoji matrix matching its id list")
-    model = build_model(config, word_table, EmojiEmbeddings(ids=ids, vectors=matrix))
+    model = SentimentModel(config, word_table, EmojiEmbeddings(ids=ids, vectors=matrix),
+                           np.random.default_rng(config.seed))
     model.load_state(tensors, checkpoint_path)
     return model
 
 
-def cmd_evaluate(args) -> int:
-    config = _load_run_config(args)
-    _require(config, "test_data", "word_vectors")
+def cmd_evaluate(config: RunConfig) -> int:
     checkpoint = config.checkpoint or _out_path(config, CLASSIFIER_CHECKPOINT)
     meta_path = os.path.splitext(checkpoint)[0] + "_meta.json"
     table = WordEmbeddingTable.load(config.word_vectors)
     model = load_classifier(checkpoint, meta_path, table)
     posts, _ = load_labeled_dataset(config.test_data)
-    labels = {p.label for p in posts}
-    if any(label >= model.config.num_classes for label in labels):
-        raise ConfigError(
-            f"test labels {sorted(labels)} exceed the checkpoint's {model.config.num_classes} classes")
     report = evaluate(model, posts)
     text = report.to_json()
     print(text)
@@ -174,9 +147,7 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_cluster_viz(args) -> int:
-    config = _load_run_config(args)
-    _require(config, "embeddings", "unlabeled_corpus")
+def cmd_cluster_viz(config: RunConfig) -> int:
     embeddings = EmojiEmbeddings.load(config.embeddings)
     posts = (tokenize(text) for text in load_unlabeled_corpus(config.unlabeled_corpus))
     counts = count_cooccurrences(posts)
@@ -201,34 +172,43 @@ def build_parser() -> argparse.ArgumentParser:
         description="Emoji co-occurrence graph embeddings and text/emoji sentiment classification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "build-graph": (cmd_build_graph, "Build the weighted emoji co-occurrence graph from an unlabeled corpus."),
-        "train-vgae": (cmd_train_vgae, "Train the graph autoencoder and export emoji embeddings."),
-        "train-classifier": (cmd_train_classifier, "Train the fusion classifier on a labeled corpus."),
-        "evaluate": (cmd_evaluate, "Evaluate a trained classifier on a labeled corpus."),
-        "export-embeddings": (cmd_export_embeddings, "Re-export embeddings from a graph autoencoder checkpoint."),
-        "cluster-viz": (cmd_cluster_viz, "Emit the clustered similarity matrix of the most frequent emojis."),
+    commands = {  # name: (handler, config keys it requires, help)
+        "build-graph": (cmd_build_graph, ("unlabeled_corpus", "inventory", "word_vectors", "graph_dir"),
+                        "Build the weighted emoji co-occurrence graph from an unlabeled corpus."),
+        "train-vgae": (cmd_train_vgae, ("graph_dir",),
+                       "Train the graph autoencoder and export emoji embeddings."),
+        "train-classifier": (cmd_train_classifier, ("train_data", "word_vectors", "embeddings"),
+                             "Train the fusion classifier on a labeled corpus."),
+        "evaluate": (cmd_evaluate, ("test_data", "word_vectors"),
+                     "Evaluate a trained classifier on a labeled corpus."),
+        "export-embeddings": (cmd_export_embeddings, ("graph_dir", "checkpoint"),
+                              "Re-export embeddings from a graph autoencoder checkpoint."),
+        "cluster-viz": (cmd_cluster_viz, ("embeddings", "unlabeled_corpus"),
+                        "Emit the clustered similarity matrix of the most frequent emojis."),
     }
-    for name, (handler, help_text) in commands.items():
+    for name, (handler, required, help_text) in commands.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to the run configuration file")
         cmd.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                          help="override a config key (repeatable)")
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
-        cmd.set_defaults(handler=handler)
+        cmd.set_defaults(handler=handler, required=required)
     return parser
 
 
 def cli_main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s", stream=sys.stderr)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except EmofuseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
+        config = apply_overrides(load_config(args.config), args.set)
+        if args.seed is not None:
+            config.seed = args.seed
+        config.validate()
+        for name in args.required:
+            if not getattr(config, name):
+                raise ConfigError(f"config key {name!r} is required for this subcommand")
+        return args.handler(config)
+    except (EmofuseError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -125,6 +125,16 @@ def load_config(path) -> RunConfig:
     return config
 
 
+_STORED_TYPES = {int: "an int", float: "a number", str: "a string", tuple: "a list of ints"}
+
+
+def _stored_type_ok(kind, value) -> bool:
+    """Whether a JSON value is a field of type `kind`; a bool is never a number."""
+    if kind is tuple:
+        return isinstance(value, list) and all(_stored_type_ok(int, v) for v in value)
+    return isinstance(value, (int, float) if kind is float else kind) and not isinstance(value, bool)
+
+
 def config_from_dict(data: dict) -> RunConfig:
     """Rebuild a config from its as_dict form (checkpoint echo); see `_RETIRED`."""
     config = RunConfig()
@@ -134,9 +144,10 @@ def config_from_dict(data: dict) -> RunConfig:
                 raise ConfigError(f"stored config key {name!r} is {value!r}; it is retired "
                                   f"and only {_RETIRED[name]!r} is built now")
             continue
-        if name not in _FIELD_TYPES:
+        kind = _FIELD_TYPES.get(name)
+        if kind is None:
             raise ConfigError(f"unknown config key {name!r} in stored config")
-        if name == "kernel_sizes":
-            value = tuple(int(v) for v in value)
-        setattr(config, name, value)
+        if not _stored_type_ok(kind, value):
+            raise ConfigError(f"stored config key {name!r} is {value!r}, expected {_STORED_TYPES[kind]}")
+        setattr(config, name, tuple(value) if kind is tuple else kind(value))
     return config

@@ -65,17 +65,15 @@ class CoocGraph:
 
 
 def build_adjacency(pair_counts, sense_vectors, node_ids) -> np.ndarray:
-    """Edge weight = cosine(sense vectors) * pair count; symmetric, zero diagonal."""
+    """Edge weight = cosine(sense vectors) * pair count; symmetric, zero diagonal.
+
+    `pair_counts` is keyed by node index pairs (i, j) with i < j.
+    """
     n = len(node_ids)
-    index = {e: i for i, e in enumerate(node_ids)}
     a = np.zeros((n, n), dtype=np.float64)
-    for (e1, e2), count in pair_counts.items():
-        if e1 not in index or e2 not in index:
-            continue
-        i, j = index[e1], index[e2]
-        if i == j:
-            continue
-        weight = cosine_similarity(sense_vectors.get(e1, {}), sense_vectors.get(e2, {})) * count
+    for (i, j), count in pair_counts.items():
+        weight = cosine_similarity(sense_vectors.get(node_ids[i], {}),
+                                   sense_vectors.get(node_ids[j], {})) * count
         a[i, j] = weight
         a[j, i] = weight
     return a
@@ -108,20 +106,16 @@ def build_cooc_graph(counts: CoocCounts, inventory: SenseInventory, word_table,
     node_ids = sorted(counts.occurrences)
     sense_vectors = tfidf_sense_vectors(inventory)
     index = {e: i for i, e in enumerate(node_ids)}
-    kept_pairs = {
-        pair: c for pair, c in counts.pairs.items() if c >= min_pair_count
+    pair_counts = {
+        tuple(sorted((index[a], index[b]))): c for (a, b), c in counts.pairs.items() if c >= min_pair_count
     }
-    adjacency = build_adjacency(kept_pairs, sense_vectors, node_ids)
+    adjacency = build_adjacency(pair_counts, sense_vectors, node_ids)
     dim = word_table.dimension
     attributes = np.zeros((len(node_ids), dim), dtype=np.float64)
     for emoji, i in index.items():
         entry = inventory.get(emoji)
         if entry is not None:
             attributes[i] = node_attribute(entry, word_table)
-    pair_counts = {
-        (index[a], index[b]) if index[a] < index[b] else (index[b], index[a]): c
-        for (a, b), c in kept_pairs.items()
-    }
     logger.info("graph: %d nodes, %d weighted pairs from %d posts",
                 len(node_ids), len(pair_counts), counts.posts)
     return CoocGraph(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .attention import ABLATIONS, FusionParams, FusedFeatures, fuse
+from .attention import ABLATIONS, FusionParams, fuse
 from .autodiff import Tensor
 from .config import RunConfig
 from .exceptions import ConfigError
@@ -120,10 +120,8 @@ class SentimentModel:
             raw_rows = raw_rows + ad.mul(placeholder[:, None] * 1.0, self.params.no_emoji)
         return raw_rows + pe, raw_rows, segments
 
-    def fused_features(self, posts) -> FusedFeatures:
-        """The attention channels of a chunk: a list of tokenized posts, or one post."""
-        if isinstance(posts, TokenSequence):
-            posts = [posts]
+    def forward_logits(self, posts: list[TokenSequence]) -> Tensor:
+        """Class scores (posts, classes) for a chunk of tokenized posts."""
         parts = [self.split(seq) for seq in posts]
         words = [token for post_words, _ in parts for token in post_words]
         text_segments = ad.Segments([len(post_words) for post_words, _ in parts])
@@ -131,16 +129,12 @@ class SentimentModel:
         emoji_feats = emoji_raw = emoji_segments = None
         if self.params.fusion.wiring.use_emoji:
             emoji_feats, emoji_raw, emoji_segments = self._emoji_rows([emojis for _, emojis in parts])
-        return fuse(encoded.levels, encoded.lstm2, emoji_feats, emoji_raw, self.params.fusion,
-                    text_segments, emoji_segments)
-
-    def forward_logits(self, posts) -> Tensor:
-        """Class scores (posts, classes) for a chunk: a list of tokenized posts, or one post."""
-        fused = self.fused_features(posts)
+        fused = fuse(encoded.levels, encoded.lstm2, emoji_feats, emoji_raw, self.params.fusion,
+                     text_segments, emoji_segments)
         return classify_logits(fused.channels(), self.params.cnn)
 
     def predict(self, seq: TokenSequence) -> int:
-        return int(self.forward_logits(seq).data.argmax())
+        return int(self.forward_logits([seq]).data.argmax())
 
     # --- persistence ---------------------------------------------------------
 
@@ -159,8 +153,3 @@ class SentimentModel:
         if matrix is not None:
             self.emoji_table = EmojiEmbeddings(self.emoji_table.ids, matrix.copy())
 
-
-def build_model(config: RunConfig, word_table: WordEmbeddingTable,
-                embeddings: EmojiEmbeddings, seed: int | None = None) -> SentimentModel:
-    rng = np.random.default_rng(config.seed if seed is None else seed)
-    return SentimentModel(config, word_table, embeddings, rng)

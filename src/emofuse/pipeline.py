@@ -99,8 +99,7 @@ def train_classifier(model: SentimentModel, posts: list[RawPost], rng) -> list[E
     sequences = [tokenize(p.text) for p in posts]
     rows = [len(model.split(seq)[0]) for seq in sequences]
     labels = np.array([p.label for p in posts])
-    params = [p for _, p in ad.named_parameters(model.params)]
-    opt = ad.AdamState(params, lr=config.lr)
+    opt = ad.AdamState(model.params, lr=config.lr)
     history: list[EpochStats] = []
     for epoch in range(config.epochs):
         order = rng.permutation(len(posts))
@@ -108,7 +107,7 @@ def train_classifier(model: SentimentModel, posts: list[RawPost], rng) -> list[E
         correct = 0
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
-            ad.zero_grads(params)
+            ad.zero_grads(opt.params)
             scale = 1.0 / len(batch)
             for chunk in _chunks(batch, rows):
                 logits = model.forward_logits([sequences[i] for i in chunk])
@@ -117,7 +116,7 @@ def train_classifier(model: SentimentModel, posts: list[RawPost], rng) -> list[E
                 total_loss += loss.item() * len(batch)
                 correct += int((logits.data.argmax(axis=1) == labels[chunk]).sum())
                 del logits, loss  # free this chunk's tape before the next forward
-            ad.adam_step(params, opt)
+            ad.adam_step(opt)
         stats = EpochStats(
             epoch=epoch + 1,
             loss=total_loss / len(posts),
@@ -164,15 +163,9 @@ def evaluate(model: SentimentModel, posts: list[RawPost]) -> EvalReport:
     )
 
 
-def write_history_csv(path, history: list[EpochStats]):
+def write_csv(path, header, rows):
+    """One comma-separated line of column names, then one line per row, each value by repr."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,loss,accuracy\n")
-        for stats in history:
-            fh.write(f"{stats.epoch},{stats.loss!r},{stats.accuracy!r}\n")
-
-
-def write_loss_csv(path, losses: list[float]):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,loss\n")
-        for epoch, loss in enumerate(losses, start=1):
-            fh.write(f"{epoch},{loss!r}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(repr, row)) + "\n")

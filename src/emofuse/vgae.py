@@ -172,11 +172,10 @@ def train_vgae(graph: CoocGraph, config: VgaeConfig, rng) -> tuple[EmojiEmbeddin
     a_norm, ax = _encoder_inputs(graph)
     a_bin = binarize_edges(graph.adjacency)
     params = VgaeParams.create(graph.attributes.shape[1], config.hidden, config.latent, rng)
-    param_list = [p for _, p in ad.named_parameters(params)]
-    opt = ad.AdamState(param_list, lr=config.lr)
+    opt = ad.AdamState(params, lr=config.lr)
     history: list[float] = []
     for epoch in range(config.epochs):
-        ad.zero_grads(param_list)
+        ad.zero_grads(opt.params)
         posterior = encode(a_norm, ax, params)
         z = ad.gaussian_sample(posterior.mu, posterior.logvar, rng.standard_normal(posterior.mu.shape))
         loss = vgae_loss(decode(z), a_bin, posterior)
@@ -184,7 +183,7 @@ def train_vgae(graph: CoocGraph, config: VgaeConfig, rng) -> tuple[EmojiEmbeddin
         if not math.isfinite(value):
             raise TrainingError(f"vgae loss is {value} at epoch {epoch + 1}/{config.epochs}")
         loss.backward()
-        ad.adam_step(param_list, opt)
+        ad.adam_step(opt)
         history.append(value)
         logger.info("vgae epoch %d/%d loss %.6f", epoch + 1, config.epochs, history[-1])
     final = encode(a_norm, ax, params)

@@ -89,6 +89,17 @@ class TestCliErrors:
         assert code != 0
         assert "unlabeled_corpus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, key", [
+        ("build-graph", "unlabeled_corpus"),
+        ("train-vgae", "graph_dir"),
+        ("train-classifier", "train_data"),
+        ("evaluate", "test_data"),
+        ("export-embeddings", "checkpoint"),
+        ("cluster-viz", "embeddings"),
+    ])
+    def test_each_subcommand_requires_its_keys(self, workspace, capsys, command, key):
+        assert cli_main([command, "--config", "run.cfg", "--set", f"{key}="]) == 1
+        assert f"config key {key!r} is required" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, setting", [
         ("train-classifier", "batch_size=0"),
@@ -257,3 +268,16 @@ class TestCliPipeline:
         assert cli_main(["evaluate", "--config", "run.cfg"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "classifier_meta.json" in err
+
+    @pytest.mark.parametrize("key, value", [("seed", "a"), ("max_len", 12.5), ("num_classes", 2.0)])
+    def test_mistyped_classifier_metadata_exits_1_naming_the_file_and_key(self, workspace, capsys, key, value):
+        for command in ("build-graph", "train-vgae", "train-classifier"):
+            assert cli_main([command, "--config", "run.cfg"]) == 0
+        path = workspace / "out" / "classifier_meta.json"
+        meta = json.loads(path.read_text(encoding="utf-8"))
+        meta["config"][key] = value
+        path.write_text(json.dumps(meta), encoding="utf-8")
+        capsys.readouterr()
+        assert cli_main(["evaluate", "--config", "run.cfg"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "classifier_meta.json" in err and repr(key) in err

@@ -17,7 +17,7 @@ from emofuse.graph import (
     normalize_adjacency,
     save_graph,
 )
-from emofuse.senses import load_emojinet, tfidf_sense_vectors
+from emofuse.senses import load_emojinet
 from emofuse.tokenization import tokenize
 
 
@@ -88,7 +88,7 @@ class TestBuildAdjacency:
     def test_weight_is_cosine_times_count(self):
         # cosine({x:1}, {x:1, y:sqrt(3)}) = 1/2, count 4 -> weight 2
         vectors = {"a": {"x": 1.0}, "b": {"x": 1.0, "y": math.sqrt(3.0)}}
-        a = build_adjacency({("a", "b"): 4}, vectors, ["a", "b"])
+        a = build_adjacency({(0, 1): 4}, vectors, ["a", "b"])
         assert a[0, 1] == pytest.approx(2.0, abs=1e-12)
         assert a[1, 0] == a[0, 1]
 
@@ -96,17 +96,16 @@ class TestBuildAdjacency:
         a = build_adjacency({}, {"a": {"x": 1.0}, "b": {"x": 1.0}}, ["a", "b"])
         assert a[0, 1] == 0.0
 
-    def test_weight_bounded_by_count(self, inventory):
+    def test_weight_bounded_by_count(self, inventory, word_table):
         texts = ["\U0001F600 \U0001F602 fun", "\U0001F600 \U0001F602", "\U0001F622 \U0001F494 sad"]
         counts = count_cooccurrences([tokenize(t) for t in texts])
-        vectors = tfidf_sense_vectors(inventory)
         node_ids = sorted(counts.occurrences)
-        a = build_adjacency(counts.pairs, vectors, node_ids)
+        a = build_cooc_graph(counts, inventory, word_table).adjacency
         index = {e: i for i, e in enumerate(node_ids)}
         for (e1, e2), count in counts.pairs.items():
             assert a[index[e1], index[e2]] <= count + 1e-12
 
-    def test_full_matrix_matches_brute_force(self, inventory):
+    def test_full_matrix_matches_brute_force(self, inventory, word_table):
         texts = [
             "\U0001F600 \U0001F602 nice", "\U0001F600 \U0001F622",
             "\U0001F622 \U0001F494 loss", "\U0001F600 \U0001F602 \U0001F494",
@@ -114,7 +113,7 @@ class TestBuildAdjacency:
         ]
         counts = count_cooccurrences([tokenize(t) for t in texts])
         node_ids = sorted(counts.occurrences)
-        production = build_adjacency(counts.pairs, tfidf_sense_vectors(inventory), node_ids)
+        production = build_cooc_graph(counts, inventory, word_table).adjacency
 
         docs = {}
         for e in node_ids:

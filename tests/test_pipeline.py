@@ -13,8 +13,8 @@ from emofuse.cli import load_classifier
 from emofuse.config import RunConfig, apply_overrides, config_from_dict, load_config
 from emofuse.exceptions import ConfigError, TrainingError
 from emofuse import pipeline
-from emofuse.model import SentimentModel, build_model
-from emofuse.pipeline import evaluate, train_classifier, write_history_csv
+from emofuse.model import SentimentModel
+from emofuse.pipeline import evaluate, train_classifier, write_csv
 from emofuse.textcnn import cross_entropy_logits
 from emofuse.tokenization import RawPost, tokenize
 from emofuse.vgae import EmojiEmbeddings
@@ -255,7 +255,7 @@ class TestChunks:
         ad.zero_grads(params)
         alone = []
         for seq, label in zip(seqs, labels):
-            one = model.forward_logits(seq)
+            one = model.forward_logits([seq])
             cross_entropy_logits(one, [label]).backward()
             alone.append(one.data[0])
 
@@ -314,11 +314,11 @@ class TestModelPersistence:
         model = SentimentModel(config, word_table, tiny_embeddings(), np.random.default_rng(4))
         train_classifier(model, posts, np.random.default_rng(4))
         state = model.state_tensors()
-        clone = build_model(config, word_table, tiny_embeddings(), seed=99)
+        clone = SentimentModel(config, word_table, tiny_embeddings(), np.random.default_rng(99))
         clone.load_state(state)
         seq = tokenize(posts[0].text)
-        np.testing.assert_array_equal(model.forward_logits(seq).data,
-                                      clone.forward_logits(seq).data)
+        np.testing.assert_array_equal(model.forward_logits([seq]).data,
+                                      clone.forward_logits([seq]).data)
 
     def test_loaded_model_trains_on_in_its_arena(self, word_table, tmp_path):
         config = tiny_config(epochs=1)
@@ -361,7 +361,7 @@ class TestModelPersistence:
         from emofuse.textcnn import cross_entropy_logits
         model = SentimentModel(tiny_config(), word_table, tiny_embeddings(),
                                np.random.default_rng(0))
-        logits = model.forward_logits(tokenize("plain words only"))
+        logits = model.forward_logits([tokenize("plain words only")])
         cross_entropy_logits(logits, [0]).backward()
         assert model.params.no_emoji.grad is not None
         assert np.abs(model.params.no_emoji.grad).sum() > 0
@@ -372,7 +372,7 @@ class TestModelPersistence:
                                np.random.default_rng(5))
         history = train_classifier(model, posts, np.random.default_rng(5))
         path = tmp_path / "history.csv"
-        write_history_csv(path, history)
+        write_csv(path, ("epoch", "loss", "accuracy"), [(s.epoch, s.loss, s.accuracy) for s in history])
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "epoch,loss,accuracy"
         assert len(lines) == 3
@@ -436,17 +436,17 @@ class TestParameterRegistry:
         seen = []
         adam_step = ad.adam_step
 
-        def recording_step(params, state):
-            seen.append((list(params), state))
-            adam_step(params, state)
+        def recording_step(state):
+            seen.append(state)
+            adam_step(state)
 
         monkeypatch.setattr(ad, "adam_step", recording_step)
         train_classifier(model, make_emoji_labeled_posts(4, seed=3), np.random.default_rng(2))
         walked = list(named_parameters(model.params))
-        params, state = seen[0]
-        assert len(params) == state.count == len(walked)
+        state = seen[0]
+        assert len(state.params) == len(walked)
         offset = 0  # each tensor is the next slice of the arena, as the moments are
-        for (_, tensor), slot in zip(walked, params):
+        for (_, tensor), slot in zip(walked, state.params):
             assert slot is tensor and tensor.data.base is state.data
             assert np.shares_memory(tensor.data, state.data[offset:offset + tensor.data.size])
             offset += tensor.data.size
@@ -460,7 +460,7 @@ class TestParameterRegistry:
         model = SentimentModel(config, word_table, tiny_embeddings(), np.random.default_rng(4))
         train_classifier(model, make_emoji_labeled_posts(4, seed=5), np.random.default_rng(4))
         save_tensors(tmp_path / "a.ntc", model.state_tensors())
-        clone = build_model(config, word_table, tiny_embeddings(), seed=99)
+        clone = SentimentModel(config, word_table, tiny_embeddings(), np.random.default_rng(99))
         clone.load_state(load_tensors(tmp_path / "a.ntc"), str(tmp_path / "a.ntc"))
         save_tensors(tmp_path / "b.ntc", clone.state_tensors())
         assert (tmp_path / "a.ntc").read_bytes() == (tmp_path / "b.ntc").read_bytes()
