@@ -19,7 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from .exceptions import CorpusError
-from .senses import SenseInventory, cosine_similarity, node_attribute, tfidf_sense_vectors
+from .senses import SenseInventory, cosine_with_norms, node_attribute, tfidf_sense_vectors, vector_norm
 from .tokenization import EMOJI, TokenSequence
 from .vectors import read_vector_table, write_vector_table
 
@@ -67,13 +67,15 @@ class CoocGraph:
 def build_adjacency(pair_counts, sense_vectors, node_ids) -> np.ndarray:
     """Edge weight = cosine(sense vectors) * pair count; symmetric, zero diagonal.
 
-    `pair_counts` is keyed by node index pairs (i, j) with i < j.
+    `pair_counts` is keyed by node index pairs (i, j) with i < j. Each
+    node's norm is computed once, not once per pair it is in.
     """
     n = len(node_ids)
     a = np.zeros((n, n), dtype=np.float64)
+    vectors = [sense_vectors.get(node, {}) for node in node_ids]
+    norms = [vector_norm(v) for v in vectors]
     for (i, j), count in pair_counts.items():
-        weight = cosine_similarity(sense_vectors.get(node_ids[i], {}),
-                                   sense_vectors.get(node_ids[j], {})) * count
+        weight = cosine_with_norms(vectors[i], norms[i], vectors[j], norms[j]) * count
         a[i, j] = weight
         a[j, i] = weight
     return a

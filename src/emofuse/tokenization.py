@@ -6,12 +6,16 @@ re-interleaved exactly. Emoji detection is range-based over the Unicode emoji
 blocks, with ZWJ sequences kept as single tokens and skin-tone modifiers
 folded into the base emoji.
 
-`tokenize` makes no Python-level pass over characters: one regular
-expression, compiled at import from `_EMOJI_RANGES`, finds the emoji runs;
-the text between them is split into words by a second one, and
-`str.translate` strips joiners and folds emoji surfaces. A `Token` is a
-named tuple; a `TokenSequence` stores only its kinds and surfaces and makes
-the tokens when it is read.
+`tokenize` makes no Python-level pass over characters. It lowercases the
+whole post and makes one `findall` pass with a regular expression, compiled
+at import from `_EMOJI_RANGES`, whose alternatives are a word and an emoji
+run; each token's kind is that of its first scalar. Only a post that holds
+a joiner, a selector or a skin tone has its runs folded and its words
+stripped of them. Σ is the one scalar whose lowercase depends on its
+neighbours, so a post that holds it first has each emoji run fenced with
+NULs: the post then lowercases as if each stretch between runs were
+lowercased on its own. A `Token` is a named tuple; a `TokenSequence` stores
+only its kinds and surfaces and makes the tokens when it is read.
 """
 
 from __future__ import annotations
@@ -57,19 +61,23 @@ def _delete_table(*ranges: tuple[int, int]) -> dict[int, None]:
     return {cp: None for lo, hi in ranges for cp in range(lo, hi + 1)}
 
 
+_EMOJI_SCALARS = frozenset(chr(cp) for lo, hi in _EMOJI_RANGES for cp in range(lo, hi + 1))
 _EMOJI = _char_class(*_EMOJI_RANGES)
 _REGIONAL = _char_class(_REGIONAL_INDICATORS)
 _MODIFIER = _char_class(_VARIATION_SELECTORS, _SKIN_TONES)
+_STRAY = _char_class((_ZWJ, _ZWJ), _VARIATION_SELECTORS)
 # A flag is exactly two regional indicators; any other emoji scalar takes the
 # variation selectors, skin tones and ZWJ-joined emoji scalars that follow it.
+_RUN = f"{_REGIONAL}{_REGIONAL}|{_EMOJI}(?:{_MODIFIER}|{chr(_ZWJ)}{_EMOJI})*"
 # The capturing group makes `split` alternate text, run, text, ..., text.
-_EMOJI_RUN = re.compile(f"({_REGIONAL}{_REGIONAL}|{_EMOJI}(?:{_MODIFIER}|{chr(_ZWJ)}{_EMOJI})*)")
-# CPython's `\w` is `str.isalnum()` plus "_", so a word is a maximal run of
-# alphanumeric characters.
-_WORD_RE = re.compile(r"[^\W_]+")
-# Between emoji runs a stray joiner or selector is dropped without splitting
-# the word around it.
-_STRAY = _delete_table((_ZWJ, _ZWJ), _VARIATION_SELECTORS)
+_EMOJI_RUN = re.compile(f"({_RUN})")
+# CPython's `\w` is `str.isalnum()` plus "_". A word character is any other
+# alphanumeric outside the emoji scalars (❶…➓ are alphanumeric); a stray
+# joiner or selector between two of them does not split the word.
+_WORD_CHAR = "[^\\W_" + "".join(sorted(c for c in _EMOJI_SCALARS if c.isalnum())) + "]"
+_TOKEN = re.compile(f"{_WORD_CHAR}+(?:{_STRAY}+{_WORD_CHAR}+)*|{_RUN}")
+# Only a post that holds one of these has runs to fold or words to strip.
+_MARKED = re.compile(_char_class((_ZWJ, _ZWJ), _VARIATION_SELECTORS, _SKIN_TONES))
 _FOLD = _delete_table(_VARIATION_SELECTORS, _SKIN_TONES)
 
 
@@ -114,13 +122,6 @@ class RawPost:
     label: int | None = None
 
 
-def _words(text: str) -> list[str]:
-    # Lowercase each stretch between emoji runs, never the whole post: the
-    # lowercase of Σ depends on the letters around it, and case mapping
-    # looks through skin tones to find them.
-    return _WORD_RE.findall(text.translate(_STRAY).lower())
-
-
 def tokenize(text: str) -> TokenSequence:
     """Split text into lowercased word tokens and canonical emoji tokens.
 
@@ -129,18 +130,28 @@ def tokenize(text: str) -> TokenSequence:
     selectors never survive into the token surface, and a run that folds
     to nothing (a lone skin tone) yields no token.
     """
-    parts = _EMOJI_RUN.split(text)
-    surfaces = _words(parts[0])
-    kinds = [WORD] * len(surfaces)
-    for k in range(1, len(parts), 2):
-        emoji = parts[k].translate(_FOLD)
-        if emoji:
-            surfaces.append(emoji)
+    if "\u03a3" in text:
+        # Σ is the one scalar whose lowercase depends on its neighbours, and
+        # case mapping looks through skin tones and selectors to find them; a
+        # NUL on each side of every emoji run keeps them out of its context.
+        text = "\0".join(_EMOJI_RUN.split(text))
+    surfaces = _TOKEN.findall(text.lower())
+    if _MARKED.search(text) is None:
+        kinds = [EMOJI if s[0] in _EMOJI_SCALARS else WORD for s in surfaces]
+        return TokenSequence(tuple(kinds), tuple(surfaces))
+    kinds, kept = [], []
+    for s in surfaces:
+        if s[0] in _EMOJI_SCALARS:
+            if len(s) > 1 or ord(s) in _FOLD:  # a lone skin tone folds to nothing
+                s = s.translate(_FOLD)
+                if not s:
+                    continue
             kinds.append(EMOJI)
-        words = _words(parts[k + 1])
-        surfaces += words
-        kinds += [WORD] * len(words)
-    return TokenSequence(tuple(kinds), tuple(surfaces))
+        else:
+            s = s.replace("\u200d", "").replace("\ufe0e", "").replace("\ufe0f", "")
+            kinds.append(WORD)
+        kept.append(s)
+    return TokenSequence(tuple(kinds), tuple(kept))
 
 
 def split_modalities(seq: Iterable[Token]) -> tuple[list[Token], list[Token]]:

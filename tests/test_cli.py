@@ -120,6 +120,12 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and setting.split("=")[0] in err
 
+    def test_negative_seed_exits_1_naming_it(self, workspace, capsys):
+        assert cli_main(["build-graph", "--config", "run.cfg"]) == 0
+        assert cli_main(["train-vgae", "--config", "run.cfg", "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed" in err
+
     def test_odd_emoji_table_dimension_exits_1(self, workspace, capsys):
         (workspace / "odd.txt").write_text("1 5\n\U0001F600 1 2 3 4 5\n", encoding="utf-8")
         code = cli_main(["train-classifier", "--config", "run.cfg", "--set", "embeddings=odd.txt"])
@@ -268,6 +274,18 @@ class TestCliPipeline:
         assert cli_main(["evaluate", "--config", "run.cfg"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "classifier_meta.json" in err
+
+    def test_stored_negative_seed_exits_1_naming_the_file(self, workspace, capsys):
+        for command in ("build-graph", "train-vgae", "train-classifier"):
+            assert cli_main([command, "--config", "run.cfg"]) == 0
+        path = workspace / "out" / "classifier_meta.json"
+        meta = json.loads(path.read_text(encoding="utf-8"))
+        meta["config"]["seed"] = -1
+        path.write_text(json.dumps(meta), encoding="utf-8")
+        capsys.readouterr()
+        assert cli_main(["evaluate", "--config", "run.cfg"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "classifier_meta.json" in err and "seed must be >= 0" in err
 
     @pytest.mark.parametrize("key, value", [("seed", "a"), ("max_len", 12.5), ("num_classes", 2.0)])
     def test_mistyped_classifier_metadata_exits_1_naming_the_file_and_key(self, workspace, capsys, key, value):

@@ -17,7 +17,7 @@ from emofuse.graph import (
     normalize_adjacency,
     save_graph,
 )
-from emofuse.senses import load_emojinet
+from emofuse.senses import cosine_similarity, load_emojinet, vector_norm
 from emofuse.tokenization import tokenize
 
 
@@ -91,6 +91,27 @@ class TestBuildAdjacency:
         a = build_adjacency({(0, 1): 4}, vectors, ["a", "b"])
         assert a[0, 1] == pytest.approx(2.0, abs=1e-12)
         assert a[1, 0] == a[0, 1]
+
+    def test_every_weight_is_cosine_times_count_bit_for_bit(self):
+        # TF-IDF-like weights, where another way to sum the norms would differ
+        # in the last bit for some pairs
+        rng = np.random.default_rng(0)
+        vectors = {}
+        for k in range(10):
+            terms = rng.choice(list("abcdefgh"), size=int(rng.integers(1, 7)), replace=False)
+            vectors[f"v{k}"] = {str(t): float(rng.integers(1, 4)) * math.log(rng.uniform(1.5, 9.0))
+                                for t in terms}
+        vectors.update(tiny={"a": 3e-160, "b": 1e-160, "c": 7e-161}, huge={"a": 2e160, "d": 5e159},
+                       empty={})
+        # these norms fall outside (1e-100, 1e100), so the rescaling branch runs
+        assert vector_norm(vectors["tiny"]) < 1e-100 and vector_norm(vectors["huge"]) > 1e100
+        node_ids = sorted(vectors) + ["absent"]
+        pairs = {(i, j): 1 + i + 3 * j for i, j in combinations(range(len(node_ids)), 2)}
+        a = build_adjacency(pairs, vectors, node_ids)
+        for (i, j), count in pairs.items():
+            expected = cosine_similarity(vectors.get(node_ids[i], {}), vectors.get(node_ids[j], {})) * count
+            assert a[i, j] == expected and a[j, i] == expected, (node_ids[i], node_ids[j])
+        assert a[node_ids.index("tiny"), node_ids.index("huge")] > 0.0
 
     def test_never_cooccurring_pair_is_zero(self):
         a = build_adjacency({}, {"a": {"x": 1.0}, "b": {"x": 1.0}}, ["a", "b"])

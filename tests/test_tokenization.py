@@ -150,12 +150,13 @@ def test_roundtrip_reconstructs_interleaving(stream):
 
 # Letters whose case mapping is not one-to-one (İ lowers to two scalars, Σ
 # depends on its neighbours), marks and "_" that split words, joiners and
-# selectors, skin tones, regional indicators, pictographs, and the scalars
-# of common emojis outside `_EMOJI_RANGES` (U+1F004, ©, keycap 1, U+1F170,
-# U+1F201, ‼).
+# selectors, skin tones, regional indicators, pictographs, the scalars of
+# common emojis outside `_EMOJI_RANGES` (U+1F004, ©, keycap 1, U+1F170,
+# U+1F201, ‼), an alphanumeric scalar inside them (❶), a cased scalar that
+# is not alphanumeric (ⓐ), and NUL.
 MIXED_ALPHABET = (
-    "aZq09_ .,!?'#-"
-    "İßΣσ\u0301\u0307"
+    "aZq09_ .,!?'#-:\0"
+    "İßΣσ\u0301\u0307\u2776\u24d0"
     "\u200d\ufe0e\ufe0f"
     "\U0001F3FB\U0001F3FD\U0001F3FF"
     "\U0001F1E6\U0001F1F8\U0001F1FA"
@@ -163,13 +164,18 @@ MIXED_ALPHABET = (
     "\U0001F004\u00A9\u20E3\U0001F170\U0001F201\u203C"
 )
 # Real sequences that single scalars rarely line up into: a skin-toned ZWJ
-# sequence, a family, a flag, an emoji with VS16, a word with final sigma.
+# sequence, a family, a flag, an emoji with VS16, a word with final sigma,
+# a Σ whose context crosses a case-ignorable apostrophe, a joiner and a
+# selector inside a word, and two skin tones in a row.
 FRAGMENTS = (
     "\U0001F468\U0001F3FB\u200d\U0001F4BB",
     "\U0001F468\u200d\U0001F469\u200d\U0001F467",
     "\U0001F1FA\U0001F1F8",
     "❤\ufe0f",
     "ΟΔΟΣ",
+    "ΑΣ'Α",
+    "a\u200d\ufe0fb",
+    "\U0001F3FB\U0001F3FC",
 )
 mixed_text = st.lists(
     st.one_of(st.sampled_from(MIXED_ALPHABET), st.sampled_from(FRAGMENTS)), max_size=30,
@@ -197,6 +203,27 @@ def test_matches_reference_tokenizer(text):
 def test_edge_cases_match_reference(text, expected):
     assert reference_tokenize(text) == expected
     assert [tuple(t) for t in tokenize(text)] == expected
+
+
+def test_lowercase_keeps_what_one_pass_relies_on():
+    # `tokenize` lowercases a whole post before it finds words and emoji
+    # runs. That gives each stretch's own lowercase only if case mapping
+    # leaves the scalars runs are made of alone, makes none of them, and
+    # depends on its neighbours only for Σ, which `tokenize` fences off.
+    kept = {chr(cp) for lo, hi in _EMOJI_RANGES for cp in range(lo, hi + 1)}
+    kept |= {chr(cp) for cp in SKIN_TONES | VARIATION_SELECTORS | {ZWJ}}
+    in_context = []
+    for cp in range(0x110000):
+        c = chr(cp)
+        lower = c.lower()
+        if c in kept:
+            assert lower == c, hex(cp)
+        else:
+            assert kept.isdisjoint(lower), hex(cp)
+        if lower != ("A" + c).lower()[1:] or lower != (c + "A").lower()[:-1] \
+                or lower != ("A" + c + "A").lower()[1:-1]:
+            in_context.append(cp)
+    assert in_context == [0x03A3]
 
 
 def test_sequence_keeps_no_tracked_object_per_token():
