@@ -5,10 +5,12 @@ All three units share one structure: scaled dot-product attention, a residual
 into layer norm, a two-layer relu feed-forward block, and a second residual
 into layer norm. The self-attention unit attends a sequence to itself; a
 co-attention unit takes its queries from one modality and its keys and values
-from the other, so the output keeps the query side's length. Fusion emits
-three channels: the self-attended text, the emoji features conditioned on
-text, and the text features conditioned on emojis, as the `ABLATIONS` row
-of a selector wires them.
+from the other, so the output keeps the query side's length; each takes
+its caller's `Segments` layouts, so a chunk's posts attend within
+themselves. Fusion reads the encoder's text levels and emits three
+channels: the self-attended text, the emoji features conditioned on text,
+and the text features conditioned on emojis, as the `ABLATIONS` row of a
+selector wires them.
 """
 
 from __future__ import annotations
@@ -24,22 +26,19 @@ from .exceptions import ShapeError
 _MASK_OFFSET = -1e30  # exp underflows to exactly 0, so masked keys get weight 0
 
 
-def scaled_dot_attention(q, k, v, mask=None, q_segments: ad.Segments | None = None,
-                         k_segments: ad.Segments | None = None) -> Tensor:
+def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, q_segments: ad.Segments,
+                         k_segments: ad.Segments, mask=None) -> Tensor:
     """softmax(q k^T / sqrt(d)) v within each post of a chunk, as one tape node.
 
     q packs every post's query rows and k, v its key rows, laid out by
-    `q_segments` and `k_segments` (default: one post each); a query attends
-    only to its own post's keys. `mask` (posts, key width), or (keys,) for
-    one post, replaces the key mask the key layout implies: False keys get
-    exactly zero weight. Raises if a post has every key masked. Backward
-    gathers the padded q, k and v again instead of keeping copies.
+    `q_segments` and `k_segments`; a query attends only to its own post's
+    keys. `mask` (posts, key width), or (keys,) for one post, replaces the
+    key mask the key layout implies: False keys get exactly zero weight.
+    Raises if a post has every key masked. Backward gathers the padded q,
+    k and v again instead of keeping copies.
     """
-    q, k, v = ad.as_tensor(q), ad.as_tensor(k), ad.as_tensor(v)
     if q.data.shape[1] != k.data.shape[1] or k.data.shape[0] != v.data.shape[0]:
         raise ShapeError(f"attention shapes incompatible: q {q.data.shape}, k {k.data.shape}, v {v.data.shape}")
-    q_segments = q_segments or ad.Segments([q.data.shape[0]])
-    k_segments = k_segments or ad.Segments([k.data.shape[0]])
     if (q_segments.count != k_segments.count or q_segments.rows != q.data.shape[0]
             or k_segments.rows != k.data.shape[0]):
         raise ShapeError(f"attention segments ({q_segments.count} posts over {q_segments.rows} query rows, "
@@ -111,23 +110,22 @@ class AttentionUnitParams:
         )
 
 
-def _attention_unit(query, context, p: AttentionUnitParams, q_segments=None, k_segments=None) -> Tensor:
-    attended = scaled_dot_attention(
-        ad.linear(query, p.wq), ad.linear(context, p.wk), ad.linear(context, p.wv),
-        q_segments=q_segments, k_segments=k_segments,
-    )
+def _attention_unit(query, context, p: AttentionUnitParams, q_segments: ad.Segments,
+                    k_segments: ad.Segments) -> Tensor:
+    attended = scaled_dot_attention(ad.linear(query, p.wq), ad.linear(context, p.wk),
+                                    ad.linear(context, p.wv), q_segments, k_segments)
     a1 = ad.layer_norm(attended, p.norm1_gain, p.norm1_bias, query)
     hidden = ad.linear(a1, p.ffn_w1, p.ffn_b1, relu=True)
     return ad.layer_norm(ad.linear(hidden, p.ffn_w2, p.ffn_b2), p.norm2_gain, p.norm2_bias, a1)
 
 
-def self_attention_unit(x, p: AttentionUnitParams, segments=None) -> Tensor:
-    """Attend a d-projected sequence, or each post of a chunk, to itself; output keeps its rows."""
+def self_attention_unit(x, p: AttentionUnitParams, segments: ad.Segments) -> Tensor:
+    """Attend each post of a d-projected chunk to itself; the output keeps its rows."""
     return _attention_unit(x, x, p, segments, segments)
 
 
-def co_attention_unit(query_side, context_side, p: AttentionUnitParams, query_segments=None,
-                      context_segments=None) -> Tensor:
+def co_attention_unit(query_side, context_side, p: AttentionUnitParams, query_segments: ad.Segments,
+                      context_segments: ad.Segments) -> Tensor:
     """Queries from one modality, keys/values from the other.
 
     The residual connects to the query side, so the output has the query
@@ -186,7 +184,7 @@ class FusionParams:
 
     @classmethod
     def create(cls, text_dim: int, emoji_dim: int, skip_dim: int, d: int, d_ff: int, rng,
-               wiring: FusionWiring = FusionWiring()) -> "FusionParams":
+               wiring: FusionWiring) -> "FusionParams":
         emoji = wiring.use_emoji
 
         def unit(live):
@@ -221,42 +219,35 @@ class FusedFeatures:
         return out
 
 
-def fuse(text, lstm2, emoji_feats, emoji_raw, params: FusionParams,
-         text_segments: ad.Segments | None = None,
-         emoji_segments: ad.Segments | None = None) -> FusedFeatures:
+def fuse(levels: list[Tensor], lstm2, emoji_feats, emoji_raw, params: FusionParams,
+         text_segments: ad.Segments, emoji_segments: ad.Segments | None) -> FusedFeatures:
     """Produce the classifier channels from both modalities, wired as `params.wiring` says.
 
-    `text` is the skip-connected text: one matrix, or its levels (the
-    embedding rows and both LSTM outputs), which are projected block by
-    block so their concatenation is never built. `lstm2` is the top LSTM
-    level (feeding the bypass wiring), `emoji_feats` the position-encoded
-    emoji rows and `emoji_raw` the same rows without position information.
-    Text and emoji rows pack a chunk's posts as the two layouts say
-    (default: one post each). The wiring is the params' own, never another's.
+    `levels` is the skip-connected text (the embedding rows and both LSTM
+    outputs), projected block by block so their concatenation is never
+    built. `lstm2` is the top level (feeding the bypass wiring),
+    `emoji_feats` the position-encoded emoji rows and `emoji_raw` the same
+    rows without position information; all emoji inputs are None when the
+    wiring drops emojis. Text and emoji rows pack a chunk's posts as the
+    two layouts say. The wiring is the params' own, never another's.
     """
     wiring = params.wiring
-    levels = [ad.as_tensor(t) for t in text] if isinstance(text, (list, tuple)) else [ad.as_tensor(text)]
-    text_segments = text_segments or ad.Segments([levels[0].data.shape[0]])
     p_text = ad.linear(levels, params.proj_text)
     if wiring.self_attend_text:
-        w_text = self_attention_unit(p_text, params.unit_text, segments=text_segments)
+        w_text = self_attention_unit(p_text, params.unit_text, text_segments)
     else:
         w_text = p_text
     if not wiring.use_emoji:
         return FusedFeatures(text=w_text, emoji=None, cross=w_text,
                              text_segments=text_segments, emoji_segments=None)
-    emoji_feats = ad.as_tensor(emoji_feats)
-    emoji_segments = emoji_segments or ad.Segments([emoji_feats.data.shape[0]])
     p_emoji = ad.linear(emoji_feats, params.proj_emoji)
     if wiring.bypass_emoji:
         w_emoji = ad.linear(emoji_raw, params.proj_emoji)
     else:
-        w_emoji = co_attention_unit(p_emoji, w_text, params.unit_emoji,
-                                    query_segments=emoji_segments, context_segments=text_segments)
+        w_emoji = co_attention_unit(p_emoji, w_text, params.unit_emoji, emoji_segments, text_segments)
     if wiring.bypass_cross:
         w_cross = ad.linear(lstm2, params.proj_skip)
     else:
-        w_cross = co_attention_unit(p_text, p_emoji, params.unit_cross,
-                                    query_segments=text_segments, context_segments=emoji_segments)
+        w_cross = co_attention_unit(p_text, p_emoji, params.unit_cross, text_segments, emoji_segments)
     return FusedFeatures(text=w_text, emoji=w_emoji, cross=w_cross,
                          text_segments=text_segments, emoji_segments=emoji_segments)

@@ -489,6 +489,7 @@ def zero_grads(params):
 # the longest run, not the whole arena; 2^16 was faster than 2^11 to 2^14
 # on the acceptance-dims classifier.
 GROUP_FLOATS = 1 << 16
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # the moment decays and the denominator's floor
 
 
 def pack_parameters(params) -> np.ndarray:
@@ -530,8 +531,8 @@ class AdamState:
     arena floats lo to hi - 1, parameters first to last - 1.
     """
 
-    def __init__(self, root, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, root, lr):
+        self.lr = lr
         self.step_count = 0
         self.params = params = [p for _, p in named_parameters(root)]
         self.data = pack_parameters(params)
@@ -564,23 +565,22 @@ def adam_step(state: AdamState):
     """
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1 ** t
-    bc2 = 1.0 - b2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for lo, hi, first, last in state.groups:
         grads = [np.zeros(p.data.size) if p.grad is None else p.grad for p in state.params[first:last]]
         t1, t2 = state.work[:, :hi - lo]
         g = grads[0].reshape(-1) if len(grads) == 1 else np.concatenate(grads, axis=None, out=t2)
         m, v = state.m[lo:hi], state.v[lo:hi]
-        m *= b1
-        m += np.multiply(1.0 - b1, g, out=t1)
-        v *= b2
-        np.multiply(1.0 - b2, g, out=t1)
+        m *= ADAM_BETA1
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=t1)
+        v *= ADAM_BETA2
+        np.multiply(1.0 - ADAM_BETA2, g, out=t1)
         t1 *= g
         v += t1
         np.divide(v, bc2, out=t1)
         np.sqrt(t1, out=t1)
-        t1 += state.eps
+        t1 += ADAM_EPS
         np.divide(m, bc1, out=t2)
         np.multiply(state.lr, t2, out=t2)
         t2 /= t1
@@ -650,9 +650,10 @@ def save_tensors(path, tensors):
 def load_tensors(path):
     """Read a container written by save_tensors; returns name -> float64 array.
 
-    A file that is not such a container, or ends early, raises
-    CheckpointError naming the file. No read asks for more bytes than the
-    file has left, so a corrupt size field cannot trigger a huge allocation.
+    A file that is not such a container, ends early, or holds a nan or inf
+    value raises CheckpointError naming the file (and the tensor). No read
+    asks for more bytes than the file has left, so a corrupt size field
+    cannot trigger a huge allocation.
     """
     with open(path, "rb") as fh:
         left = os.fstat(fh.fileno()).st_size
@@ -679,6 +680,7 @@ def load_tensors(path):
                 raise CheckpointError(f"tensor container {path} has a malformed name: {err}") from None
             (ndim,) = struct.unpack("<I", read(4))
             shape = struct.unpack(f"<{ndim}I", read(4 * ndim)) if ndim else ()
-            payload = read(8 * math.prod(shape))
-            out[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+            out[name] = np.frombuffer(read(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
+            if not np.isfinite(out[name]).all():
+                raise CheckpointError(f"tensor container {path}: tensor {name!r} has a nan or inf value")
         return out

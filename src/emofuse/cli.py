@@ -35,13 +35,17 @@ logger = logging.getLogger("emofuse")
 GRAPH_CHECKPOINT = "vgae.ntc"
 EMBEDDINGS_FILE = "embeddings.txt"
 CLASSIFIER_CHECKPOINT = "classifier.ntc"
-CLASSIFIER_META = "classifier_meta.json"
 VGAE_PREFIX = "vgae"  # graph checkpoint keys are vgae.w_in, vgae.w_mu, vgae.w_logvar
 
 
 def _out_path(config: RunConfig, name: str) -> str:
     os.makedirs(config.output_dir, exist_ok=True)
     return os.path.join(config.output_dir, name)
+
+
+def _meta_path(checkpoint: str) -> str:
+    """Where a classifier checkpoint's metadata sits: beside it, `_meta.json` for its extension."""
+    return os.path.splitext(checkpoint)[0] + "_meta.json"
 
 
 def cmd_build_graph(config: RunConfig) -> int:
@@ -91,9 +95,10 @@ def cmd_train_classifier(config: RunConfig) -> int:
     rng = np.random.default_rng(config.seed)
     model = SentimentModel(config, table, embeddings, rng)
     history = train_classifier(model, posts, rng)
-    save_tensors(_out_path(config, CLASSIFIER_CHECKPOINT), model.state_tensors())
+    checkpoint = _out_path(config, CLASSIFIER_CHECKPOINT)
+    save_tensors(checkpoint, model.state_tensors())
     meta = {"config": config.as_dict(), "emoji_ids": model.emoji_table.ids}
-    with open(_out_path(config, CLASSIFIER_META), "w", encoding="utf-8") as fh:
+    with open(_meta_path(checkpoint), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True, ensure_ascii=False)
     write_csv(_out_path(config, "train_history.csv"), ("epoch", "loss", "accuracy"),
               [(s.epoch, s.loss, s.accuracy) for s in history])
@@ -135,9 +140,8 @@ def load_classifier(checkpoint_path, meta_path, word_table: WordEmbeddingTable) 
 
 def cmd_evaluate(config: RunConfig) -> int:
     checkpoint = config.checkpoint or _out_path(config, CLASSIFIER_CHECKPOINT)
-    meta_path = os.path.splitext(checkpoint)[0] + "_meta.json"
     table = WordEmbeddingTable.load(config.word_vectors)
-    model = load_classifier(checkpoint, meta_path, table)
+    model = load_classifier(checkpoint, _meta_path(checkpoint), table)
     posts, _ = load_labeled_dataset(config.test_data)
     report = evaluate(model, posts)
     text = report.to_json()

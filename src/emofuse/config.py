@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields, asdict
 from .attention import ABLATIONS
 from .exceptions import ConfigError
 from .text_encoder import PE_BASE
+from .tokenization import not_utf8
 
 # Retired keys that older checkpoint metadata echoes: `min_count` (None) is
 # dropped at any value, the others only at the one value that is built now.
@@ -123,6 +124,8 @@ def load_config(path) -> RunConfig:
                     _assign(config, stripped, f"{path}:{line_no}: ")
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"config {not_utf8(path, err)}") from None
     return config
 
 

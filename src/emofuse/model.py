@@ -125,11 +125,11 @@ class SentimentModel:
         parts = [self.split(seq) for seq in posts]
         words = [token for post_words, _ in parts for token in post_words]
         text_segments = ad.Segments([len(post_words) for post_words, _ in parts])
-        encoded = encode_text(words, self.word_table, self.params.encoder, text_segments)
+        levels = encode_text(words, self.word_table, self.params.encoder, text_segments)
         emoji_feats = emoji_raw = emoji_segments = None
         if self.params.fusion.wiring.use_emoji:
             emoji_feats, emoji_raw, emoji_segments = self._emoji_rows([emojis for _, emojis in parts])
-        fused = fuse(encoded.levels, encoded.lstm2, emoji_feats, emoji_raw, self.params.fusion,
+        fused = fuse(levels, levels[2], emoji_feats, emoji_raw, self.params.fusion,
                      text_segments, emoji_segments)
         return classify_logits(fused.channels(), self.params.cnn)
 
@@ -143,7 +143,7 @@ class SentimentModel:
         tensors["emoji_matrix"] = self.emoji_table.vectors
         return tensors
 
-    def load_state(self, tensors: dict[str, np.ndarray], source: str = "state"):
+    def load_state(self, tensors: dict[str, np.ndarray], source: str):
         """Load `state_tensors` output; `source` names the file in errors."""
         matrix = tensors.get("emoji_matrix")
         expected = self.emoji_table.vectors.shape

@@ -1,17 +1,17 @@
 """Word-side and emoji-side input features.
 
 The word side looks up pretrained vectors and runs two stacked bidirectional
-LSTM layers, concatenating the embedding layer and both LSTM outputs along
-the feature axis (a skip connection, so later stages see every level). The
-emoji side's fixed sinusoidal positional encoding is defined here too; the
-model adds it to each emoji's embedding at the emoji's absolute position in
-the original mixed token stream.
+LSTM layers. It returns the embedding layer and both LSTM outputs as three
+levels, a skip connection that later stages read side by side without
+building the concatenation. The emoji side's fixed sinusoidal positional
+encoding is defined here too; the model adds it to each emoji's embedding
+at the emoji's absolute position in the original mixed token stream.
 
 Sequence features are stored time-major: shape (length, features). A chunk
 of posts packs its posts' rows one after another in one matrix, laid out by
-an `autodiff.Segments`. Only the recurrence of each Bi-LSTM layer sees the
-post boundaries: one tape node steps both directions together, with every
-gate computed by one tanh (sigmoid(x) = tanh(x / 2) / 2 + 1 / 2).
+the caller's `autodiff.Segments`. Only the recurrence of each Bi-LSTM layer
+sees the post boundaries: one tape node steps both directions together,
+with every gate computed by one tanh (sigmoid(x) = tanh(x / 2) / 2 + 1 / 2).
 """
 
 from __future__ import annotations
@@ -84,26 +84,24 @@ class BiLstmParams:
         )
 
 
-def bilstm_layer(inputs, params: BiLstmParams, segments: ad.Segments | None = None) -> Tensor:
+def bilstm_layer(inputs: Tensor, params: BiLstmParams, segments: ad.Segments) -> Tensor:
     """Both directions from zero states; output row t is [h_fwd(t), h_bwd(t)].
 
     Each direction's input GEMM z = x W_x + b runs once over all packed
     rows. One tape node runs both recurrences, the only part that sees post
-    boundaries (`segments`, default one post of all the rows): one
-    (2, posts, h) @ (2, h, 4h) GEMM per time step, the backward direction
-    from each post's own end. Steps past a post's end come after all of its
-    own, so they change none of its outputs and get exactly zero gradient.
-    With the i, f, o columns of z and W_h halved once (exact), every gate is
-    tanh(z) * half + shift: sigmoid(x) = tanh(x / 2) / 2 + 1 / 2 on i, f, o.
-    Backward runs BPTT for both directions in one reverse loop to dZ, so
-    each W_h gradient is one GEMM.
+    boundaries (`segments`): one (2, posts, h) @ (2, h, 4h) GEMM per time
+    step, the backward direction from each post's own end. Steps past a
+    post's end come after all of its own, so they change none of its
+    outputs and get exactly zero gradient. With the i, f, o columns of z
+    and W_h halved once (exact), every gate is tanh(z) * half + shift:
+    sigmoid(x) = tanh(x / 2) / 2 + 1 / 2 on i, f, o. Backward runs BPTT for
+    both directions in one reverse loop to dZ, so each W_h gradient is one
+    GEMM.
     """
-    inputs = ad.as_tensor(inputs)
     if inputs.data.ndim != 2 or inputs.data.shape[0] == 0:
         raise ShapeError(f"bilstm_layer needs a nonempty (L, f) input, got shape {inputs.data.shape}")
-    if segments is not None and segments.rows != inputs.data.shape[0]:
+    if segments.rows != inputs.data.shape[0]:
         raise ShapeError(f"segments cover {segments.rows} rows, input has {inputs.data.shape[0]}")
-    segments = segments or ad.Segments([inputs.data.shape[0]])
     z_fwd = ad.linear(inputs, params.forward.w_x, params.forward.b)
     z_bwd = ad.linear(inputs, params.backward.w_x, params.backward.b)
     hidden, w_f, w_b = params.hidden, params.forward.w_h, params.backward.w_h
@@ -175,31 +173,17 @@ class TextEncoderParams:
         )
 
 
-@dataclass
-class EncodedText:
-    """Skip-connected text features: the embedding layer and both LSTM outputs."""
-
-    embeddings: Tensor  # L x word_dim
-    lstm1: Tensor       # L x 2h
-    lstm2: Tensor       # L x 2h
-
-    @property
-    def levels(self) -> list[Tensor]:
-        """The skip-connected text, read side by side: L x (word_dim + 4h) in all."""
-        return [self.embeddings, self.lstm1, self.lstm2]
-
-
 def encode_text(words: list[Token], table: WordEmbeddingTable, params: TextEncoderParams,
-                segments: ad.Segments | None = None) -> EncodedText:
+                segments: ad.Segments) -> list[Tensor]:
     """Embedding lookups and two stacked Bi-LSTM layers over a chunk's packed words.
 
     `words` holds every post's word tokens one post after another, as
-    `segments` (default: one post) lays them out. The word rows are
-    constants, so no gradient is computed for them.
+    `segments` lays them out. Returns the skip-connected text as its levels
+    [embeddings, lstm1, lstm2], L x word_dim, L x 2h and L x 2h, read side
+    by side. The word rows are constants, so no gradient is computed for
+    them.
     """
-    if not words:
-        raise ShapeError("encode_text needs at least one word token")
     x = Tensor(table.rows([t.surface for t in words]))
     h1 = bilstm_layer(x, params.layer1, segments)
     h2 = bilstm_layer(h1, params.layer2, segments)
-    return EncodedText(embeddings=x, lstm1=h1, lstm2=h2)
+    return [x, h1, h2]

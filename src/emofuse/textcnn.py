@@ -73,7 +73,7 @@ class TextCnnParams:
         return self.dense_w.data.shape[1]
 
 
-def conv_pool(x, bank: ConvBank, widths, segments: ad.Segments) -> Tensor:
+def conv_pool(x: Tensor, bank: ConvBank, widths, segments: ad.Segments) -> Tensor:
     """Per post, the max over its taps of relu(convolution + bias) at every width: one node.
 
     x is (rows, d) with the posts of `segments` packed along its rows; the
@@ -85,7 +85,7 @@ def conv_pool(x, bank: ConvBank, widths, segments: ad.Segments) -> Tensor:
     to the earliest tap. Backward keeps only the pooled rows and rebuilds
     the padded input.
     """
-    x, kernels, bias = ad.as_tensor(x), bank.kernels, bank.bias
+    kernels, bias = bank.kernels, bank.bias
     depth, columns = kernels.data.shape
     n = bias.data.shape[0] // len(widths)
     if x.data.ndim != 2 or x.data.shape[1] != depth:
@@ -159,7 +159,6 @@ def classify_logits(channels, params: TextCnnParams) -> Tensor:
         raise ShapeError(f"classifier has {len(params.banks)} channel banks, got {len(channels)} channels")
     pooled = []
     for (matrix, segments), bank in zip(channels, params.banks):
-        matrix = ad.as_tensor(matrix)
         if not isinstance(segments, ad.Segments):
             raise ShapeError(f"a channel's layout must be a Segments, got {type(segments).__name__}")
         if segments.rows != matrix.data.shape[0]:
@@ -168,13 +167,12 @@ def classify_logits(channels, params: TextCnnParams) -> Tensor:
     return ad.linear(ad.concat(pooled, axis=1), params.dense_w, params.dense_b)
 
 
-def cross_entropy_logits(logits, labels) -> Tensor:
+def cross_entropy_logits(logits: Tensor, labels) -> Tensor:
     """Summed negative log likelihood of each row's label, from raw scores via log-sum-exp.
 
     `logits` is (posts, classes) and `labels` holds one label per row. One
     tape node.
     """
-    logits = ad.as_tensor(logits)
     scores = logits.data
     if scores.ndim != 2:
         raise ShapeError(f"cross_entropy_logits expects (posts, classes) scores, got shape {scores.shape}")

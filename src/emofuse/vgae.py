@@ -65,27 +65,23 @@ def encode(a_norm, ax, params: VgaeParams) -> LatentPosterior:
                            logvar=ad.linear(propagated, params.w_logvar))
 
 
-def decode(z) -> Tensor:
+def decode(z: Tensor) -> Tensor:
     """Edge logits S = z @ z.T, symmetric; the decoder's edge probabilities are sigmoid(S).
 
     The sigmoid is left to `vgae_loss`, which scores the edges from the
     logits. One tape node whose backward is (g + g^T) z.
     """
-    z = ad.as_tensor(z)
     if z.data.ndim != 2:
         raise ShapeError(f"decode expects an N x latent matrix, got shape {z.data.shape}")
     logits = z.data @ z.data.T
     return ad.node(logits, (z,), lambda g: ((g + g.T) @ z.data,))
 
 
-def _sigmoid_values(x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+def _sigmoid_values(x: np.ndarray, e: np.ndarray) -> np.ndarray:
     """1 / (1 + e) for x >= 0 and e / (1 + e) below, with e = exp(-|x|): no overflow.
 
     The numerator max(e, x >= 0) picks the branch without masked indexing.
-    A caller that already holds exp(-|x|) passes it as `e`.
     """
-    if e is None:
-        e = np.exp(-np.abs(x))
     return np.maximum(e, x >= 0) / (1.0 + e)
 
 
@@ -121,7 +117,7 @@ def _kl_term(posterior: LatentPosterior, n: int) -> Tensor:
                    lambda g: ((-2.0 * scale * g) * mu.data, (scale * g) * (1.0 - var)))
 
 
-def vgae_loss(logits, a_bin: np.ndarray, posterior: LatentPosterior) -> Tensor:
+def vgae_loss(logits: Tensor, a_bin: np.ndarray, posterior: LatentPosterior) -> Tensor:
     """Re-weighted reconstruction cross-entropy plus the per-node KL term.
 
     Positive entries (edges and self-loops) are up-weighted by
@@ -130,7 +126,6 @@ def vgae_loss(logits, a_bin: np.ndarray, posterior: LatentPosterior) -> Tensor:
     KL term is -(1 / 2N) * sum(1 + logvar - mu^2 - exp(logvar)).
     `logits` are `decode`'s edge logits S, scored under sigmoid(S).
     """
-    logits = ad.as_tensor(logits)
     n = a_bin.shape[0]
     if logits.data.shape != (n, n):
         raise ShapeError(f"decoder output {logits.data.shape} does not match target {a_bin.shape}")

@@ -20,7 +20,7 @@ from emofuse.vgae import _sigmoid_values
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    data = _sigmoid_values(a.data)
+    data = _sigmoid_values(a.data, np.exp(-np.abs(a.data)))
     return ad.node(data, (a,), lambda g: (g * data * (1.0 - data),))
 
 

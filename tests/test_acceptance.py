@@ -24,7 +24,8 @@ from conftest import (
 )
 import emofuse
 from emofuse import autodiff as ad
-from emofuse.attention import FusionParams, co_attention_unit, fuse, scaled_dot_attention, self_attention_unit
+from emofuse.attention import (ABLATIONS, FusionParams, co_attention_unit, fuse, scaled_dot_attention,
+                               self_attention_unit)
 from emofuse.attention import AttentionUnitParams
 from emofuse.autodiff import Segments, Tensor, grad_check, named_parameters
 from emofuse.clustering import cluster_similarity, write_similarity_tsv
@@ -85,7 +86,7 @@ def test_criterion_1_gradient_integrity(word_table):
 
     # (b) fuse at L=3, N_e=2, d=8
     rng = np.random.default_rng(22)
-    fparams = FusionParams.create(10, 6, 4, 8, 16, rng)
+    fparams = FusionParams.create(10, 6, 4, 8, 16, rng, ABLATIONS["full"])
     stacked = Tensor(rng.standard_normal((3, 10)))
     lstm2 = Tensor(rng.standard_normal((3, 4)))
     emoji_raw = Tensor(rng.standard_normal((2, 6)), requires_grad=True)
@@ -93,7 +94,7 @@ def test_criterion_1_gradient_integrity(word_table):
     mix = rng.standard_normal((3, 8))
 
     def fuse_objective(_):
-        fused = fuse(stacked, lstm2, emoji_raw + offset, emoji_raw, fparams)
+        fused = fuse([stacked], lstm2, emoji_raw + offset, emoji_raw, fparams, Segments([3]), Segments([2]))
         return (mean(ad.mul(fused.text, mix)) + mean(fused.emoji)
                 + mean(ad.mul(fused.cross, mix)))
 
@@ -120,7 +121,7 @@ def test_criterion_1_gradient_integrity(word_table):
     mix2 = rng.standard_normal((3, 4))
 
     def lstm_objective(_):
-        h2 = bilstm_layer(bilstm_layer(lstm_in, eparams.layer1), eparams.layer2)
+        h2 = bilstm_layer(bilstm_layer(lstm_in, eparams.layer1, Segments([3])), eparams.layer2, Segments([3]))
         return mean(ad.mul(h2, mix2))
 
     worst["bilstm"] = max(
@@ -328,13 +329,14 @@ def test_criterion_6_attention_invariants():
         mask = rng.random(n_k) < 0.7
         if not mask.any():
             mask[int(rng.integers(0, n_k))] = True
-        weights = scaled_dot_attention(q, k, Tensor(np.eye(n_k)), mask=mask).data
+        weights = scaled_dot_attention(q, k, Tensor(np.eye(n_k)), Segments([n_q]), Segments([n_k]),
+                                       mask=mask).data
         sums = weights.sum(axis=1)
         assert np.abs(sums - 1.0).max() <= 1e-12, f"case {case}: row sums {sums}"
         assert (weights[:, ~mask] == 0.0).all(), f"case {case}: masked key got weight"
         x = Tensor(rng.normal(0, 1, (n_q, 4)))
-        self_out = self_attention_unit(x, unit)
-        co_out = co_attention_unit(x, x, unit)
+        self_out = self_attention_unit(x, unit, Segments([n_q]))
+        co_out = co_attention_unit(x, x, unit, Segments([n_q]), Segments([n_q]))
         assert np.array_equal(self_out.data, co_out.data), f"case {case}: units diverge"
     print(PASS.format(n=6, name="attention invariants", detail=f"{cases} randomized cases"))
 

@@ -41,10 +41,15 @@ def oracle_unit(query, context, p):
     return oracle_layer_norm(a1 + ffn, p.norm2_gain.data, p.norm2_bias.data)
 
 
+def one_post(t):
+    """The layout of a single post holding every row of `t`."""
+    return ad.Segments([t.data.shape[0]])
+
+
 def attention_weights(q, k, mask=None):
     """Recover the weight matrix by attending onto an identity value matrix."""
     eye = Tensor(np.eye(k.data.shape[0]))
-    return scaled_dot_attention(q, k, eye, mask=mask).data
+    return scaled_dot_attention(q, k, eye, one_post(q), one_post(k), mask=mask).data
 
 
 class TestScaledDotAttention:
@@ -52,21 +57,21 @@ class TestScaledDotAttention:
         q = Tensor(np.zeros((2, 3)))
         k = Tensor(np.zeros((4, 3)))
         v = Tensor(np.arange(8.0).reshape(4, 2))
-        out = scaled_dot_attention(q, k, v)
+        out = scaled_dot_attention(q, k, v, one_post(q), one_post(k))
         np.testing.assert_allclose(out.data, np.tile(v.data.mean(axis=0), (2, 1)), atol=1e-12)
 
     def test_single_key_returns_its_value(self):
         rng = np.random.default_rng(0)
         out = scaled_dot_attention(Tensor(rng.standard_normal((3, 4))),
                                    Tensor(rng.standard_normal((1, 4))),
-                                   Tensor([[5.0, -1.0]]))
+                                   Tensor([[5.0, -1.0]]), ad.Segments([3]), ad.Segments([1]))
         np.testing.assert_allclose(out.data, np.tile([5.0, -1.0], (3, 1)), atol=1e-12)
 
     def test_two_by_two_hand_computation(self):
         q = Tensor([[1.0, 0.0], [0.0, 1.0]])
         k = Tensor([[1.0, 0.0], [0.0, 1.0]])
         v = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        out = scaled_dot_attention(q, k, v)
+        out = scaled_dot_attention(q, k, v, one_post(q), one_post(k))
         s = 1.0 / math.sqrt(2.0)
         w_same = math.exp(s) / (math.exp(s) + math.exp(0.0))
         expected_row0 = w_same * v.data[0] + (1 - w_same) * v.data[1]
@@ -84,12 +89,12 @@ class TestScaledDotAttention:
     def test_all_keys_masked_rejected(self):
         q, k, v = Tensor(np.zeros((1, 2))), Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 2)))
         with pytest.raises(ValueError):
-            scaled_dot_attention(q, k, v, mask=np.array([False, False]))
+            scaled_dot_attention(q, k, v, one_post(q), one_post(k), mask=np.array([False, False]))
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             scaled_dot_attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))),
-                                 Tensor(np.zeros((2, 4))))
+                                 Tensor(np.zeros((2, 4))), ad.Segments([2]), ad.Segments([2]))
 
 
 class TestAttentionUnits:
@@ -98,41 +103,42 @@ class TestAttentionUnits:
 
     def test_length_one_sequence(self):
         p = self.make_params()
-        out = self_attention_unit(Tensor(np.random.default_rng(3).standard_normal((1, 4))), p)
+        out = self_attention_unit(Tensor(np.random.default_rng(3).standard_normal((1, 4))), p,
+                                  ad.Segments([1]))
         assert out.data.shape == (1, 4)
         assert np.isfinite(out.data).all()
 
     def test_identical_columns_stay_identical(self):
         p = self.make_params()
         row = np.random.default_rng(4).standard_normal(4)
-        out = self_attention_unit(Tensor(np.stack([row, row])), p)
+        out = self_attention_unit(Tensor(np.stack([row, row])), p, ad.Segments([2]))
         np.testing.assert_allclose(out.data[0], out.data[1], atol=1e-12)
 
     def test_matches_numpy_oracle(self):
         p = self.make_params()
         x = np.random.default_rng(5).standard_normal((3, 4))
-        out = self_attention_unit(Tensor(x), p)
+        out = self_attention_unit(Tensor(x), p, ad.Segments([3]))
         np.testing.assert_allclose(out.data, oracle_unit(x, x, p), atol=1e-10)
 
     def test_co_attention_matches_oracle(self):
         p = self.make_params()
         rng = np.random.default_rng(6)
         q, c = rng.standard_normal((2, 4)), rng.standard_normal((5, 4))
-        out = co_attention_unit(Tensor(q), Tensor(c), p)
+        out = co_attention_unit(Tensor(q), Tensor(c), p, ad.Segments([2]), ad.Segments([5]))
         np.testing.assert_allclose(out.data, oracle_unit(q, c, p), atol=1e-10)
 
     def test_co_attention_on_self_equals_self_attention(self):
         p = self.make_params()
         x = np.random.default_rng(7).standard_normal((4, 4))
-        self_out = self_attention_unit(Tensor(x), p)
-        co_out = co_attention_unit(Tensor(x), Tensor(x), p)
+        self_out = self_attention_unit(Tensor(x), p, ad.Segments([4]))
+        co_out = co_attention_unit(Tensor(x), Tensor(x), p, ad.Segments([4]), ad.Segments([4]))
         np.testing.assert_array_equal(self_out.data, co_out.data)
 
     def test_output_length_follows_query(self):
         p = self.make_params()
         rng = np.random.default_rng(8)
         out = co_attention_unit(Tensor(rng.standard_normal((1, 4))),
-                                Tensor(rng.standard_normal((6, 4))), p)
+                                Tensor(rng.standard_normal((6, 4))), p, ad.Segments([1]), ad.Segments([6]))
         assert out.data.shape == (1, 4)
 
     def test_output_length_follows_query_over_random_shapes(self):
@@ -141,7 +147,8 @@ class TestAttentionUnits:
         for _ in range(25):
             n_q, n_k = int(rng.integers(1, 9)), int(rng.integers(1, 9))
             out = co_attention_unit(Tensor(rng.standard_normal((n_q, 4))),
-                                    Tensor(rng.standard_normal((n_k, 4))), p)
+                                    Tensor(rng.standard_normal((n_k, 4))), p,
+                                    ad.Segments([n_q]), ad.Segments([n_k]))
             assert out.data.shape == (n_q, 4)
 
     def test_single_context_row_drives_every_output(self):
@@ -149,7 +156,7 @@ class TestAttentionUnits:
         rng = np.random.default_rng(9)
         q = rng.standard_normal((3, 4))
         c = rng.standard_normal((1, 4))
-        out = co_attention_unit(Tensor(q), Tensor(c), p)
+        out = co_attention_unit(Tensor(q), Tensor(c), p, ad.Segments([3]), ad.Segments([1]))
         np.testing.assert_allclose(out.data, oracle_unit(q, c, p), atol=1e-10)
 
 
@@ -168,36 +175,36 @@ def make_fusion_setup(wiring=FusionWiring(), seed=0, text_len=3, emoji_len=2, te
 class TestFuse:
     def test_channel_shapes(self):
         params, stacked, lstm2, feats, raw = make_fusion_setup(text_len=5, emoji_len=2)
-        fused = fuse(stacked, lstm2, feats, raw, params)
+        fused = fuse([stacked], lstm2, feats, raw, params, one_post(stacked), one_post(feats))
         assert fused.text.data.shape == (5, 8)
         assert fused.emoji.data.shape == (2, 8)
         assert fused.cross.data.shape == (5, 8)
 
     def test_bypass_emoji_uses_raw_projection(self):
         params, stacked, lstm2, feats, raw = make_fusion_setup(FusionWiring(bypass_emoji=True))
-        fused = fuse(stacked, lstm2, feats, raw, params)
+        fused = fuse([stacked], lstm2, feats, raw, params, one_post(stacked), one_post(feats))
         np.testing.assert_array_equal(fused.emoji.data, raw.data @ params.proj_emoji.data)
 
     def test_bypass_cross_uses_skip_projection(self):
         params, stacked, lstm2, feats, raw = make_fusion_setup(FusionWiring(bypass_cross=True))
-        fused = fuse(stacked, lstm2, feats, raw, params)
+        fused = fuse([stacked], lstm2, feats, raw, params, one_post(stacked), one_post(feats))
         np.testing.assert_array_equal(fused.cross.data, lstm2.data @ params.proj_skip.data)
 
     def test_no_self_attention_passes_projection_through(self):
         params, stacked, lstm2, feats, raw = make_fusion_setup(FusionWiring(self_attend_text=False))
-        fused = fuse(stacked, lstm2, feats, raw, params)
+        fused = fuse([stacked], lstm2, feats, raw, params, one_post(stacked), one_post(feats))
         np.testing.assert_array_equal(fused.text.data, stacked.data @ params.proj_text.data)
 
     def test_dropping_emoji_duplicates_text_channel(self):
         params, stacked, lstm2, feats, raw = make_fusion_setup(FusionWiring(use_emoji=False))
-        fused = fuse(stacked, lstm2, None, None, params)
+        fused = fuse([stacked], lstm2, None, None, params, one_post(stacked), None)
         assert fused.emoji is None
         np.testing.assert_array_equal(fused.cross.data, fused.text.data)
         assert len(fused.channels()) == 2
 
     def test_gradient_reaches_emoji_only_through_emoji_channels(self):
         params, stacked, lstm2, feats, raw = make_fusion_setup()
-        fused = fuse(stacked, lstm2, feats, raw, params)
+        fused = fuse([stacked], lstm2, feats, raw, params, one_post(stacked), one_post(feats))
         tensor_sum(fused.text).backward()
         assert raw.grad is None
         tensor_sum(fused.emoji).backward()
@@ -211,7 +218,7 @@ class TestFuse:
 
         def f(_):
             feats = raw + offset  # position offsets recomputed per evaluation
-            fused = fuse(stacked, lstm2, feats, raw, params)
+            fused = fuse([stacked], lstm2, feats, raw, params, one_post(stacked), one_post(feats))
             total = mean(ad.mul(fused.text, weights))
             total = total + mean(fused.emoji)
             return total + mean(ad.mul(fused.cross, weights))

@@ -22,7 +22,7 @@ from tape_ops import ReferenceAdam, conv_relu, mean, segment_max, sigmoid, tanh,
 
 def _bilstm(w_h, x, w_x, b):  # both directions share one set of weights
     direction = LstmDirectionParams(w_x=w_x, w_h=w_h, b=b)
-    return bilstm_layer(x, BiLstmParams(forward=direction, backward=direction, hidden=2))
+    return bilstm_layer(x, BiLstmParams(forward=direction, backward=direction, hidden=2), Segments([3]))
 
 
 NOISE = np.random.default_rng(1).standard_normal((2, 3))
@@ -36,7 +36,8 @@ NODE_OPS = {
     "layer_norm": ([(2, 3), (3,), (3,), (2, 3)], ad.layer_norm),
     "linear": ([(2, 3), (3, 4), (4,)], lambda x, w, b: ad.linear(x, w, b, relu=True)),
     "gaussian_sample": ([(2, 3), (2, 3)], lambda mu, logvar: ad.gaussian_sample(mu, logvar, noise=NOISE)),
-    "scaled_dot_attention": ([(2, 4), (3, 4), (3, 2)], scaled_dot_attention),
+    "scaled_dot_attention": ([(2, 4), (3, 4), (3, 2)],
+                             lambda q, k, v: scaled_dot_attention(q, k, v, Segments([2]), Segments([3]))),
     "bilstm_layer": ([(2, 8), (3, 4), (4, 8), (8,)], _bilstm),
     "conv_pool": ([(5, 4), (4, 6), (4,)],
                   lambda x, k, b: conv_pool(x, ConvBank(kernels=k, bias=b), (1, 2), Segments([5]))),
@@ -162,7 +163,7 @@ class TestElementwise:
         edges = np.array([np.nan, -0.0, 0.0, -800.0, 800.0, np.inf, -np.inf, 5e-324, -5e-324, -36.0, 37.0])
         random = np.random.default_rng(0).normal(0.0, 20.0, (40, 30))
         for x in (edges, random):
-            np.testing.assert_array_equal(_sigmoid_values(x), two_branch(x))
+            np.testing.assert_array_equal(_sigmoid_values(x, np.exp(-np.abs(x))), two_branch(x))
 
 
 class TestLayerNorm:
@@ -534,6 +535,19 @@ class TestTensorContainer:
                 load_tensors(path)
             assert isinstance(err.value, CheckpointError)
             assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_value_rejected_naming_the_file_and_tensor(self, tmp_path, bad):
+        path = tmp_path / "bad.ntc"
+        weight = np.arange(6.0).reshape(2, 3)
+        weight[1, 2] = bad
+        save_tensors(path, {"bias": np.array([0.5]), "w\u00e9ight": weight, "scalar": np.array(2.0)})
+        with pytest.raises(CheckpointError, match="nan or inf") as err:
+            load_tensors(path)
+        assert str(path) in str(err.value) and repr("w\u00e9ight") in str(err.value)
+        save_tensors(path, {"scalar": np.array(bad)})
+        with pytest.raises(CheckpointError, match="'scalar' has a nan or inf value"):
+            load_tensors(path)
 
     def test_oversized_field_rejected_without_reading(self, tmp_path):
         path = tmp_path / "huge.ntc"

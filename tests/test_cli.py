@@ -5,7 +5,7 @@ import pytest
 
 from conftest import INVENTORY_PATH, WORD_VECTORS_PATH, make_emoji_labeled_posts, write_jsonl
 from emofuse import vgae
-from emofuse.autodiff import load_tensors
+from emofuse.autodiff import load_tensors, save_tensors
 from emofuse.cli import cli_main
 from emofuse.vgae import EmojiEmbeddings
 
@@ -81,6 +81,14 @@ class TestCliErrors:
         code = cli_main(["build-graph", "--config", str(tmp_path / "missing.cfg")])
         assert code != 0
         assert "error" in capsys.readouterr().err.lower()
+
+    def test_non_utf8_config_exits_1_naming_the_file_and_byte(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"seed = 1\n# caf\xe9\n")
+        assert cli_main(["train-vgae", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {path} is not UTF-8 text: byte 14")
+        assert "Traceback" not in err
 
     def test_missing_required_config_key(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
@@ -253,6 +261,25 @@ class TestCliPipeline:
         assert "error: tensor container out/vgae.ntc is truncated" in capsys.readouterr().err
         assert cli_main(["evaluate", "--config", "run.cfg"]) == 1
         assert "classifier.ntc is truncated" in capsys.readouterr().err
+
+    def test_nonfinite_checkpoint_values_exit_1_naming_the_file_and_tensor(self, workspace, capsys):
+        for command in ("build-graph", "train-vgae", "train-classifier"):
+            assert cli_main([command, "--config", "run.cfg"]) == 0
+        for name, tensor, bad in (("vgae.ntc", "vgae.w_mu", np.nan), ("classifier.ntc", "cnn.dense_w", np.inf)):
+            path = workspace / "out" / name
+            tensors = load_tensors(path)
+            tensors[tensor].flat[0] = bad
+            save_tensors(path, tensors)
+        capsys.readouterr()
+        code = cli_main(["export-embeddings", "--config", "run.cfg", "--set", "checkpoint=out/vgae.ntc",
+                         "--set", "embeddings=out/exported.txt"])
+        assert code == 1
+        assert "error: tensor container out/vgae.ntc: tensor 'vgae.w_mu' has a nan or inf value" \
+            in capsys.readouterr().err
+        assert not (workspace / "out" / "exported.txt").exists()
+        assert cli_main(["evaluate", "--config", "run.cfg"]) == 1
+        assert "classifier.ntc: tensor 'cnn.dense_w' has a nan or inf value" in capsys.readouterr().err
+        assert not (workspace / "out" / "eval_report.json").exists()
 
     @pytest.mark.parametrize("meta", [
         "[]",

@@ -315,7 +315,7 @@ class TestModelPersistence:
         train_classifier(model, posts, np.random.default_rng(4))
         state = model.state_tensors()
         clone = SentimentModel(config, word_table, tiny_embeddings(), np.random.default_rng(99))
-        clone.load_state(state)
+        clone.load_state(state, "state")
         seq = tokenize(posts[0].text)
         np.testing.assert_array_equal(model.forward_logits([seq]).data,
                                       clone.forward_logits([seq]).data)
@@ -350,7 +350,7 @@ class TestModelPersistence:
         state.pop("cnn.dense_w")
         clone = SentimentModel(config, word_table, tiny_embeddings(), np.random.default_rng(1))
         with pytest.raises(ConfigError, match="missing"):
-            clone.load_state(state)
+            clone.load_state(state, "state")
 
     def test_emoji_only_post_is_classifiable(self, word_table):
         model = SentimentModel(tiny_config(), word_table, tiny_embeddings(),

@@ -3,7 +3,8 @@
 Every top-level function of every module of the package must be used
 somewhere in the package outside its own definition, be exported in
 `emofuse.__all__`, or be listed below with the reason it stays. Only
-`autodiff.node` gives a tensor parents and a backward rule.
+`autodiff.node` gives a tensor parents and a backward rule. No layer
+defaults its `Segments` layout: each takes the one its caller passes.
 """
 
 import ast
@@ -95,3 +96,29 @@ def test_only_node_puts_a_result_on_the_tape():
     stray = [w for w in writes if w[0] != "autodiff.node" and w not in cleared]
     assert stray == [], f"tape bookkeeping written outside autodiff.node: {stray}"
     assert {("autodiff.node", "_parents"), ("autodiff.node", "_backward")} <= {w[:2] for w in writes}
+
+
+def defaulted_layouts(tree):
+    """(function, parameter) for each layout parameter, `segments` or `*_segments`, given a default."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        defaulted = positional[len(positional) - len(args.defaults):] + [
+            arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+        for arg in defaulted:
+            if arg.arg == "segments" or arg.arg.endswith("_segments"):
+                yield getattr(node, "name", "<lambda>"), arg.arg
+
+
+def test_every_layer_takes_its_layout_from_its_caller():
+    """A layer never builds a one-post layout of its own: the model passes every `Segments`."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    defaulted = [f"{module}.{name}({arg}=...)" for module, tree in trees.items()
+                 for name, arg in defaulted_layouts(tree)]
+    assert defaulted == [], f"layout parameters with a default: {defaulted}"
+    # the text encoder returns its levels as a list; no second text form exists
+    names = {getattr(node, field) for tree in trees.values() for node in ast.walk(tree)
+             for field in ("name", "id", "attr") if isinstance(getattr(node, field, None), str)}
+    assert "EncodedText" not in names

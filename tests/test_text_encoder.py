@@ -194,7 +194,8 @@ def reference_layer(inputs, params):
 def one_post_at_a_time(segments):
     """`bilstm_layer` run on each post of a chunk alone, the outputs stacked."""
     def layer(x, params):
-        return ad.concat([bilstm_layer(tslice(x, np.s_[int(start):int(start + length)]), params)
+        return ad.concat([bilstm_layer(tslice(x, np.s_[int(start):int(start + length)]), params,
+                                       Segments([length]))
                           for start, length in zip(segments.offsets, segments.lengths)], axis=0)
     return layer
 
@@ -237,7 +238,7 @@ class TestFusedDirection:
         weights = rng.standard_normal((length, 2 * hidden))
         weights[:, slice(0, hidden) if backward_half else slice(hidden, None)] = 0.0
         expected = values_and_grads(reference_layer, x, params, weights)
-        fused = values_and_grads(bilstm_layer, x, params, weights)
+        fused = values_and_grads(chunk_layer(Segments([length])), x, params, weights)
         if not input_grad:
             assert expected[1] is None and fused[1] is None
             expected, fused = expected[:1] + expected[2:], fused[:1] + fused[2:]
@@ -301,12 +302,12 @@ class TestBiLstmLayer:
                                          b=Tensor(np.zeros(4))),
             hidden=1,
         )
-        out = bilstm_layer(Tensor(np.ones((4, 3))), params)
+        out = bilstm_layer(Tensor(np.ones((4, 3))), params, Segments([4]))
         np.testing.assert_array_equal(out.data, np.zeros((4, 2)))
 
     def test_single_step_sequence(self):
         params = BiLstmParams.create(3, 2, np.random.default_rng(0))
-        out = bilstm_layer(Tensor(np.ones((1, 3))), params)
+        out = bilstm_layer(Tensor(np.ones((1, 3))), params, Segments([1]))
         assert out.data.shape == (1, 4)
         assert np.isfinite(out.data).all()
 
@@ -324,7 +325,7 @@ class TestBiLstmLayer:
             hidden=1,
         )
         xs = [0.7, -1.3]
-        out = bilstm_layer(Tensor(np.array(xs).reshape(2, 1)), params)
+        out = bilstm_layer(Tensor(np.array(xs).reshape(2, 1)), params, Segments([2]))
         fwd = scalar_lstm_unroll(xs, wx_f[0], wh_f[0], b_f)
         bwd = scalar_lstm_unroll(xs[::-1], wx_b[0], wh_b[0], b_b)[::-1]
         np.testing.assert_allclose(out.data[:, 0], fwd, atol=1e-12)
@@ -333,47 +334,48 @@ class TestBiLstmLayer:
     def test_empty_sequence_rejected(self):
         params = BiLstmParams.create(3, 2, np.random.default_rng(0))
         with pytest.raises(ShapeError):
-            bilstm_layer(Tensor(np.zeros((0, 3))), params)
+            bilstm_layer(Tensor(np.zeros((0, 3))), params, Segments([1]))
 
 
 class TestEncodeText:
     def test_output_shapes(self, word_table):
         params = TextEncoderParams.create(word_table.dimension, 4, np.random.default_rng(0))
         words, _ = split_modalities(tokenize("happy dog music"))
-        encoded = encode_text(words, word_table, params)
-        assert encoded.embeddings.data.shape == (3, 300)
-        assert encoded.lstm1.data.shape == (3, 8)
-        assert encoded.lstm2.data.shape == (3, 8)
-        assert [t.data.shape[1] for t in encoded.levels] == [300, 8, 8]
+        levels = encode_text(words, word_table, params, Segments([3]))
+        embeddings, lstm1, lstm2 = levels
+        assert embeddings.data.shape == (3, 300)
+        assert lstm1.data.shape == (3, 8)
+        assert lstm2.data.shape == (3, 8)
+        assert [t.data.shape[1] for t in levels] == [300, 8, 8]
 
     def test_stacked_is_feature_concatenation(self, word_table):
         """Projecting the levels block by block equals projecting their concatenation."""
         params = TextEncoderParams.create(word_table.dimension, 3, np.random.default_rng(1))
         words, _ = split_modalities(tokenize("sun and rain"))
-        encoded = encode_text(words, word_table, params)
+        levels = encode_text(words, word_table, params, Segments([3]))
         proj = Tensor(np.random.default_rng(2).standard_normal((300 + 12, 5)))
-        stacked = np.concatenate([t.data for t in encoded.levels], axis=1)
-        np.testing.assert_allclose(ad.linear(encoded.levels, proj).data, stacked @ proj.data,
+        stacked = np.concatenate([t.data for t in levels], axis=1)
+        np.testing.assert_allclose(ad.linear(levels, proj).data, stacked @ proj.data,
                                    rtol=1e-12, atol=1e-13)
 
     def test_unknown_words_look_up_zeros(self, word_table):
         params = TextEncoderParams.create(word_table.dimension, 2, np.random.default_rng(2))
         words, _ = split_modalities(tokenize("zzzzq xxrrk"))
-        encoded = encode_text(words, word_table, params)
-        assert not encoded.embeddings.data.any()
+        embeddings, _, _ = encode_text(words, word_table, params, Segments([2]))
+        assert not embeddings.data.any()
 
     def test_word_order_changes_recurrent_features(self, word_table):
         params = TextEncoderParams.create(word_table.dimension, 3, np.random.default_rng(3))
         fwd, _ = split_modalities(tokenize("happy sad love"))
         rev, _ = split_modalities(tokenize("love sad happy"))
-        out_fwd = encode_text(fwd, word_table, params)
-        out_rev = encode_text(rev, word_table, params)
-        assert not np.allclose(out_fwd.lstm1.data, out_rev.lstm1.data)
+        _, lstm1_fwd, _ = encode_text(fwd, word_table, params, Segments([3]))
+        _, lstm1_rev, _ = encode_text(rev, word_table, params, Segments([3]))
+        assert not np.allclose(lstm1_fwd.data, lstm1_rev.data)
 
     def test_empty_words_rejected(self, word_table):
         params = TextEncoderParams.create(word_table.dimension, 2, np.random.default_rng(4))
         with pytest.raises(ShapeError):
-            encode_text([], word_table, params)
+            encode_text([], word_table, params, Segments([1]))
 
 
 class TestBiLstmGradients:
@@ -384,8 +386,8 @@ class TestBiLstmGradients:
         weights = rng.standard_normal((3, 4))
 
         def f(t):
-            h1 = bilstm_layer(t, params.layer1)
-            h2 = bilstm_layer(h1, params.layer2)
+            h1 = bilstm_layer(t, params.layer1, Segments([3]))
+            h2 = bilstm_layer(h1, params.layer2, Segments([3]))
             return mean(ad.mul(h2, weights))
 
         assert grad_check(f, x) < 1e-4
@@ -399,7 +401,7 @@ class TestBiLstmGradients:
         weights = rng.standard_normal((4, 4))
 
         def f(_):
-            return mean(ad.mul(bilstm_layer(x, params), weights))
+            return mean(ad.mul(bilstm_layer(x, params, Segments([4])), weights))
 
         for _, tensor in named_parameters(params):
             assert grad_check(f, tensor) < 1e-4
