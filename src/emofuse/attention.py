@@ -110,18 +110,9 @@ class AttentionUnitParams:
         )
 
 
-def _attention_unit(query, context, p: AttentionUnitParams, q_segments: ad.Segments,
-                    k_segments: ad.Segments) -> Tensor:
-    attended = scaled_dot_attention(ad.linear(query, p.wq), ad.linear(context, p.wk),
-                                    ad.linear(context, p.wv), q_segments, k_segments)
-    a1 = ad.layer_norm(attended, p.norm1_gain, p.norm1_bias, query)
-    hidden = ad.linear(a1, p.ffn_w1, p.ffn_b1, relu=True)
-    return ad.layer_norm(ad.linear(hidden, p.ffn_w2, p.ffn_b2), p.norm2_gain, p.norm2_bias, a1)
-
-
 def self_attention_unit(x, p: AttentionUnitParams, segments: ad.Segments) -> Tensor:
     """Attend each post of a d-projected chunk to itself; the output keeps its rows."""
-    return _attention_unit(x, x, p, segments, segments)
+    return co_attention_unit(x, x, p, segments, segments)
 
 
 def co_attention_unit(query_side, context_side, p: AttentionUnitParams, query_segments: ad.Segments,
@@ -129,10 +120,13 @@ def co_attention_unit(query_side, context_side, p: AttentionUnitParams, query_se
     """Queries from one modality, keys/values from the other.
 
     The residual connects to the query side, so the output has the query
-    side's rows. With query_side == context_side this is exactly the
-    self-attention unit. In a chunk, post i's queries read post i's context.
+    side's rows. In a chunk, post i's queries read post i's context.
     """
-    return _attention_unit(query_side, context_side, p, query_segments, context_segments)
+    attended = scaled_dot_attention(ad.linear(query_side, p.wq), ad.linear(context_side, p.wk),
+                                    ad.linear(context_side, p.wv), query_segments, context_segments)
+    a1 = ad.layer_norm(attended, p.norm1_gain, p.norm1_bias, query_side)
+    hidden = ad.linear(a1, p.ffn_w1, p.ffn_b1, relu=True)
+    return ad.layer_norm(ad.linear(hidden, p.ffn_w2, p.ffn_b2), p.norm2_gain, p.norm2_bias, a1)
 
 
 @dataclass(frozen=True)

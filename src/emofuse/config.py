@@ -15,6 +15,7 @@ from .attention import ABLATIONS
 from .exceptions import ConfigError
 from .text_encoder import PE_BASE
 from .tokenization import not_utf8
+from .vgae import VgaeConfig
 
 # Retired keys that older checkpoint metadata echoes: `min_count` (None) is
 # dropped at any value, the others only at the one value that is built now.
@@ -38,10 +39,10 @@ class RunConfig:
     num_classes: int = 2
     min_pair_count: int = 1
     # graph autoencoder
-    vgae_hidden: int = 256
-    vgae_latent: int = 300
-    vgae_epochs: int = 50
-    vgae_lr: float = 0.01
+    vgae_hidden: int = VgaeConfig.hidden
+    vgae_latent: int = VgaeConfig.latent
+    vgae_epochs: int = VgaeConfig.epochs
+    vgae_lr: float = VgaeConfig.lr
     # classifier
     epochs: int = 20
     lr: float = 0.001
@@ -63,7 +64,7 @@ class RunConfig:
             raise ConfigError(f"kernel_sizes must be positive, got {self.kernel_sizes}")
         for name, least in (("seed", 0), ("num_classes", 2), ("fusion_dim", 1), ("filters", 1),
                             ("lstm_hidden", 1), ("ffn_dim", 1), ("vgae_hidden", 1), ("max_len", 1),
-                            ("batch_size", 1), ("top_k", 2), ("vgae_latent", 2), ("epochs", 0),
+                            ("batch_size", 1), ("top_k", 2), ("vgae_latent", 1), ("epochs", 0),
                             ("vgae_epochs", 0)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
@@ -71,8 +72,6 @@ class RunConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and > 0, got {value}")
-        if self.vgae_latent % 2 != 0:
-            raise ConfigError(f"vgae_latent must be even for positional encoding, got {self.vgae_latent}")
         return self
 
     def as_dict(self) -> dict:

@@ -130,20 +130,16 @@ def build_cooc_graph(counts: CoocCounts, inventory: SenseInventory, word_table,
 
 # --- persistence -------------------------------------------------------------
 #
-# nodes.txt       one emoji id per line; line order defines matrix indices
-# edges.tsv       i <tab> j <tab> pair_count <tab> weight, with i < j
-# attributes.txt  node attribute matrix in the embedding text format
+# attributes.txt  node attribute matrix in the embedding text format; its row
+#                 order (the table's ids) defines matrix indices
+# edges.tsv       i <tab> j <tab> pair_count <tab> weight, with i < j, each pair once
 
-NODES_FILE = "nodes.txt"
 EDGES_FILE = "edges.tsv"
 ATTRIBUTES_FILE = "attributes.txt"
 
 
 def save_graph(graph: CoocGraph, directory):
     os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, NODES_FILE), "w", encoding="utf-8") as fh:
-        for node in graph.node_ids:
-            fh.write(node + "\n")
     with open(os.path.join(directory, EDGES_FILE), "w", encoding="utf-8") as fh:
         for (i, j) in sorted(graph.pair_counts):
             count = graph.pair_counts[(i, j)]
@@ -152,15 +148,11 @@ def save_graph(graph: CoocGraph, directory):
 
 
 def load_graph(directory) -> CoocGraph:
-    nodes_path = os.path.join(directory, NODES_FILE)
-    try:
-        with open(nodes_path, "r", encoding="utf-8") as fh:
-            node_ids = [line.rstrip("\n") for line in fh if line.strip()]
-    except (OSError, UnicodeDecodeError) as err:
-        raise CorpusError(f"cannot read graph nodes {nodes_path}: {err}") from err
+    node_ids, attributes = read_vector_table(os.path.join(directory, ATTRIBUTES_FILE))
     n = len(node_ids)
     adjacency = np.zeros((n, n), dtype=np.float64)
     pair_counts: dict[tuple[int, int], int] = {}
+    first_line: dict[tuple[int, int], int] = {}  # edge -> the line it is on
     edges_path = os.path.join(directory, EDGES_FILE)
     try:
         with open(edges_path, "r", encoding="utf-8") as fh:
@@ -177,6 +169,9 @@ def load_graph(directory) -> CoocGraph:
                     raise CorpusError(f"{where}: expected integers i, j, pair_count and a weight") from None
                 if not 0 <= i < j < n:
                     raise CorpusError(f"{where}: edge ({i}, {j}) needs 0 <= i < j < {n}")
+                first = first_line.setdefault((i, j), line_no)
+                if first != line_no:
+                    raise CorpusError(f"{where}: edge ({i}, {j}) repeats line {first}")
                 if count < 0:
                     raise CorpusError(f"{where}: pair count {count} is negative")
                 if not (math.isfinite(weight) and weight >= 0.0):
@@ -186,8 +181,5 @@ def load_graph(directory) -> CoocGraph:
                 adjacency[j, i] = weight
     except (OSError, UnicodeDecodeError) as err:
         raise CorpusError(f"cannot read graph edges {edges_path}: {err}") from err
-    attr_ids, attributes = read_vector_table(os.path.join(directory, ATTRIBUTES_FILE))
-    if attr_ids != node_ids:
-        raise CorpusError(f"attribute ids in {directory} do not match the node list")
     return CoocGraph(node_ids=node_ids, pair_counts=pair_counts,
                      adjacency=adjacency, attributes=attributes)

@@ -98,8 +98,7 @@ class SentimentModel:
     @functools.cached_property
     def _positions(self) -> np.ndarray:
         """Row p is positional_encoding(p) for p < max_len, built on first use."""
-        dim = self.emoji_table.dimension
-        return np.array([positional_encoding(p, dim) for p in range(self.config.max_len)])
+        return positional_encoding(np.arange(self.config.max_len), self.emoji_table.dimension)
 
     def _emoji_rows(self, chunk: list[list[Token]]) -> tuple[Tensor, Tensor, ad.Segments]:
         """Position-encoded and raw emoji rows of each post, packed, and their layout.

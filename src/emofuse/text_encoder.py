@@ -16,7 +16,6 @@ with every gate computed by one tanh (sigmoid(x) = tanh(x / 2) / 2 + 1 / 2).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,21 +33,22 @@ WordEmbeddingTable = VectorTable  # word -> pretrained vector; unknown words rea
 PE_BASE = 1000.0  # the positional encoding's wavelength base
 
 
-def positional_encoding(pos: int, d_model: int) -> np.ndarray:
-    """Sinusoidal position vector: sin at even entries, cos at odd entries.
+def positional_encoding(pos, d_model: int) -> np.ndarray:
+    """Sinusoidal position vectors of shape pos.shape + (d_model,), for a position or an array of them.
 
     Entry 2i is sin(pos / PE_BASE^(2i / d_model)) and entry 2i+1 the
-    matching cos.
+    matching cos. The denominators are Python float powers: numpy's array
+    power can round their last bits differently.
     """
     if d_model % 2 != 0:
         raise ValueError(f"d_model must be even, got {d_model}")
-    if pos < 0:
-        raise ValueError(f"pos must be >= 0, got {pos}")
-    out = np.empty(d_model, dtype=np.float64)
-    for i in range(d_model // 2):
-        angle = pos / PE_BASE ** (2 * i / d_model)
-        out[2 * i] = math.sin(angle)
-        out[2 * i + 1] = math.cos(angle)
+    pos = np.asarray(pos, dtype=np.float64)
+    if (pos < 0).any():
+        raise ValueError(f"pos must be >= 0, got {pos.min()}")
+    angles = pos[..., None] / np.array([PE_BASE ** (2 * i / d_model) for i in range(d_model // 2)])
+    out = np.empty(pos.shape + (d_model,), dtype=np.float64)
+    out[..., 0::2] = np.sin(angles)
+    out[..., 1::2] = np.cos(angles)
     return out
 
 

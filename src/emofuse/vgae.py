@@ -181,18 +181,16 @@ def train_vgae(graph: CoocGraph, config: VgaeConfig, rng) -> tuple[EmojiEmbeddin
         ad.adam_step(opt)
         history.append(value)
         logger.info("vgae epoch %d/%d loss %.6f", epoch + 1, config.epochs, history[-1])
-    final = encode(a_norm, ax, params)
-    if not np.isfinite(final.mu.data).all():
-        raise TrainingError(f"vgae embeddings are not finite after {config.epochs} epochs")
-    embeddings = EmojiEmbeddings(ids=list(graph.node_ids), vectors=final.mu.data.copy())
-    return embeddings, params, history
+    return embed_nodes(graph, params), params, history
 
 
 def embed_nodes(graph: CoocGraph, params: VgaeParams) -> EmojiEmbeddings:
-    """Posterior means for the graph under fixed parameters."""
+    """Posterior means for the graph under fixed parameters; a non-finite one raises TrainingError."""
     a_norm, ax = _encoder_inputs(graph)
-    posterior = encode(a_norm, ax, params)
-    return EmojiEmbeddings(ids=list(graph.node_ids), vectors=posterior.mu.data.copy())
+    mu = encode(a_norm, ax, params).mu.data
+    if not np.isfinite(mu).all():
+        raise TrainingError("vgae embeddings are not finite")
+    return EmojiEmbeddings(ids=list(graph.node_ids), vectors=mu.copy())
 
 
 def edge_auc(scores: np.ndarray, a_bin: np.ndarray, rng) -> float:

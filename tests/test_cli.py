@@ -156,7 +156,6 @@ class TestCliErrors:
 class TestCliPipeline:
     def test_full_workflow(self, workspace, capsys):
         assert cli_main(["build-graph", "--config", "run.cfg"]) == 0
-        assert (workspace / "graph" / "nodes.txt").exists()
         assert (workspace / "graph" / "edges.tsv").exists()
         assert (workspace / "graph" / "attributes.txt").exists()
 
@@ -280,6 +279,29 @@ class TestCliPipeline:
         assert cli_main(["evaluate", "--config", "run.cfg"]) == 1
         assert "classifier.ntc: tensor 'cnn.dense_w' has a nan or inf value" in capsys.readouterr().err
         assert not (workspace / "out" / "eval_report.json").exists()
+
+    def test_nonfinite_exported_means_exit_1_without_a_file(self, workspace, capsys):
+        """Finite but huge weights overflow the posterior means; export must not write inf rows."""
+        assert cli_main(["build-graph", "--config", "run.cfg"]) == 0
+        assert cli_main(["train-vgae", "--config", "run.cfg"]) == 0
+        path = workspace / "out" / "vgae.ntc"
+        tensors = load_tensors(path)
+        for name in ("vgae.w_in", "vgae.w_mu"):
+            tensors[name] = tensors[name] * 1e200
+        save_tensors(path, tensors)
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            code = cli_main(["export-embeddings", "--config", "run.cfg", "--set", "checkpoint=out/vgae.ntc",
+                             "--set", "embeddings=out/exported.txt"])
+        assert code == 1
+        assert "error: vgae embeddings are not finite" in capsys.readouterr().err
+        assert not (workspace / "out" / "exported.txt").exists()
+
+    def test_odd_vgae_latent_trains(self, workspace):
+        """Only the classifier, which adds positions, needs an even emoji dimension."""
+        assert cli_main(["build-graph", "--config", "run.cfg"]) == 0
+        assert cli_main(["train-vgae", "--config", "run.cfg", "--set", "vgae_latent=5"]) == 0
+        assert EmojiEmbeddings.load(workspace / "out" / "embeddings.txt").dimension == 5
 
     @pytest.mark.parametrize("meta", [
         "[]",

@@ -217,6 +217,17 @@ class TestGraphRoundTrip:
         np.testing.assert_array_equal(loaded.adjacency, graph.adjacency)
         np.testing.assert_array_equal(loaded.attributes, graph.attributes)
 
+    def test_directory_holds_only_attributes_and_edges(self, tmp_path, inventory, word_table):
+        """Node order is attributes.txt's row order; no separate node list is written."""
+        counts = count_cooccurrences([tokenize("\U0001F622 \U0001F600 \U0001F602")])
+        graph = build_cooc_graph(counts, inventory, word_table)
+        save_graph(graph, tmp_path / "g")
+        assert sorted(p.name for p in (tmp_path / "g").iterdir()) == ["attributes.txt", "edges.tsv"]
+        loaded = load_graph(tmp_path / "g")
+        assert loaded.node_ids == graph.node_ids == sorted(graph.node_ids)
+        assert loaded.pair_counts == graph.pair_counts
+        np.testing.assert_array_equal(loaded.adjacency, graph.adjacency)
+
     def test_min_pair_count_filters(self, inventory, word_table):
         texts = ["\U0001F600 \U0001F602", "\U0001F600 \U0001F602", "\U0001F622 \U0001F494"]
         counts = count_cooccurrences([tokenize(t) for t in texts])
@@ -258,6 +269,11 @@ class TestLoadGraphErrors:
     def test_bad_edge_line_names_file_and_line(self, tmp_path, line):
         write_two_node_graph(tmp_path, "0\t1\t2\t0.5\n" + line + "\n")
         with pytest.raises(CorpusError, match=r"edges\.tsv:2"):
+            load_graph(tmp_path)
+
+    def test_repeated_edge_names_both_lines(self, tmp_path):
+        write_two_node_graph(tmp_path, "0\t1\t2\t0.5\n\n0\t1\t99\t0.25\n")
+        with pytest.raises(CorpusError, match=r"edges\.tsv:3: edge \(0, 1\) repeats line 1$"):
             load_graph(tmp_path)
 
     def test_zero_weight_edge_loads(self, tmp_path):

@@ -53,6 +53,12 @@ class TestPositionalEncoding:
                 assert pe[2 * i] == pytest.approx(math.sin(angle), abs=1e-12)
                 assert pe[2 * i + 1] == pytest.approx(math.cos(angle), abs=1e-12)
 
+    @pytest.mark.parametrize("n, d", [(12, 6), (16, 16), (64, 300)])
+    def test_array_of_positions_stacks_the_per_position_vectors(self, n, d):
+        table = positional_encoding(np.arange(n), d)
+        assert table.shape == (n, d)
+        assert np.array_equal(table, np.stack([positional_encoding(p, d) for p in range(n)]))
+
     def test_fixed_offset_is_trigonometric_combination(self):
         # sin((pos+t)/f) = sin(pos/f)cos(t/f) + cos(pos/f)sin(t/f), same for cos
         base, d = 1000.0, 16
