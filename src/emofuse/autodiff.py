@@ -9,8 +9,7 @@ is the finite-difference oracle the test suite uses against every rule.
 The engine holds only the ops some model calls, each taking only what its
 callers pass: ``add`` and ``mul`` with broadcasting (also as ``+`` and
 ``*``), ``concat``, ``layer_norm`` (always of a + residual), ``linear``, the
-one matrix product (with an optional bias and relu), and
-``gaussian_sample`` (of the caller's noise draw).
+one matrix product (with an optional bias and relu).
 Every op, these and the fused rules below, returns through ``node``: its
 result joins the tape only when some input requires a gradient, and is a
 constant with no parents otherwise. ``Tensor(...)`` builds only leaves and
@@ -30,9 +29,10 @@ from one tanh each (also checked against the per-step reference oracle in
 the tests); in ``attention`` the attention core of
 every post of a chunk is one node; in ``textcnn`` a channel's convolutions
 at every kernel width, one GEMM, with their relu and the per-post max-pool
-are one node, and the cross-entropy another; in
-``vgae`` the decoder, the reconstruction cross-entropy and the KL term are
-one node each.
+are one node, and the cross-entropy another; in ``vgae`` the whole
+objective, from the reparameterized sample of the caller's noise draw
+through the decoder to the cross-entropy and the KL term, is one node that
+reuses its work arrays across epochs.
 
 Training packs its parameter list into one contiguous buffer, the arena
 (``pack_parameters``), each tensor a view of it. ``AdamState`` keeps the
@@ -394,21 +394,6 @@ class Segments:
                 layout = (starts, total, dest)
             self._blocks[min_rows] = layout
         return self._blocks[min_rows]
-
-
-def gaussian_sample(mu, logvar, noise) -> Tensor:
-    """Reparameterized Gaussian sample z = mu + exp(logvar / 2) * noise, one node.
-
-    `noise` is the caller's standard-normal draw, shaped like mu. Gradients
-    flow to mu and logvar, never to the noise.
-    """
-    mu, logvar = as_tensor(mu), as_tensor(logvar)
-    if mu.data.shape != logvar.data.shape or np.shape(noise) != mu.data.shape:
-        raise ShapeError(f"gaussian_sample shapes differ: mu {mu.data.shape}, logvar {logvar.data.shape}, "
-                         f"noise {np.shape(noise)}")
-    std = np.exp(logvar.data * 0.5)
-    data = mu.data + std * noise
-    return node(data, (mu, logvar), lambda g: (g, g * noise * std * 0.5))
 
 
 # --- parameters and optimization -------------------------------------------

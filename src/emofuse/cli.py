@@ -28,7 +28,7 @@ from .pipeline import evaluate, train_classifier, write_csv
 from .senses import load_emojinet
 from .text_encoder import WordEmbeddingTable
 from .tokenization import load_labeled_dataset, load_unlabeled_corpus, tokenize
-from .vgae import EmojiEmbeddings, VgaeConfig, VgaeParams, embed_nodes, train_vgae
+from .vgae import EmojiEmbeddings, VgaeParams, embed_nodes, train_vgae
 
 logger = logging.getLogger("emofuse")
 
@@ -61,10 +61,8 @@ def cmd_build_graph(config: RunConfig) -> int:
 
 def cmd_train_vgae(config: RunConfig) -> int:
     graph = load_graph(config.graph_dir)
-    vgae_config = VgaeConfig(hidden=config.vgae_hidden, latent=config.vgae_latent,
-                             epochs=config.vgae_epochs, lr=config.vgae_lr)
     rng = np.random.default_rng(config.seed)
-    embeddings, params, history = train_vgae(graph, vgae_config, rng)
+    embeddings, params, history = train_vgae(graph, config.vgae(), rng)
     embeddings_path = _out_path(config, EMBEDDINGS_FILE)
     embeddings.save(embeddings_path)
     save_tensors(_out_path(config, GRAPH_CHECKPOINT),

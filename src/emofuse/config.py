@@ -63,16 +63,18 @@ class RunConfig:
         if not self.kernel_sizes or any(k < 1 for k in self.kernel_sizes):
             raise ConfigError(f"kernel_sizes must be positive, got {self.kernel_sizes}")
         for name, least in (("seed", 0), ("num_classes", 2), ("fusion_dim", 1), ("filters", 1),
-                            ("lstm_hidden", 1), ("ffn_dim", 1), ("vgae_hidden", 1), ("max_len", 1),
-                            ("batch_size", 1), ("top_k", 2), ("vgae_latent", 1), ("epochs", 0),
-                            ("vgae_epochs", 0)):
+                            ("lstm_hidden", 1), ("ffn_dim", 1), ("max_len", 1),
+                            ("batch_size", 1), ("top_k", 2), ("epochs", 0)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
-        for name in ("lr", "vgae_lr"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be finite and > 0, got {value}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        self.vgae().validate("vgae_")
         return self
+
+    def vgae(self) -> VgaeConfig:
+        """The graph autoencoder's settings, the `vgae_*` keys."""
+        return VgaeConfig(self.vgae_hidden, self.vgae_latent, self.vgae_epochs, self.vgae_lr)
 
     def as_dict(self) -> dict:
         out = asdict(self)

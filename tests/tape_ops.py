@@ -7,7 +7,9 @@ oracle (`per_tap_logits`) runs on `conv_relu`, one GEMM per kernel tap,
 and `segment_max`. The models need none of them: their fused nodes do
 this work in numpy. Each op is checked by `grad_check` in test_autodiff.
 `ReferenceAdam` is the per-tensor Adam loop that `autodiff.adam_step`'s
-grouped update over the parameter arena must match bit for bit.
+grouped update over the parameter arena must match bit for bit, and
+`reference_objective` the five-node VGAE objective that the one node
+`vgae.vgae_loss` must match bit for bit.
 """
 
 import numpy as np
@@ -15,12 +17,19 @@ import numpy as np
 from emofuse import autodiff as ad
 from emofuse.autodiff import Tensor, as_tensor
 from emofuse.exceptions import ShapeError
-from emofuse.vgae import _sigmoid_values
+
+
+def sigmoid_values(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """1 / (1 + e) for x >= 0 and e / (1 + e) below, with e = exp(-|x|): no overflow.
+
+    The numerator max(e, x >= 0) picks the branch without masked indexing.
+    """
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    data = _sigmoid_values(a.data, np.exp(-np.abs(a.data)))
+    data = sigmoid_values(a.data, np.exp(-np.abs(a.data)))
     return ad.node(data, (a,), lambda g: (g * data * (1.0 - data),))
 
 
@@ -187,3 +196,34 @@ class ReferenceAdam:
             v += (1.0 - self.beta2) * g * g
             step = self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
             p.data -= step
+
+
+def reference_objective(posterior, noise, a_bin) -> Tensor:
+    """The VGAE objective as five tape nodes: the chain `vgae.vgae_loss` fuses.
+
+    The reparameterized sample z = mu + exp(logvar / 2) * noise, the logits
+    S = z z^T with backward (g + g^T) z, the re-weighted softplus
+    cross-entropy of S against `a_bin`, the KL term, and their sum, each
+    with its own backward rule and in the fused node's operand order.
+    """
+    mu, logvar = posterior.mu, posterior.logvar
+    std = np.exp(logvar.data * 0.5)
+    z = ad.node(mu.data + std * noise, (mu, logvar), lambda g: (g, g * noise * std * 0.5))
+    logits = ad.node(z.data @ z.data.T, (z,), lambda g: ((g + g.T) @ z.data,))
+    n = a_bin.shape[0]
+    total, positives = float(n * n), float(a_bin.sum())
+    pos_weight = (total - positives) / positives
+    norm = total / (2.0 * (total - positives))
+    scale = norm / total
+    s = logits.data
+    signed = (1.0 - 2.0 * a_bin) * s  # -S on positives, S elsewhere
+    e = np.exp(-np.abs(s))
+    softplus = np.maximum(signed, 0.0) + np.log1p(e)
+    weights = 1.0 + (pos_weight - 1.0) * a_bin
+    bce = ad.node(scale * np.vdot(weights, softplus), (logits,),
+                  lambda g: ((g * scale) * (weights * sigmoid_values(s, e) - pos_weight * a_bin),))
+    var = np.exp(logvar.data)
+    kl_scale = -1.0 / (2.0 * n)
+    kl = ad.node(kl_scale * np.sum(1.0 + logvar.data - mu.data * mu.data - var), (mu, logvar),
+                 lambda g: ((-2.0 * kl_scale * g) * mu.data, (kl_scale * g) * (1.0 - var)))
+    return bce + kl

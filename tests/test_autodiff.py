@@ -16,8 +16,8 @@ from emofuse.autodiff import AdamState, Segments, Tensor, adam_step, grad_check,
 from emofuse.exceptions import CheckpointError, EmofuseError, ShapeError
 from emofuse.text_encoder import BiLstmParams, LstmDirectionParams, bilstm_layer
 from emofuse.textcnn import ConvBank, conv_pool, cross_entropy_logits
-from emofuse.vgae import LatentPosterior, _bce_from_logits, _kl_term, _sigmoid_values, decode
-from tape_ops import ReferenceAdam, conv_relu, mean, segment_max, sigmoid, tanh, tensor_sum, tslice
+from emofuse.vgae import LatentPosterior, VgaeTarget, vgae_loss
+from tape_ops import ReferenceAdam, conv_relu, mean, segment_max, sigmoid, sigmoid_values, tanh, tensor_sum, tslice
 
 
 def _bilstm(w_h, x, w_x, b):  # both directions share one set of weights
@@ -25,7 +25,7 @@ def _bilstm(w_h, x, w_x, b):  # both directions share one set of weights
     return bilstm_layer(x, BiLstmParams(forward=direction, backward=direction, hidden=2), Segments([3]))
 
 
-NOISE = np.random.default_rng(1).standard_normal((2, 3))
+NOISE = np.random.default_rng(1).standard_normal((3, 2))
 EDGES = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 # every op of the package that puts its result on the tape: the shapes of
 # its tensor inputs, then the call; the first input is one of the result's parents
@@ -35,16 +35,14 @@ NODE_OPS = {
     "concat": ([(2, 3), (1, 3)], lambda a, b: ad.concat([a, b])),
     "layer_norm": ([(2, 3), (3,), (3,), (2, 3)], ad.layer_norm),
     "linear": ([(2, 3), (3, 4), (4,)], lambda x, w, b: ad.linear(x, w, b, relu=True)),
-    "gaussian_sample": ([(2, 3), (2, 3)], lambda mu, logvar: ad.gaussian_sample(mu, logvar, noise=NOISE)),
     "scaled_dot_attention": ([(2, 4), (3, 4), (3, 2)],
                              lambda q, k, v: scaled_dot_attention(q, k, v, Segments([2]), Segments([3]))),
     "bilstm_layer": ([(2, 8), (3, 4), (4, 8), (8,)], _bilstm),
     "conv_pool": ([(5, 4), (4, 6), (4,)],
                   lambda x, k, b: conv_pool(x, ConvBank(kernels=k, bias=b), (1, 2), Segments([5]))),
     "cross_entropy_logits": ([(2, 3)], lambda s: cross_entropy_logits(s, [0, 2])),
-    "decode": ([(3, 2)], decode),
-    "_bce_from_logits": ([(3, 3)], lambda s: _bce_from_logits(s, EDGES, 2.0, 0.5)),
-    "_kl_term": ([(3, 2), (3, 2)], lambda mu, logvar: _kl_term(LatentPosterior(mu=mu, logvar=logvar), 3)),
+    "vgae_loss": ([(3, 2), (3, 2)],
+                  lambda mu, logvar: vgae_loss(LatentPosterior(mu=mu, logvar=logvar), NOISE, VgaeTarget(EDGES, 2))),
 }
 
 
@@ -163,7 +161,7 @@ class TestElementwise:
         edges = np.array([np.nan, -0.0, 0.0, -800.0, 800.0, np.inf, -np.inf, 5e-324, -5e-324, -36.0, 37.0])
         random = np.random.default_rng(0).normal(0.0, 20.0, (40, 30))
         for x in (edges, random):
-            np.testing.assert_array_equal(_sigmoid_values(x, np.exp(-np.abs(x))), two_branch(x))
+            np.testing.assert_array_equal(sigmoid_values(x, np.exp(-np.abs(x))), two_branch(x))
 
 
 class TestLayerNorm:
@@ -187,33 +185,6 @@ class TestLayerNorm:
               - normed * (d_normed * normed).mean(axis=-1, keepdims=True)) * inv_std
         np.testing.assert_array_equal(a.grad, dx)
         np.testing.assert_array_equal(residual.grad, dx)
-
-
-class TestGaussianSample:
-    def test_near_zero_variance_returns_mean(self):
-        mu = Tensor([1.0, -2.0], requires_grad=True)
-        z = ad.gaussian_sample(mu, Tensor([-40.0, -40.0]), np.random.default_rng(0).standard_normal(2))
-        np.testing.assert_allclose(z.data, mu.data, atol=1e-8)
-
-    def test_fixed_noise_reproducible(self):
-        mu, logvar = Tensor([0.5]), Tensor([0.2])
-        noise = np.array([0.3])
-        z1 = ad.gaussian_sample(mu, logvar, noise=noise)
-        z2 = ad.gaussian_sample(mu, logvar, noise=noise)
-        np.testing.assert_array_equal(z1.data, z2.data)
-
-    def test_gradients_flow_to_mu_and_logvar(self):
-        mu = Tensor([0.5], requires_grad=True)
-        logvar = Tensor([0.2], requires_grad=True)
-        noise = np.array([0.7])
-        tensor_sum(ad.gaussian_sample(mu, logvar, noise=noise)).backward()
-        np.testing.assert_allclose(mu.grad, [1.0])
-        expected = 0.5 * np.exp(0.1) * 0.7
-        np.testing.assert_allclose(logvar.grad, [expected], atol=1e-12)
-
-    def test_noise_of_another_shape_rejected(self):
-        with pytest.raises(ShapeError, match=r"noise \(3,\)"):
-            ad.gaussian_sample(Tensor(np.zeros((2,))), Tensor(np.zeros((2,))), np.zeros(3))
 
 
 class TestGradCheck:
@@ -255,7 +226,7 @@ class TestGradCheck:
                                     "slice", "conv", "conv_kernels", "conv_bias",
                                     "max_over_time", "mean", "linear", "linear_blocks",
                                     "add_layer_norm", "bilstm_layer", "segment_attention",
-                                    "conv_padded", "segment_max", "cross_entropy_rows"])
+                                    "conv_padded", "segment_max", "cross_entropy_rows", "vgae_loss"])
     def test_every_op_passes_grad_check(self, op):
         rng = np.random.default_rng(zlib.crc32(op.encode()))
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
@@ -282,6 +253,8 @@ class TestGradCheck:
         pool_weights = rng.standard_normal((3, 4))
         scores = Tensor(rng.standard_normal((7, 4)), requires_grad=True)
         labels = np.array([1, 0, 3, 1, 2, 0, 3])
+        logvar = Tensor(rng.standard_normal((3, 4)) * 0.5, requires_grad=True)
+        noise, target = rng.standard_normal((3, 4)), VgaeTarget(EDGES, 4)
 
         functions = {
             "tanh": lambda t: mean(ad.mul(tanh(t), weights)),
@@ -306,12 +279,13 @@ class TestGradCheck:
                                                     tap_weights)),
             "segment_max": lambda t: mean(ad.mul(segment_max(t, [0, 3, 4], [3, 1, 2]), pool_weights)),
             "cross_entropy_rows": lambda t: ad.mul(cross_entropy_logits(t, labels), 0.3),
+            "vgae_loss": lambda _: vgae_loss(LatentPosterior(mu=x, logvar=logvar), noise, target),
         }
         # the bilstm_layer case reads packed and every parameter in place
         checked = {"conv_kernels": [kernels], "conv_bias": [cbias],
                    "bilstm_layer": [packed] + [p for _, p in ad.named_parameters(lstm)],
                    "segment_attention": [packed], "conv_padded": [packed], "segment_max": [packed],
-                   "cross_entropy_rows": [scores]}.get(op, [x])
+                   "cross_entropy_rows": [scores], "vgae_loss": [x, logvar]}.get(op, [x])
         for tensor in checked:
             assert grad_check(functions[op], tensor) < 1e-5
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,13 +8,14 @@ from conftest import make_emoji_labeled_posts
 from emofuse import autodiff as ad
 from emofuse import vgae
 from emofuse.autodiff import Tensor, grad_check
-from emofuse.exceptions import TrainingError
+from emofuse.exceptions import ConfigError, ShapeError, TrainingError
 from emofuse.graph import CoocGraph, binarize_edges, build_cooc_graph, count_cooccurrences, normalize_adjacency
 from emofuse.tokenization import tokenize
 from emofuse.vgae import (
     LatentPosterior,
     VgaeConfig,
     VgaeParams,
+    VgaeTarget,
     decode,
     edge_auc,
     embed_nodes,
@@ -21,7 +23,7 @@ from emofuse.vgae import (
     train_vgae,
     vgae_loss,
 )
-from tape_ops import tensor_sum
+from tape_ops import reference_objective
 
 
 def scalar_loss_oracle(a_hat, a_bin, mu, logvar):
@@ -64,18 +66,7 @@ def sigmoid_matrix(logits):
 
 def edge_probabilities(z):
     """The decoder's edge probabilities, sigmoid of `decode`'s logits, in plain math."""
-    return sigmoid_matrix(decode(Tensor(z)).data)
-
-
-def tape_nodes(root):
-    """Every tensor reachable from `root` through the recorded parents."""
-    seen, stack = {}, [root]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen[id(node)] = node
-            stack.extend(node._parents)
-    return list(seen.values())
+    return sigmoid_matrix(decode(z, np.empty((len(z), len(z)))))
 
 
 def ring_target(n):
@@ -150,23 +141,39 @@ class TestDecode:
         np.testing.assert_allclose(probs, probs.T, atol=1e-12)
         assert (probs > 0).all() and (probs < 1).all()
 
-    def test_keeps_logits_and_latents(self):
-        # the output is the logits z z^T, one node whose only parent is z
-        z = Tensor(np.random.default_rng(6).standard_normal((4, 3)), requires_grad=True)
-        out = decode(z)
-        assert type(out) is Tensor
-        np.testing.assert_array_equal(out.data, z.data @ z.data.T)
-        assert out._parents == (z,)
+    def test_writes_the_logits_into_out(self):
+        z = np.random.default_rng(6).standard_normal((4, 3))
+        out = np.empty((4, 4))
+        assert decode(z, out) is out
+        np.testing.assert_array_equal(out, z @ z.T)
 
-    def test_own_gradient_passes_grad_check(self):
-        rng = np.random.default_rng(8)
-        z = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-        mix = rng.standard_normal((4, 4))
-        assert grad_check(lambda t: tensor_sum(ad.mul(decode(t), mix)), z) < 1e-7
+    @pytest.mark.parametrize("n, latent", [(8, 16), (177, 16), (324, 300)])
+    def test_logits_equal_their_transpose_bit_for_bit(self, n, latent):
+        # the fused backward's dz = 2 (dS z) rests on this
+        z = np.random.default_rng(n).standard_normal((n, latent))
+        logits = decode(z, np.empty((n, n)))
+        assert np.array_equal(logits, logits.T)
 
 
 def standard_posterior(n, latent):
     return LatentPosterior(mu=Tensor(np.zeros((n, latent))), logvar=Tensor(np.zeros((n, latent))))
+
+
+def mean_posterior(mu, logvar=None):
+    """A posterior whose sample under zero noise is exactly `mu`."""
+    logvar = np.zeros_like(mu) if logvar is None else logvar
+    return LatentPosterior(mu=Tensor(mu), logvar=Tensor(logvar))
+
+
+def loss_at_mean(posterior, a_bin):
+    """The objective with zero noise, so that z = mu exactly."""
+    shape = posterior.mu.data.shape
+    return vgae_loss(posterior, np.zeros(shape), VgaeTarget(a_bin, shape[1]))
+
+
+def random_target(rng, n, density=0.05):
+    adjacency = np.triu(rng.random((n, n)) < density, 1).astype(np.float64)
+    return binarize_edges(adjacency + adjacency.T)
 
 
 class TestVgaeLoss:
@@ -174,50 +181,52 @@ class TestVgaeLoss:
         n = 3
         a_bin = np.eye(n)
         posterior = standard_posterior(n, 2)
-        loss = vgae_loss(Tensor(np.zeros((n, n))), a_bin, posterior)
+        loss = loss_at_mean(posterior, a_bin)
         oracle = scalar_loss_oracle(np.full((n, n), 0.5), a_bin, posterior.mu.data, posterior.logvar.data)
         assert loss.item() == pytest.approx(oracle, abs=1e-12)
 
     def test_matched_saturation_drives_bce_to_zero(self):
+        # rows 0 and 1 score +49 with each other and themselves, row 2 scores -49 with both
         n = 3
         a_bin = binarize_edges(np.array([[0, 1.0, 0], [1.0, 0, 0], [0, 0, 0]]))
-        near = np.where(a_bin == 1.0, 40.0, -40.0)
-        loss = vgae_loss(Tensor(near), a_bin, standard_posterior(n, 2))
-        assert loss.item() == pytest.approx(0.0, abs=1e-9)
+        mu = np.array([[7.0, 0.0], [7.0, 0.0], [-7.0, 0.0]])
+        loss = loss_at_mean(mean_posterior(mu), a_bin)
+        kl = (mu * mu).sum() / (2.0 * n)  # logvar = 0 leaves only the mean's part
+        assert loss.item() - kl == pytest.approx(0.0, abs=1e-9)
 
     def test_three_node_instance_matches_scalar_oracle(self):
         rng = np.random.default_rng(7)
         n = 3
         a_bin = binarize_edges(np.array([[0, 1.2, 0], [1.2, 0, 0.4], [0, 0.4, 0]]))
-        logits = rng.uniform(-2.0, 2.0, (n, n))
-        logits = (logits + logits.T) / 2
         mu = rng.standard_normal((n, 2))
         logvar = rng.standard_normal((n, 2)) * 0.3
-        loss = vgae_loss(Tensor(logits), a_bin, LatentPosterior(mu=Tensor(mu), logvar=Tensor(logvar)))
-        oracle = scalar_loss_oracle(sigmoid_matrix(logits), a_bin, mu, logvar)
+        loss = loss_at_mean(mean_posterior(mu, logvar), a_bin)
+        oracle = scalar_loss_oracle(sigmoid_matrix(mu @ mu.T), a_bin, mu, logvar)
         assert loss.item() == pytest.approx(oracle, abs=1e-9)
 
     def test_no_positive_edges_rejected(self):
-        n = 2
-        with pytest.raises(TrainingError):
-            vgae_loss(Tensor(np.zeros((n, n))), np.zeros((n, n)), standard_posterior(n, 1))
+        with pytest.raises(TrainingError, match="no positive edges"):
+            VgaeTarget(np.zeros((2, 2)), 1)
 
     def test_complete_graph_rejected(self):
-        n = 2
-        with pytest.raises(TrainingError):
-            vgae_loss(Tensor(np.zeros((n, n))), np.ones((n, n)), standard_posterior(n, 1))
+        with pytest.raises(TrainingError, match="complete"):
+            VgaeTarget(np.ones((2, 2)), 1)
+
+    def test_asymmetric_target_rejected(self):
+        with pytest.raises(ShapeError, match="symmetric"):
+            VgaeTarget(np.array([[1.0, 1.0], [0.0, 1.0]]), 1)
 
     def test_kl_nonnegative_and_zero_only_at_standard_normal(self):
         rng = np.random.default_rng(11)
         n = 4
         a_bin = np.eye(n)
-        logits = Tensor(np.zeros((n, n)))
-        base = vgae_loss(logits, a_bin, standard_posterior(n, 3))
         for _ in range(25):
             mu = rng.standard_normal((n, 3))
             logvar = rng.standard_normal((n, 3))
-            loss = vgae_loss(logits, a_bin, LatentPosterior(mu=Tensor(mu), logvar=Tensor(logvar)))
-            assert loss.item() >= base.item() - 1e-12
+            loss = loss_at_mean(mean_posterior(mu, logvar), a_bin)
+            # the oracle at the standard normal is the cross-entropy of the same logits alone
+            bce = scalar_loss_oracle(sigmoid_matrix(mu @ mu.T), a_bin, np.zeros((n, 3)), np.zeros((n, 3)))
+            assert loss.item() >= bce - 1e-12
 
 
 class TestLossFromLogits:
@@ -226,10 +235,9 @@ class TestLossFromLogits:
         rng = np.random.default_rng(12)
         n = 6
         a_bin = ring_target(n)
-        z = rng.standard_normal((n, 3))
         mu, logvar = rng.standard_normal((n, 3)), rng.standard_normal((n, 3)) * 0.3
-        loss = vgae_loss(decode(Tensor(z)), a_bin, LatentPosterior(mu=Tensor(mu), logvar=Tensor(logvar)))
-        oracle = scalar_loss_oracle(edge_probabilities(z), a_bin, mu, logvar)
+        loss = loss_at_mean(mean_posterior(mu, logvar), a_bin)
+        oracle = scalar_loss_oracle(edge_probabilities(mu), a_bin, mu, logvar)
         assert loss.item() == pytest.approx(oracle, rel=1e-12)
 
     def test_passes_grad_check_with_both_edge_classes(self):
@@ -237,24 +245,23 @@ class TestLossFromLogits:
         n = 6
         a_bin = ring_target(n)
         assert 0 < a_bin.sum() < n * n
-        z = Tensor(rng.standard_normal((n, 3)) * 1.5, requires_grad=True)
-        mu = Tensor(rng.standard_normal((n, 3)), requires_grad=True)
+        mu = Tensor(rng.standard_normal((n, 3)) * 1.5, requires_grad=True)
         logvar = Tensor(rng.standard_normal((n, 3)) * 0.3, requires_grad=True)
+        noise = rng.standard_normal((n, 3))
         posterior = LatentPosterior(mu=mu, logvar=logvar)
-        for target in (z, mu, logvar):
-            err = grad_check(lambda t: vgae_loss(decode(z), a_bin, posterior), target)
-            assert err < 1e-7
+        target = VgaeTarget(a_bin, 3)
+        for tensor in (mu, logvar):
+            assert grad_check(lambda t: vgae_loss(posterior, noise, target), tensor) < 1e-7
 
-    def test_loss_does_not_pass_through_probabilities(self):
+    def test_one_node_whose_parents_are_mu_and_logvar(self):
+        # the noise is an array, not a parent, so it never gets a gradient
         rng = np.random.default_rng(14)
-        z = Tensor(rng.standard_normal((5, 2)), requires_grad=True)
-        logits = decode(z)
-        posterior = LatentPosterior(mu=z, logvar=Tensor(np.zeros((5, 2))))
-        loss = vgae_loss(logits, ring_target(5), posterior)
-        bce, _ = loss._parents
-        assert bce._parents == (logits,)
-        # loss = bce + kl; bce reads the logits, which read z; kl reads z and the constant logvar
-        assert len(tape_nodes(loss)) == 6
+        mu = Tensor(rng.standard_normal((5, 2)), requires_grad=True)
+        logvar = Tensor(rng.standard_normal((5, 2)), requires_grad=True)
+        loss = vgae_loss(LatentPosterior(mu=mu, logvar=logvar), rng.standard_normal((5, 2)),
+                         VgaeTarget(ring_target(5), 2))
+        assert loss._parents == (mu, logvar)
+        assert all(not p._parents for p in loss._parents)
 
     def test_saturated_latents_give_analytic_loss_and_gradient(self):
         # the 0-1 edge is a positive scored -800 (sigmoid exactly 0), the 0-2
@@ -262,17 +269,17 @@ class TestLossFromLogits:
         n = 3
         a_bin = binarize_edges(np.array([[0, 1.0, 0], [1.0, 0, 1.0], [0, 1.0, 0]]))
         gram = np.array([[2000.0, -800.0, 55.0], [-800.0, 2000.0, 60.0], [55.0, 60.0, 2000.0]])
-        z = Tensor(np.linalg.cholesky(gram), requires_grad=True)
-        s = z.data @ z.data.T
+        mu = Tensor(np.linalg.cholesky(gram), requires_grad=True)
+        s = mu.data @ mu.data.T
         assert (np.abs(s) >= 50).all()
         assert plain_sigmoid(s[0, 1]) == 0.0 and plain_sigmoid(s[0, 2]) == 1.0
-        zeros = Tensor(np.zeros((n, 2)))
-        loss = vgae_loss(decode(z), a_bin, LatentPosterior(mu=zeros, logvar=zeros))
+        loss = loss_at_mean(LatentPosterior(mu=mu, logvar=Tensor(np.zeros_like(mu.data))), a_bin)
 
         total, positives = n * n, a_bin.sum()
         pos_weight = (total - positives) / positives
         scale = 1.0 / (2.0 * (total - positives))  # norm / N^2
-        expected = scale * sum(
+        kl = (mu.data * mu.data).sum() / (2.0 * n)
+        expected = kl + scale * sum(
             pos_weight * softplus_limit(-s[i, j]) if a_bin[i, j] else softplus_limit(s[i, j])
             for i in range(n) for j in range(n))
         assert math.isfinite(loss.item())
@@ -282,8 +289,79 @@ class TestLossFromLogits:
         d_logits = np.array([[scale * (pos_weight * (plain_sigmoid(s[i, j]) - 1.0) if a_bin[i, j]
                                        else plain_sigmoid(s[i, j])) for j in range(n)]
                              for i in range(n)])
-        assert np.isfinite(z.grad).all()
-        np.testing.assert_allclose(z.grad, (d_logits + d_logits.T) @ z.data, rtol=1e-12, atol=1e-12)
+        assert np.isfinite(mu.grad).all()
+        np.testing.assert_allclose(mu.grad, (d_logits + d_logits.T) @ mu.data + mu.data / n,
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_sample_stays_finite_at_tiny_variance(self):
+        rng = np.random.default_rng(15)
+        mu = rng.standard_normal((4, 2))
+        target = VgaeTarget(ring_target(4), 2)
+        loss = vgae_loss(mean_posterior(mu, np.full((4, 2), -40.0)), rng.standard_normal((4, 2)), target)
+        assert math.isfinite(loss.item())
+        np.testing.assert_allclose(target.z, mu, atol=1e-8)
+
+    def test_noise_of_another_shape_rejected(self):
+        with pytest.raises(ShapeError, match=r"noise \(3, 2\)"):
+            vgae_loss(standard_posterior(4, 2), np.zeros((3, 2)), VgaeTarget(ring_target(4), 2))
+
+
+def leaf_posterior(mu, logvar):
+    return LatentPosterior(mu=Tensor(mu.copy(), requires_grad=True),
+                           logvar=Tensor(logvar.copy(), requires_grad=True))
+
+
+def loss_and_grads(objective, mu, logvar, *args):
+    posterior = leaf_posterior(mu, logvar)
+    loss = objective(posterior, *args)
+    loss.backward()
+    return loss.item(), posterior.mu.grad, posterior.logvar.grad
+
+
+class TestFusedObjective:
+    """The one-node objective gives the five-node chain's loss and gradients bit for bit."""
+
+    @pytest.mark.parametrize("n, latent", [(8, 16), (177, 16), (324, 300)])
+    def test_equals_the_reference_chain_bit_for_bit(self, n, latent):
+        rng = np.random.default_rng(1000 + n)
+        a_bin = random_target(rng, n)
+        mu, logvar = rng.standard_normal((n, latent)) * 0.3, rng.standard_normal((n, latent)) * 0.3
+        noise = rng.standard_normal((n, latent))
+        fused = loss_and_grads(vgae_loss, mu, logvar, noise, VgaeTarget(a_bin, latent))
+        reference = loss_and_grads(reference_objective, mu, logvar, noise, a_bin)
+        assert fused[0] == reference[0]
+        assert np.array_equal(fused[1], reference[1])
+        assert np.array_equal(fused[2], reference[2])
+
+    def test_backward_after_a_later_forward_on_the_target_raises(self):
+        rng = np.random.default_rng(31)
+        target = VgaeTarget(ring_target(6), 3)
+        mu, logvar = rng.standard_normal((6, 3)), rng.standard_normal((6, 3))
+        first = vgae_loss(leaf_posterior(mu, logvar), rng.standard_normal((6, 3)), target)
+        second = vgae_loss(leaf_posterior(mu, logvar), rng.standard_normal((6, 3)), target)
+        with pytest.raises(TrainingError, match="later forward"):
+            first.backward()
+        second.backward()
+
+    def test_reused_target_gives_the_gradients_of_fresh_ones(self):
+        rng = np.random.default_rng(32)
+        n, latent = 9, 4
+        a_bin = random_target(rng, n, density=0.3)
+        draws = [(rng.standard_normal((n, latent)), rng.standard_normal((n, latent)) * 0.5,
+                  rng.standard_normal((n, latent))) for _ in range(2)]
+        shared = VgaeTarget(a_bin, latent)
+        for mu, logvar, noise in draws:
+            posterior = leaf_posterior(mu, logvar)
+            loss = vgae_loss(posterior, noise, shared)
+            loss.backward()
+            fresh = loss_and_grads(vgae_loss, mu, logvar, noise, VgaeTarget(a_bin, latent))
+            assert loss.item() == fresh[0]
+            assert np.array_equal(posterior.mu.grad, fresh[1])
+            assert np.array_equal(posterior.logvar.grad, fresh[2])
+            # the returned gradients are the leaves' own, not views of the work arrays
+            work = [a for a in vars(shared).values() if isinstance(a, np.ndarray)]
+            assert not any(np.shares_memory(g, a) for g in (posterior.mu.grad, posterior.logvar.grad)
+                           for a in work)
 
 
 class TestVgaeGradients:
@@ -295,18 +373,17 @@ class TestVgaeGradients:
             adjacency[i, j] = adjacency[j, i] = rng.uniform(0.5, 1.5)
         x = rng.standard_normal((n, 4))
         a_norm = Tensor(normalize_adjacency(adjacency))
-        a_bin = binarize_edges(adjacency)
+        target = VgaeTarget(binarize_edges(adjacency), 2)
         params = VgaeParams.create(4, 3, 2, rng)
         noise = rng.standard_normal((n, 2))
 
         def loss_for(params_override):
             posterior = encode(a_norm, ad.linear(a_norm, Tensor(x)), params_override)
-            z = ad.gaussian_sample(posterior.mu, posterior.logvar, noise=noise)
-            return vgae_loss(decode(z), a_bin, posterior)
+            return vgae_loss(posterior, noise, target)
 
         for name in ("w_in", "w_mu", "w_logvar"):
-            target = getattr(params, name)
-            err = grad_check(lambda t: loss_for(params), target)
+            target_tensor = getattr(params, name)
+            err = grad_check(lambda t: loss_for(params), target_tensor)
             assert err < 1e-4, f"{name} grad check failed with {err}"
 
 
@@ -333,6 +410,12 @@ class TestTrainVgae:
         second, _, h2 = train_vgae(graph, config, np.random.default_rng(4))
         np.testing.assert_array_equal(first.vectors, second.vectors)
         assert h1 == h2
+
+    @pytest.mark.parametrize("field, value", [("hidden", 0), ("latent", 0), ("epochs", -1), ("lr", 0.0)])
+    def test_out_of_bounds_config_raises_naming_the_field(self, field, value):
+        config = dataclasses.replace(VgaeConfig(hidden=8, latent=4, epochs=2), **{field: value})
+        with pytest.raises(ConfigError, match=rf"VgaeConfig\.{field} must be"):
+            train_vgae(make_cluster_graph(), config, np.random.default_rng(0))
 
     def test_empty_graph_rejected(self):
         empty = CoocGraph(node_ids=[], pair_counts={}, adjacency=np.zeros((0, 0)),
