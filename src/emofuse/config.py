@@ -62,8 +62,8 @@ class RunConfig:
             raise ConfigError(f"unknown ablation {self.ablation!r}, expected one of {', '.join(ABLATIONS)}")
         if not self.kernel_sizes or any(k < 1 for k in self.kernel_sizes):
             raise ConfigError(f"kernel_sizes must be positive, got {self.kernel_sizes}")
-        for name, least in (("seed", 0), ("num_classes", 2), ("fusion_dim", 1), ("filters", 1),
-                            ("lstm_hidden", 1), ("ffn_dim", 1), ("max_len", 1),
+        for name, least in (("seed", 0), ("num_classes", 2), ("min_pair_count", 1), ("fusion_dim", 1),
+                            ("filters", 1), ("lstm_hidden", 1), ("ffn_dim", 1), ("max_len", 1),
                             ("batch_size", 1), ("top_k", 2), ("epochs", 0)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .exceptions import CorpusError
 from .senses import SenseInventory, cosine_with_norms, node_attribute, tfidf_sense_vectors, vector_norm
-from .tokenization import EMOJI, TokenSequence
+from .tokenization import TokenSequence
 from .vectors import read_vector_table, write_vector_table
 
 logger = logging.getLogger("emofuse")
@@ -44,7 +44,7 @@ def count_cooccurrences(posts: Iterable[TokenSequence]) -> CoocCounts:
     counts = CoocCounts()
     for seq in posts:
         counts.posts += 1
-        unique = sorted({s for k, s in zip(seq.kinds, seq.surfaces) if k == EMOJI})
+        unique = sorted(seq.unique_emojis())
         for emoji in unique:
             counts.occurrences[emoji] += 1
         for a, b in combinations(unique, 2):

@@ -9,13 +9,18 @@ folded into the base emoji.
 `tokenize` makes no Python-level pass over characters. It lowercases the
 whole post and makes one `findall` pass with a regular expression, compiled
 at import from `_EMOJI_RANGES`, whose alternatives are a word and an emoji
-run; each token's kind is that of its first scalar. Only a post that holds
-a joiner, a selector or a skin tone has its runs folded and its words
-stripped of them. Σ is the one scalar whose lowercase depends on its
-neighbours, so a post that holds it first has each emoji run fenced with
-NULs: the post then lowercases as if each stretch between runs were
-lowercased on its own. A `Token` is a named tuple; a `TokenSequence` stores
-only its kinds and surfaces and makes the tokens when it is read.
+run. Only a post that holds a joiner, a selector or a skin tone has its
+runs folded and its words stripped of them. Σ is the one scalar whose
+lowercase depends on its neighbours, so a post that holds it first has each
+emoji run fenced with NULs: the post then lowercases as if each stretch
+between runs were lowercased on its own.
+
+A token's kind is read off its surface's first scalar: EMOJI when that is an
+emoji scalar or the joiner U+200D, WORD otherwise. A word never starts with
+a joiner; an emoji run does once its leading skin tone folds away, as
+"\U0001F3FB\u200d\U0001F600" folds to "\u200d\U0001F600". A `Token` is a
+named tuple; a `TokenSequence` holds one tuple per post, the surfaces, and
+makes the tokens when it is read.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ import json
 import logging
 import re
 from dataclasses import dataclass
+from itertools import count, repeat
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .exceptions import CorpusError
@@ -79,6 +86,11 @@ _TOKEN = re.compile(f"{_WORD_CHAR}+(?:{_STRAY}+{_WORD_CHAR}+)*|{_RUN}")
 # Only a post that holds one of these has runs to fold or words to strip.
 _MARKED = re.compile(_char_class((_ZWJ, _ZWJ), _VARIATION_SELECTORS, _SKIN_TONES))
 _FOLD = _delete_table(_VARIATION_SELECTORS, _SKIN_TONES)
+# EMOJI for each scalar that starts an emoji surface: an emoji scalar, or
+# the joiner left in front once a leading skin tone folds away. Any other
+# scalar starts a word.
+_EMOJI_FIRST = dict.fromkeys([*_EMOJI_SCALARS, chr(_ZWJ)], EMOJI)
+_first = itemgetter(0)
 
 
 def fold_emoji(surface: str) -> str:
@@ -92,28 +104,34 @@ class Token(NamedTuple):
     position: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TokenSequence:
     """One post's tokens in stream order, at positions 0, 1, 2, ...
 
-    Kinds and surfaces are kept as two tuples of strings, which the garbage
-    collector stops tracking, and `Token`s are made as they are read. Stored
-    tokens would leave one tracked object per token alive for as long as a
-    corpus is held, and every full collection would walk them all.
+    Only the surfaces are kept, as one tuple of strings, which the garbage
+    collector stops tracking; each `Token` is made as it is read, with its
+    kind read off its surface's first scalar. Stored tokens would leave one
+    tracked object per token alive for as long as a corpus is held, and
+    every full collection would walk them all.
     """
 
-    kinds: tuple[str, ...]
     surfaces: tuple[str, ...]
 
     def __len__(self):
-        return len(self.kinds)
+        return len(self.surfaces)
 
     def __iter__(self) -> Iterator[Token]:
-        return map(Token, self.kinds, self.surfaces, range(len(self.kinds)))
+        surfaces = self.surfaces
+        kinds = map(_EMOJI_FIRST.get, map(_first, surfaces), repeat(WORD))
+        return map(Token, kinds, surfaces, count())
 
     @property
     def tokens(self) -> tuple[Token, ...]:
         return tuple(self)
+
+    def unique_emojis(self) -> set[str]:
+        """The distinct emoji surfaces; no emoji starts with an ASCII scalar."""
+        return {s for s in self.surfaces if not s.isascii() and s[0] in _EMOJI_FIRST}
 
 
 @dataclass(frozen=True)
@@ -135,23 +153,19 @@ def tokenize(text: str) -> TokenSequence:
         # case mapping looks through skin tones and selectors to find them; a
         # NUL on each side of every emoji run keeps them out of its context.
         text = "\0".join(_EMOJI_RUN.split(text))
-    surfaces = _TOKEN.findall(text.lower())
     if _MARKED.search(text) is None:
-        kinds = [EMOJI if s[0] in _EMOJI_SCALARS else WORD for s in surfaces]
-        return TokenSequence(tuple(kinds), tuple(surfaces))
-    kinds, kept = [], []
-    for s in surfaces:
+        return TokenSequence(tuple(_TOKEN.findall(text.lower())))
+    kept = []
+    for s in _TOKEN.findall(text.lower()):
         if s[0] in _EMOJI_SCALARS:
             if len(s) > 1 or ord(s) in _FOLD:  # a lone skin tone folds to nothing
                 s = s.translate(_FOLD)
                 if not s:
                     continue
-            kinds.append(EMOJI)
         else:
             s = s.replace("\u200d", "").replace("\ufe0e", "").replace("\ufe0f", "")
-            kinds.append(WORD)
         kept.append(s)
-    return TokenSequence(tuple(kinds), tuple(kept))
+    return TokenSequence(tuple(kept))
 
 
 def split_modalities(seq: Iterable[Token]) -> tuple[list[Token], list[Token]]:

@@ -91,6 +91,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig(ablation="Z").validate()
 
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_validate_bounds_min_pair_count(self, value):
+        # below 1 a pair count threshold would keep every pair, as 1 does
+        with pytest.raises(ConfigError, match=f"min_pair_count must be >= 1, got {value}"):
+            RunConfig(min_pair_count=value).validate()
+
     def test_round_trip_through_dict(self):
         config = tiny_config(ablation="RA1", seed=3)
         rebuilt = config_from_dict(config.as_dict())

@@ -9,6 +9,7 @@ from emofuse.tokenization import (
     EMOJI,
     WORD,
     Token,
+    TokenSequence,
     load_labeled_dataset,
     load_unlabeled_corpus,
     split_modalities,
@@ -197,9 +198,17 @@ def test_matches_reference_tokenizer(text):
     ("\U0001F3FB\u200d\U0001F600", [(EMOJI, "\u200d\U0001F600", 0)]),
     ("\U0001F1FA\ufe0f\U0001F1F8", [(EMOJI, "\U0001F1FA", 0), (EMOJI, "\U0001F1F8", 1)]),
     ("aΣ\U0001F3FBb", [(WORD, "aς", 0), (WORD, "b", 1)]),
+    # A sequence stores only surfaces and reads each kind off the first
+    # scalar: an emoji scalar or the joiner starts an emoji, any other a word.
+    ("a \U0001F3FB\u200d\U0001F600 b", [(WORD, "a", 0), (EMOJI, "\u200d\U0001F600", 1), (WORD, "b", 2)]),
+    ("\U0001F3FB\u200d\U0001F3FC ok", [(EMOJI, "\u200d", 0), (WORD, "ok", 1)]),
+    ("go \U0001F1FA\U0001F1F8 team", [(WORD, "go", 0), (EMOJI, "\U0001F1FA\U0001F1F8", 1), (WORD, "team", 2)]),
+    ("\u2764\ufe0fok", [(EMOJI, "\u2764", 0), (WORD, "ok", 1)]),
+    ("ΟΔΟΣ \U0001F600 Σε", [(WORD, "οδος", 0), (EMOJI, "\U0001F600", 1), (WORD, "σε", 2)]),
 ], ids=["stray-zwj-in-word", "lone-skin-tone", "skin-tone-after-flag",
         "zwj-sequence-from-skin-tone", "regional-indicator-then-vs16",
-        "final-sigma-before-skin-tone"])
+        "final-sigma-before-skin-tone", "joiner-left-by-skin-tone-between-words",
+        "lone-joiner-between-skin-tones", "flag-between-words", "vs16-before-word", "capital-sigma"])
 def test_edge_cases_match_reference(text, expected):
     assert reference_tokenize(text) == expected
     assert [tuple(t) for t in tokenize(text)] == expected
@@ -231,8 +240,11 @@ def test_sequence_keeps_no_tracked_object_per_token():
     # per token alive, or every full collection walks all of them.
     seq = tokenize("so happy \U0001F600 today \U0001F389")
     gc.collect()
-    assert not gc.is_tracked(seq.kinds)
     assert not gc.is_tracked(seq.surfaces)
+    # The surfaces are the one container a sequence holds per post.
+    assert TokenSequence.__slots__ == ("surfaces",)
+    assert not hasattr(seq, "__dict__")
+    assert [r for r in gc.get_referents(seq) if r is not TokenSequence] == [seq.surfaces]
 
 
 class TestSplitModalities:
