@@ -1,15 +1,18 @@
-"""Check that two emofuse trees tokenize alike, and time each on five input classes.
+"""Check that two emofuse trees tokenize alike, and time each on six input classes.
 
 Usage: python3 scripts/compare_tokenizers.py PARENT_SRC [CHANGE_SRC]
 
 Each argument is a directory that holds an `emofuse` package; CHANGE_SRC
-defaults to this checkout's `src`. Five classes of 5,000 posts are drawn
+defaults to this checkout's `src`. Six classes of 5,000 posts are drawn
 from a fixed seed over the words of `data/toy_word_vectors.txt`:
 
   mark-free      words and single-scalar pictographs
   +VS16          the same posts plus ❤️ (heart + VS16)
   +tone+ZWJ      the same posts plus 👍🏽 (skin tone) and 👨‍💻 (ZWJ sequence)
   +sigma         the same posts plus a word with a capital sigma
+  routed         the same posts plus a word holding "_" and one holding ❶,
+                 which `\\w` reads apart from the word class, so the post
+                 takes the general pattern though it holds no mark
   punctuated     capitalised, punctuated posts without emoji
 
 Each tree tokenizes every class in its own subprocess, with that tree first
@@ -50,6 +53,7 @@ ADDED = {
     "+VS16": ("\u2764\ufe0f",),
     "+tone+ZWJ": ("\U0001F44D\U0001F3FD", "\U0001F468\u200d\U0001F4BB"),
     "+sigma": ("ΟΔΟΣ",),
+    "routed": ("snake_case", "no\u2776"),
 }
 PUNCTUATION = ("", "", "", ",", ".", "!", "?", ":", "...", "'s")
 

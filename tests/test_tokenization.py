@@ -1,4 +1,5 @@
 import gc
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +7,10 @@ from hypothesis import given, settings, strategies as st
 from emofuse.exceptions import CorpusError, EmofuseError
 from emofuse.tokenization import (
     _EMOJI_RANGES,
+    _MARKED,
+    _PLAIN,
+    _TOKEN,
+    _WORD_CHAR,
     EMOJI,
     WORD,
     Token,
@@ -233,6 +238,24 @@ def test_lowercase_keeps_what_one_pass_relies_on():
                 or lower != ("A" + c + "A").lower()[1:-1]:
             in_context.append(cp)
     assert in_context == [0x03A3]
+
+
+def test_marked_holds_every_scalar_the_plain_pattern_reads_apart():
+    # An unmarked post is tokenized by `\w` words and single-scalar runs, so
+    # `_MARKED` must hold every scalar where `\w` and the word class part,
+    # and every joiner, selector and skin tone; and since the post is
+    # lowercased after the test, no scalar may lowercase into one of them.
+    every = "".join(map(chr, range(0x110000)))
+    parted = set(re.findall(r"\w", every)) ^ set(re.findall(_WORD_CHAR, every))
+    marks = {chr(cp) for cp in SKIN_TONES | VARIATION_SELECTORS | {ZWJ}}
+    marked = set(_MARKED.findall(every))
+    assert {"_", "\u2776"} <= parted
+    assert parted | marks <= marked
+    unmarked = "".join(c for c in every if c not in marked)
+    assert _MARKED.search("".join(map(str.lower, unmarked))) is None
+    # Both patterns read every unmarked scalar alike, alone or beside the next.
+    for text in (unmarked, " ".join(unmarked)):
+        assert _PLAIN.findall(text) == _TOKEN.findall(text)
 
 
 def test_sequence_keeps_no_tracked_object_per_token():
