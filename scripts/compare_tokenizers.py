@@ -10,9 +10,10 @@ from a fixed seed over the words of `data/toy_word_vectors.txt`:
   +VS16          the same posts plus ❤️ (heart + VS16)
   +tone+ZWJ      the same posts plus 👍🏽 (skin tone) and 👨‍💻 (ZWJ sequence)
   +sigma         the same posts plus a word with a capital sigma
-  routed         the same posts plus a word holding "_" and one holding ❶,
-                 which `\\w` reads apart from the word class, so the post
-                 takes the general pattern though it holds no mark
+  routed         the same posts plus a word holding "_", which splits it,
+                 and one holding ❶, an alphanumeric emoji scalar, which
+                 sends the post to the general pattern though it holds no
+                 joiner, selector or skin tone
   punctuated     capitalised, punctuated posts without emoji
 
 Each tree tokenizes every class in its own subprocess, with that tree first

@@ -10,16 +10,13 @@ folded into the base emoji.
 whole post and makes one `findall` pass with one of two regular expressions,
 both compiled at import from `_EMOJI_RANGES` and chosen by the post's shape.
 A post that holds nothing of the routing set `_MARKED` takes the plain
-pattern: a `\\w` word, a flag or one emoji scalar. Any other post takes the
-general one, whose alternatives are a word and an emoji run with its
-selectors, skin tones and joined scalars. The routing set is the joiner,
-the selectors and the skin tones, which only the general pattern reads,
-and the scalars that `\\w` (`str.isalnum()` plus "_") reads apart from the
-word class: "_" and the alphanumeric emoji scalars ❶…➓. Only a post that
-holds a joiner, a selector or a skin tone has its runs folded and its words
-stripped of them. In the bench workloads' corpora 93.7-95.0% of posts take
-the plain pattern; a corpus where ❤️ carries VS16 sends more down the
-general one, and gains less.
+pattern: a run of alphanumerics, a flag or one emoji scalar. Any other post
+takes the general one, whose alternatives are a word and an emoji run with
+its selectors, skin tones and joined scalars. The routing set is the
+joiner, the selectors and the skin tones, which only the general pattern
+reads, and ❶…➓, the alphanumeric emoji scalars, which the plain word class
+would read as word characters. Only a post that holds a joiner, a selector
+or a skin tone has its runs folded and its words stripped of them.
 
 Σ is the one scalar whose lowercase depends on its neighbours, so a post
 that holds it first has each emoji run fenced with NULs: the post then
@@ -88,21 +85,21 @@ _STRAY = _char_class((_ZWJ, _ZWJ), _VARIATION_SELECTORS)
 _RUN = f"{_REGIONAL}{_REGIONAL}|{_EMOJI}(?:{_MODIFIER}|{chr(_ZWJ)}{_EMOJI})*"
 # The capturing group makes `split` alternate text, run, text, ..., text.
 _EMOJI_RUN = re.compile(f"({_RUN})")
-# CPython's `\w` is `str.isalnum()` plus "_". A word character is any other
-# alphanumeric outside the emoji scalars (❶…➓ are alphanumeric); a stray
-# joiner or selector between two of them does not split the word.
+# CPython's `\w` is `str.isalnum()` plus "_", so `[^\W_]` is an
+# alphanumeric. A word character is an alphanumeric outside the emoji
+# scalars (❶…➓ are alphanumeric); a stray joiner or selector between two of
+# them does not split the word.
 _ALNUM_EMOJI = "".join(sorted(c for c in _EMOJI_SCALARS if c.isalnum()))
 _WORD_CHAR = f"[^\\W_{_ALNUM_EMOJI}]"
 _TOKEN = re.compile(f"{_WORD_CHAR}+(?:{_STRAY}+{_WORD_CHAR}+)*|{_RUN}")
-# Only a post that holds a mark, a joiner, selector or skin tone, has runs
-# to fold or words to strip.
-_MARKS = (_ZWJ, _ZWJ), _VARIATION_SELECTORS, _SKIN_TONES
-_MARK = re.compile(_char_class(*_MARKS))
-# A post that holds no mark, "_" or ❶…➓ takes `_PLAIN`: each of its emoji
-# runs is a flag or one scalar, and `\w` reads each of its characters as
-# `_WORD_CHAR` does.
-_MARKED = re.compile(_char_class(*_MARKS, chars="_" + _ALNUM_EMOJI))
-_PLAIN = re.compile(f"\\w+|{_REGIONAL}{_REGIONAL}|{_EMOJI}")
+# Only a post that holds a joiner, a selector or a skin tone has runs to fold
+# or words to strip. A post that holds none of them, nor ❶…➓, takes
+# `_PLAIN`: each of its emoji runs is a flag or one scalar, and each of its
+# alphanumerics is a word character.
+_MARKED = re.compile(
+    _char_class((_ZWJ, _ZWJ), _VARIATION_SELECTORS, _SKIN_TONES, chars=_ALNUM_EMOJI)
+)
+_PLAIN = re.compile(f"[^\\W_]+|{_REGIONAL}{_REGIONAL}|{_EMOJI}")
 _FOLD = _delete_table(_VARIATION_SELECTORS, _SKIN_TONES)
 # EMOJI for each scalar that starts an emoji surface: an emoji scalar, or
 # the joiner left in front once a leading skin tone folds away. Any other
@@ -171,11 +168,8 @@ def tokenize(text: str) -> TokenSequence:
         # case mapping looks through skin tones and selectors to find them; a
         # NUL on each side of every emoji run keeps them out of its context.
         text = "\0".join(_EMOJI_RUN.split(text))
-    hit = _MARKED.search(text)
-    if hit is None:
+    if _MARKED.search(text) is None:
         return TokenSequence(tuple(_PLAIN.findall(text.lower())))
-    if _MARK.search(text, hit.start()) is None:
-        return TokenSequence(tuple(_TOKEN.findall(text.lower())))
     kept = []
     for s in _TOKEN.findall(text.lower()):
         if s[0] in _EMOJI_SCALARS:
