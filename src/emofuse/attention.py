@@ -195,27 +195,9 @@ class FusionParams:
         )
 
 
-@dataclass
-class FusedFeatures:
-    """The classifier channels, packed like the chunk; `emoji` is None when the wiring drops it."""
-
-    text: Tensor          # text rows x d, self-attended text
-    emoji: Tensor | None  # emoji rows x d, text-conditioned emoji features
-    cross: Tensor         # text rows x d, emoji-conditioned text features
-    text_segments: ad.Segments
-    emoji_segments: ad.Segments | None
-
-    def channels(self) -> list[tuple[Tensor, ad.Segments]]:
-        out = [(self.text, self.text_segments)]
-        if self.emoji is not None:
-            out.append((self.emoji, self.emoji_segments))
-        out.append((self.cross, self.text_segments))
-        return out
-
-
 def fuse(levels: list[Tensor], lstm2, emoji_feats, emoji_raw, params: FusionParams,
-         text_segments: ad.Segments, emoji_segments: ad.Segments | None) -> FusedFeatures:
-    """Produce the classifier channels from both modalities, wired as `params.wiring` says.
+         text_segments: ad.Segments, emoji_segments: ad.Segments | None) -> list[tuple[Tensor, ad.Segments]]:
+    """The classifier channels from both modalities, wired as `params.wiring` says.
 
     `levels` is the skip-connected text (the embedding rows and both LSTM
     outputs), projected block by block so their concatenation is never
@@ -224,6 +206,10 @@ def fuse(levels: list[Tensor], lstm2, emoji_feats, emoji_raw, params: FusionPara
     rows without position information; all emoji inputs are None when the
     wiring drops emojis. Text and emoji rows pack a chunk's posts as the
     two layouts say. The wiring is the params' own, never another's.
+    Returns (matrix, layout) pairs, packed like the chunk: the
+    self-attended text, the text-conditioned emoji features and the
+    emoji-conditioned text, or the text channel twice when the wiring
+    drops emojis.
     """
     wiring = params.wiring
     p_text = ad.linear(levels, params.proj_text)
@@ -232,8 +218,7 @@ def fuse(levels: list[Tensor], lstm2, emoji_feats, emoji_raw, params: FusionPara
     else:
         w_text = p_text
     if not wiring.use_emoji:
-        return FusedFeatures(text=w_text, emoji=None, cross=w_text,
-                             text_segments=text_segments, emoji_segments=None)
+        return [(w_text, text_segments), (w_text, text_segments)]
     p_emoji = ad.linear(emoji_feats, params.proj_emoji)
     if wiring.bypass_emoji:
         w_emoji = ad.linear(emoji_raw, params.proj_emoji)
@@ -243,5 +228,4 @@ def fuse(levels: list[Tensor], lstm2, emoji_feats, emoji_raw, params: FusionPara
         w_cross = ad.linear(lstm2, params.proj_skip)
     else:
         w_cross = co_attention_unit(p_text, p_emoji, params.unit_cross, text_segments, emoji_segments)
-    return FusedFeatures(text=w_text, emoji=w_emoji, cross=w_cross,
-                         text_segments=text_segments, emoji_segments=emoji_segments)
+    return [(w_text, text_segments), (w_emoji, emoji_segments), (w_cross, text_segments)]

@@ -8,8 +8,8 @@ is the finite-difference oracle the test suite uses against every rule.
 
 The engine holds only the ops some model calls, each taking only what its
 callers pass: ``add`` and ``mul`` with broadcasting (also as ``+`` and
-``*``), ``concat``, ``layer_norm`` (always of a + residual), ``linear``, the
-one matrix product (with an optional bias and relu).
+``*``), ``layer_norm`` (always of a + residual), ``linear``, the one
+matrix product (with an optional bias and relu).
 Every op, these and the fused rules below, returns through ``node``: its
 result joins the tape only when some input requires a gradient, and is a
 constant with no parents otherwise. ``Tensor(...)`` builds only leaves and
@@ -198,16 +198,6 @@ def mul(a, b) -> Tensor:
     def bw(g):
         return (_unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape))
     return node(data, (a, b), bw)
-
-
-def concat(tensors, axis=0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    if not tensors:
-        raise ShapeError("concat of zero tensors")
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    def bw(g):
-        return tuple(np.split(g, np.cumsum([t.data.shape[axis] for t in tensors])[:-1], axis=axis))
-    return node(data, tuple(tensors), bw)
 
 
 def _row_mean(x: np.ndarray) -> np.ndarray:

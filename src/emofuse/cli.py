@@ -128,7 +128,7 @@ def load_classifier(checkpoint_path, meta_path, word_table: WordEmbeddingTable) 
         raise ConfigError(f"classifier metadata {meta_path}: {err}") from None
     tensors = load_tensors(checkpoint_path)
     matrix = tensors.get("emoji_matrix")
-    if matrix is None or matrix.shape[0] != len(ids):
+    if matrix is None or matrix.ndim != 2 or matrix.shape[0] != len(ids):
         raise ConfigError(f"checkpoint {checkpoint_path} has no emoji matrix matching its id list")
     model = SentimentModel(config, word_table, EmojiEmbeddings(ids=ids, vectors=matrix),
                            np.random.default_rng(config.seed))

@@ -128,9 +128,9 @@ class SentimentModel:
         emoji_feats = emoji_raw = emoji_segments = None
         if self.params.fusion.wiring.use_emoji:
             emoji_feats, emoji_raw, emoji_segments = self._emoji_rows([emojis for _, emojis in parts])
-        fused = fuse(levels, levels[2], emoji_feats, emoji_raw, self.params.fusion,
-                     text_segments, emoji_segments)
-        return classify_logits(fused.channels(), self.params.cnn)
+        channels = fuse(levels, levels[2], emoji_feats, emoji_raw, self.params.fusion,
+                        text_segments, emoji_segments)
+        return classify_logits(channels, self.params.cnn)
 
     def predict(self, seq: TokenSequence) -> int:
         return int(self.forward_logits([seq]).data.argmax())

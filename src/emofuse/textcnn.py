@@ -1,16 +1,16 @@
 """Convolutional classifier over the fused channels.
 
 Each channel runs relu convolutions at several kernel widths; each
-feature map is max-pooled over time, the pooled features of all channels are
-concatenated, and a dense layer gives the class scores (logits), which
-the softmax cross-entropy reads. A channel's kernels at every width are one
-weight, laid out tap-major, so the whole convolution of a channel is one
-GEMM whose column blocks are summed along shifted rows. Every channel
-comes with the `Segments` layout of a chunk of posts: their rows are packed
-one after another, the posts share each convolution, and each post is
-pooled over its own taps only. Posts shorter than the widest kernel are
-zero-padded on the right, and taps that only exist because of padding
-never win the pooling.
+feature map is max-pooled over time, and a dense layer reads the pooled
+features of all channels, one block of its rows per channel, to give the
+class scores (logits), which the softmax cross-entropy reads. A channel's
+kernels at every width are one weight, laid out tap-major, so the whole
+convolution of a channel is one GEMM whose column blocks are summed along
+shifted rows. Every channel comes with the `Segments` layout of a chunk of
+posts: their rows are packed one after another, the posts share each
+convolution, and each post is pooled over its own taps only. Posts shorter
+than the widest kernel are zero-padded on the right, and taps that only
+exist because of padding never win the pooling.
 """
 
 from __future__ import annotations
@@ -67,10 +67,6 @@ class TextCnnParams:
             dense_b=ad.zeros_parameter((num_classes,)),
             widths=widths,
         )
-
-    @property
-    def num_classes(self) -> int:
-        return self.dense_w.data.shape[1]
 
 
 def conv_pool(x: Tensor, bank: ConvBank, widths, segments: ad.Segments) -> Tensor:
@@ -164,7 +160,7 @@ def classify_logits(channels, params: TextCnnParams) -> Tensor:
         if segments.rows != matrix.data.shape[0]:
             raise ShapeError(f"segments cover {segments.rows} rows, channel has {matrix.data.shape[0]}")
         pooled.append(conv_pool(matrix, bank, params.widths, segments))
-    return ad.linear(ad.concat(pooled, axis=1), params.dense_w, params.dense_b)
+    return ad.linear(pooled, params.dense_w, params.dense_b)
 
 
 def cross_entropy_logits(logits: Tensor, labels) -> Tensor:

@@ -1,11 +1,12 @@
 """Small tape ops that only the tests use.
 
 The per-step LSTM oracle (`reference_direction` in test_text_encoder)
-runs on `sigmoid`, `tanh` and `tslice`; the gradient checks reduce an
-op's output to a scalar with `mean` or `tensor_sum`. The per-tap TextCNN
-oracle (`per_tap_logits`) runs on `conv_relu`, one GEMM per kernel tap,
-and `segment_max`. The models need none of them: their fused nodes do
-this work in numpy. Each op is checked by `grad_check` in test_autodiff.
+runs on `sigmoid`, `tanh`, `tslice` and `concat`; the gradient checks
+reduce an op's output to a scalar with `mean` or `tensor_sum`. The per-tap
+TextCNN oracle (`per_tap_logits`) runs on `conv_relu`, one GEMM per kernel
+tap, `segment_max` and `concat`. The models need none of them: their fused
+nodes do this work in numpy, and `linear` reads a list of blocks without
+concatenating them. Each op is checked by `grad_check` in test_autodiff.
 `ReferenceAdam` is the per-tensor Adam loop that `autodiff.adam_step`'s
 grouped update over the parameter arena must match bit for bit, and
 `reference_objective` the five-node VGAE objective that the one node
@@ -49,6 +50,16 @@ def tslice(a, key) -> Tensor:
         full[key] = g
         return (full,)
     return ad.node(data, (a,), bw)
+
+
+def concat(tensors, axis=0) -> Tensor:
+    tensors = [as_tensor(t) for t in tensors]
+    if not tensors:
+        raise ShapeError("concat of zero tensors")
+    data = np.concatenate([t.data for t in tensors], axis=axis)
+    def bw(g):
+        return tuple(np.split(g, np.cumsum([t.data.shape[axis] for t in tensors])[:-1], axis=axis))
+    return ad.node(data, tuple(tensors), bw)
 
 
 def mean(a) -> Tensor:
@@ -171,7 +182,7 @@ def per_tap_logits(channels, kernels, biases, widths, dense_w, dense_b) -> Tenso
         for k, kernel, bias in zip(widths, channel_kernels, channel_biases):
             maps = conv_relu(matrix, kernel, bias, (total, dest))
             pooled.append(segment_max(maps, starts, np.maximum(segments.lengths - k, 0) + 1))
-    return ad.linear(ad.concat(pooled, axis=1), dense_w, dense_b)
+    return ad.linear(concat(pooled, axis=1), dense_w, dense_b)
 
 
 class ReferenceAdam:

@@ -95,9 +95,10 @@ def test_criterion_1_gradient_integrity(word_table):
     mix = rng.standard_normal((3, 8))
 
     def fuse_objective(_):
-        fused = fuse([stacked], lstm2, emoji_raw + offset, emoji_raw, fparams, Segments([3]), Segments([2]))
-        return (mean(ad.mul(fused.text, mix)) + mean(fused.emoji)
-                + mean(ad.mul(fused.cross, mix)))
+        (text, _), (emoji, _), (cross, _) = fuse([stacked], lstm2, emoji_raw + offset, emoji_raw, fparams,
+                                                 Segments([3]), Segments([2]))
+        return (mean(ad.mul(text, mix)) + mean(emoji)
+                + mean(ad.mul(cross, mix)))
 
     worst["fuse"] = max(
         grad_check(lambda t: fuse_objective(None), tensor)

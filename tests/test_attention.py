@@ -175,39 +175,38 @@ def make_fusion_setup(wiring=FusionWiring(), seed=0, text_len=3, emoji_len=2, te
 class TestFuse:
     def test_channel_shapes(self):
         params, stacked, lstm2, feats, raw = make_fusion_setup(text_len=5, emoji_len=2)
-        fused = fuse([stacked], lstm2, feats, raw, params, one_post(stacked), one_post(feats))
-        assert fused.text.data.shape == (5, 8)
-        assert fused.emoji.data.shape == (2, 8)
-        assert fused.cross.data.shape == (5, 8)
+        channels = fuse([stacked], lstm2, feats, raw, params, one_post(stacked), one_post(feats))
+        assert [(m.data.shape, s.rows) for m, s in channels] == [((5, 8), 5), ((2, 8), 2), ((5, 8), 5)]
 
     def test_bypass_emoji_uses_raw_projection(self):
         params, stacked, lstm2, feats, raw = make_fusion_setup(FusionWiring(bypass_emoji=True))
-        fused = fuse([stacked], lstm2, feats, raw, params, one_post(stacked), one_post(feats))
-        np.testing.assert_array_equal(fused.emoji.data, raw.data @ params.proj_emoji.data)
+        _, (emoji, _), _ = fuse([stacked], lstm2, feats, raw, params, one_post(stacked), one_post(feats))
+        np.testing.assert_array_equal(emoji.data, raw.data @ params.proj_emoji.data)
 
     def test_bypass_cross_uses_skip_projection(self):
         params, stacked, lstm2, feats, raw = make_fusion_setup(FusionWiring(bypass_cross=True))
-        fused = fuse([stacked], lstm2, feats, raw, params, one_post(stacked), one_post(feats))
-        np.testing.assert_array_equal(fused.cross.data, lstm2.data @ params.proj_skip.data)
+        _, _, (cross, _) = fuse([stacked], lstm2, feats, raw, params, one_post(stacked), one_post(feats))
+        np.testing.assert_array_equal(cross.data, lstm2.data @ params.proj_skip.data)
 
     def test_no_self_attention_passes_projection_through(self):
         params, stacked, lstm2, feats, raw = make_fusion_setup(FusionWiring(self_attend_text=False))
-        fused = fuse([stacked], lstm2, feats, raw, params, one_post(stacked), one_post(feats))
-        np.testing.assert_array_equal(fused.text.data, stacked.data @ params.proj_text.data)
+        (text, _), _, _ = fuse([stacked], lstm2, feats, raw, params, one_post(stacked), one_post(feats))
+        np.testing.assert_array_equal(text.data, stacked.data @ params.proj_text.data)
 
     def test_dropping_emoji_duplicates_text_channel(self):
         params, stacked, lstm2, feats, raw = make_fusion_setup(FusionWiring(use_emoji=False))
-        fused = fuse([stacked], lstm2, None, None, params, one_post(stacked), None)
-        assert fused.emoji is None
-        np.testing.assert_array_equal(fused.cross.data, fused.text.data)
-        assert len(fused.channels()) == 2
+        text_segments = one_post(stacked)
+        channels = fuse([stacked], lstm2, None, None, params, text_segments, None)
+        (text, first), (cross, second) = channels
+        assert first is text_segments and second is text_segments
+        np.testing.assert_array_equal(cross.data, text.data)
 
     def test_gradient_reaches_emoji_only_through_emoji_channels(self):
         params, stacked, lstm2, feats, raw = make_fusion_setup()
-        fused = fuse([stacked], lstm2, feats, raw, params, one_post(stacked), one_post(feats))
-        tensor_sum(fused.text).backward()
+        (text, _), (emoji, _), _ = fuse([stacked], lstm2, feats, raw, params, one_post(stacked), one_post(feats))
+        tensor_sum(text).backward()
         assert raw.grad is None
-        tensor_sum(fused.emoji).backward()
+        tensor_sum(emoji).backward()
         assert raw.grad is not None and np.abs(raw.grad).sum() > 0
 
     def test_full_fuse_passes_grad_check(self):
@@ -218,10 +217,11 @@ class TestFuse:
 
         def f(_):
             feats = raw + offset  # position offsets recomputed per evaluation
-            fused = fuse([stacked], lstm2, feats, raw, params, one_post(stacked), one_post(feats))
-            total = mean(ad.mul(fused.text, weights))
-            total = total + mean(fused.emoji)
-            return total + mean(ad.mul(fused.cross, weights))
+            (text, _), (emoji, _), (cross, _) = fuse([stacked], lstm2, feats, raw, params,
+                                                     one_post(stacked), one_post(feats))
+            total = mean(ad.mul(text, weights))
+            total = total + mean(emoji)
+            return total + mean(ad.mul(cross, weights))
 
         for _, tensor in named_parameters(params):
             err = grad_check(lambda t: f(None), tensor)

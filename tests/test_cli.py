@@ -324,6 +324,18 @@ class TestCliPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "classifier_meta.json" in err
 
+    @pytest.mark.parametrize("reshape", [lambda m: m[:, 0], lambda m: m[:, :, None]], ids=["1-D", "3-D"])
+    def test_emoji_matrix_not_2d_exits_1_naming_the_file(self, workspace, capsys, reshape):
+        for command in ("build-graph", "train-vgae", "train-classifier"):
+            assert cli_main([command, "--config", "run.cfg"]) == 0
+        path = workspace / "out" / "classifier.ntc"
+        tensors = load_tensors(path)
+        tensors["emoji_matrix"] = reshape(tensors["emoji_matrix"])  # same row count as the id list
+        save_tensors(path, tensors)
+        capsys.readouterr()
+        assert cli_main(["evaluate", "--config", "run.cfg"]) == 1
+        assert "classifier.ntc has no emoji matrix matching its id list" in capsys.readouterr().err
+
     def test_stored_negative_seed_exits_1_naming_the_file(self, workspace, capsys):
         for command in ("build-graph", "train-vgae", "train-classifier"):
             assert cli_main([command, "--config", "run.cfg"]) == 0

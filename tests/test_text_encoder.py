@@ -20,7 +20,7 @@ from emofuse.text_encoder import (
 )
 from emofuse.tokenization import tokenize, split_modalities
 from emofuse.vgae import EmojiEmbeddings
-from tape_ops import mean, sigmoid, tanh, tensor_sum, tslice
+from tape_ops import concat, mean, sigmoid, tanh, tensor_sum, tslice
 
 
 class TestPositionalEncoding:
@@ -169,7 +169,7 @@ def reference_direction(inputs, params, hidden, reverse):
         c = ad.mul(f_gate, c) + ad.mul(i_gate, g_cell)
         h = ad.mul(o_gate, tanh(c))
         outputs[t] = h
-    return ad.concat(outputs, axis=0)  # aligned with input positions in both directions
+    return concat(outputs, axis=0)  # aligned with input positions in both directions
 
 
 def non_leaf_nodes(out):
@@ -193,14 +193,14 @@ def random_layer(rng, f_in, hidden):
 
 def reference_layer(inputs, params):
     """Both directions of a one-post `bilstm_layer` by the per-step oracle."""
-    return ad.concat([reference_direction(inputs, params.forward, params.hidden, False),
+    return concat([reference_direction(inputs, params.forward, params.hidden, False),
                       reference_direction(inputs, params.backward, params.hidden, True)], axis=1)
 
 
 def one_post_at_a_time(segments):
     """`bilstm_layer` run on each post of a chunk alone, the outputs stacked."""
     def layer(x, params):
-        return ad.concat([bilstm_layer(tslice(x, np.s_[int(start):int(start + length)]), params,
+        return concat([bilstm_layer(tslice(x, np.s_[int(start):int(start + length)]), params,
                                        Segments([length]))
                           for start, length in zip(segments.offsets, segments.lengths)], axis=0)
     return layer
