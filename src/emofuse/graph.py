@@ -4,6 +4,11 @@ Every post contributes one count to every unordered pair of distinct emojis
 it contains, so a post with n unique emojis forms an n-clique. Edge weights
 multiply that pair count by the cosine similarity of the two emojis' TF-IDF
 sense vectors; node attributes are the averaged keyword word vectors.
+
+A loaded inventory is read-only, so a build keeps what it derives from the
+inventory on it: the sense vectors and their norms from the first build
+over it, and each emoji's attribute row from the first build with that
+emoji as a node, for the last word table built with.
 """
 
 from __future__ import annotations
@@ -64,16 +69,17 @@ class CoocGraph:
         return len(self.node_ids)
 
 
-def build_adjacency(pair_counts, sense_vectors, node_ids) -> np.ndarray:
+def build_adjacency(pair_counts, sense_vectors, norms, node_ids) -> np.ndarray:
     """Edge weight = cosine(sense vectors) * pair count; symmetric, zero diagonal.
 
-    `pair_counts` is keyed by node index pairs (i, j) with i < j. Each
-    node's norm is computed once, not once per pair it is in.
+    `pair_counts` is keyed by node index pairs (i, j) with i < j. `norms`
+    maps an emoji to its sense vector's `vector_norm`; an emoji in neither
+    map has the empty vector.
     """
     n = len(node_ids)
     a = np.zeros((n, n), dtype=np.float64)
     vectors = [sense_vectors.get(node, {}) for node in node_ids]
-    norms = [vector_norm(v) for v in vectors]
+    norms = [norms.get(node, 0.0) for node in node_ids]
     for (i, j), count in pair_counts.items():
         weight = cosine_with_norms(vectors[i], norms[i], vectors[j], norms[j]) * count
         a[i, j] = weight
@@ -98,6 +104,21 @@ def binarize_edges(adjacency: np.ndarray) -> np.ndarray:
     return binary
 
 
+def _inventory_inputs(inventory: SenseInventory, word_table):
+    """The inventory's sense vectors, their norms, and its attribute rows for `word_table`.
+
+    The rows belong to the last table asked for, matched by identity (a VectorTable is immutable).
+    """
+    cache = inventory.graph_inputs
+    if not cache:
+        sense_vectors = tfidf_sense_vectors(inventory)
+        cache.update(sense_vectors=sense_vectors,
+                     norms={key: vector_norm(v) for key, v in sense_vectors.items()})
+    if cache.get("word_table") is not word_table:
+        cache.update(word_table=word_table, rows={})
+    return cache["sense_vectors"], cache["norms"], cache["rows"]
+
+
 def build_cooc_graph(counts: CoocCounts, inventory: SenseInventory, word_table,
                      min_pair_count: int = 1) -> CoocGraph:
     """Assemble the graph from counts; node order is sorted for determinism.
@@ -106,18 +127,22 @@ def build_cooc_graph(counts: CoocCounts, inventory: SenseInventory, word_table,
     and zero-similarity (hence zero-weight) edges.
     """
     node_ids = sorted(counts.occurrences)
-    sense_vectors = tfidf_sense_vectors(inventory)
+    sense_vectors, norms, rows = _inventory_inputs(inventory, word_table)
     index = {e: i for i, e in enumerate(node_ids)}
     pair_counts = {
         tuple(sorted((index[a], index[b]))): c for (a, b), c in counts.pairs.items() if c >= min_pair_count
     }
-    adjacency = build_adjacency(pair_counts, sense_vectors, node_ids)
+    adjacency = build_adjacency(pair_counts, sense_vectors, norms, node_ids)
     dim = word_table.dimension
     attributes = np.zeros((len(node_ids), dim), dtype=np.float64)
     for emoji, i in index.items():
-        entry = inventory.get(emoji)
-        if entry is not None:
-            attributes[i] = node_attribute(entry, word_table)
+        row = rows.get(emoji)
+        if row is None:
+            entry = inventory.get(emoji)
+            if entry is None:
+                continue
+            row = rows[emoji] = node_attribute(entry, word_table)
+        attributes[i] = row
     logger.info("graph: %d nodes, %d weighted pairs from %d posts",
                 len(node_ids), len(pair_counts), counts.posts)
     return CoocGraph(

@@ -3,7 +3,9 @@
 Each inventory entry carries the emoji's name, shortcode, description,
 keywords, and sense definitions. Sense definitions feed the TF-IDF vectors
 that weight graph edges; keywords feed the averaged word-vector node
-attributes.
+attributes. A loaded inventory is read-only, so `graph.build_cooc_graph`
+keeps on it the sense vectors and their norms, computed once per
+inventory, and each node's attributes, once per inventory and word table.
 """
 
 from __future__ import annotations
@@ -11,7 +13,10 @@ from __future__ import annotations
 import json
 import logging
 import math
+import re
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -38,9 +43,18 @@ class EmojiSenseEntry:
         return not self.senses or not self.keywords
 
 
-@dataclass
+@dataclass(frozen=True)
 class SenseInventory:
-    entries: dict[str, EmojiSenseEntry] = field(default_factory=dict)
+    """Emoji key -> entry; `entries` is a read-only view of a copy.
+
+    `graph_inputs` is where `graph.build_cooc_graph` keeps what it derives from the entries.
+    """
+
+    entries: Mapping[str, EmojiSenseEntry] = field(default_factory=dict)
+    graph_inputs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
 
     def __len__(self):
         return len(self.entries)
@@ -52,27 +66,35 @@ class SenseInventory:
         return self.entries.get(fold_emoji(emoji))
 
 
+_CODEPOINT = re.compile(r"[Uu]\+([0-9A-Fa-f]+)")
+
+
 def _parse_codepoints(value: str) -> str:
-    """Accept "U+1F355"-style notation (space separated) or a literal emoji."""
+    """Accept "U+1F355"-style notation (space separated) or a literal emoji.
+
+    In the notation every part must be U+ (either case) and hex digits up to
+    10FFFF; a ValueError names the first part that is not.
+    """
     value = value.strip()
-    if not value:
-        return ""
-    if value.upper().startswith("U+"):
-        try:
-            chars = [chr(int(part[2:], 16)) for part in value.split()]
-        except ValueError as err:
-            raise InventoryError(f"bad unicode field {value!r}: {err}") from err
-        return fold_emoji("".join(chars))
-    return fold_emoji(value)
+    if not value.upper().startswith("U+"):
+        return fold_emoji(value)
+    chars = []
+    for part in value.split():
+        match = _CODEPOINT.fullmatch(part)
+        if match is None or int(match[1], 16) > 0x10FFFF:
+            raise ValueError(f"{part!r} is not a U+ code point")
+        chars.append(chr(int(match[1], 16)))
+    return fold_emoji("".join(chars))
 
 
 def load_emojinet(path) -> SenseInventory:
     """Load a JSON array of sense-inventory entries keyed by emoji.
 
     Raises InventoryError for I/O problems, duplicate emoji keys, entries
-    missing mandatory fields, or keywords/senses that are not lists. Other
-    keys are ignored. Entries with empty senses load but are flagged
-    degraded.
+    missing mandatory fields, a unicode field that is not a string of
+    code points or an emoji, or keywords/senses that are not lists of
+    strings. Other keys are ignored. Entries with empty senses load but are
+    flagged degraded.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -85,33 +107,39 @@ def load_emojinet(path) -> SenseInventory:
         raise InventoryError(f"inventory {not_utf8(path, err)}") from None
     if not isinstance(data, list):
         raise InventoryError(f"inventory {path} must be a JSON array of entries")
-    inventory = SenseInventory()
+    entries: dict[str, EmojiSenseEntry] = {}
     for pos, item in enumerate(data):
         if not isinstance(item, dict):
             raise InventoryError(f"inventory entry {pos} is not an object")
         missing = [k for k in _MANDATORY_KEYS if k not in item]
         if missing:
             raise InventoryError(f"inventory entry {pos} missing keys: {', '.join(missing)}")
-        key = _parse_codepoints(str(item["unicode"]))
+        unicode = item["unicode"]
+        if not isinstance(unicode, str):
+            raise InventoryError(f"inventory entry {pos}: unicode must be a string")
+        try:
+            key = _parse_codepoints(unicode)
+        except ValueError as err:
+            raise InventoryError(f"inventory entry {pos}: bad unicode field {unicode!r}: {err}") from None
         if not key:
             raise InventoryError(f"inventory entry {pos} has an empty unicode field")
-        if key in inventory.entries:
+        if key in entries:
             raise InventoryError(f"duplicate inventory key {key!r} at entry {pos}")
         for list_key in ("keywords", "senses"):
-            if not isinstance(item[list_key], list):
-                raise InventoryError(f"inventory entry {pos} ({key!r}): {list_key} must be a list")
+            if not isinstance(item[list_key], list) or not all(isinstance(v, str) for v in item[list_key]):
+                raise InventoryError(f"inventory entry {pos} ({key!r}): {list_key} must be a list of strings")
         entry = EmojiSenseEntry(
             codepoints=key,
             name=str(item["name"]),
             shortcode=str(item["shortcode"]),
             description=str(item["description"]),
-            keywords=tuple(str(k) for k in item["keywords"]),
-            senses=tuple(str(s) for s in item["senses"]),
+            keywords=tuple(item["keywords"]),
+            senses=tuple(item["senses"]),
         )
         if entry.degraded:
             logger.warning("inventory entry %s is degraded (empty senses or keywords)", key)
-        inventory.entries[key] = entry
-    return inventory
+        entries[key] = entry
+    return SenseInventory(entries)
 
 
 def _sense_terms(entry: EmojiSenseEntry) -> list[str]:

@@ -20,9 +20,13 @@ import numpy as np
 import pytest
 
 from emofuse.config import RunConfig
+from emofuse.graph import build_cooc_graph, count_cooccurrences
 from emofuse.model import SentimentModel
+from emofuse.senses import load_emojinet
 from emofuse.tokenization import tokenize
 from emofuse.vgae import EmojiEmbeddings
+
+from conftest import INVENTORY_PATH
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 TRACING = BENCH / "tracing.py"
@@ -81,3 +85,20 @@ def test_bench_modules_import(monkeypatch, name):
         for added in set(sys.modules) - before:  # bench's generic names (run, metrics) leave with it
             if Path(getattr(sys.modules[added], "__file__", None) or "").parent == BENCH:
                 del sys.modules[added]
+
+
+def test_builds_over_one_inventory_record_one_tfidf_span(monkeypatch, word_table):
+    """The sense vectors are kept on the inventory, so a traced run has one `senses.tfidf` span per load."""
+    tracer = load_tracing(monkeypatch).Tracer()
+    inventory = load_emojinet(INVENTORY_PATH)
+    counts = count_cooccurrences([tokenize("\U0001F600 \U0001F602 \U0001F622")])
+    try:
+        tracer.install()
+        for _ in range(2):
+            build_cooc_graph(counts, inventory, word_table)
+    finally:
+        tracer.uninstall()
+    names = [span.name for span in tracer.spans]
+    assert names.count("senses.tfidf") == 1
+    assert names.count("senses.node_attribute") == 3  # each node's row, on the first build
+    assert names.count("graph.build_adjacency") == 2

@@ -18,7 +18,10 @@ from emofuse.graph import (
     save_graph,
 )
 from emofuse.senses import cosine_similarity, load_emojinet, vector_norm
+from emofuse.text_encoder import WordEmbeddingTable
 from emofuse.tokenization import tokenize
+
+from conftest import INVENTORY_PATH
 
 
 # --- independent scalar oracles ---------------------------------------------
@@ -84,11 +87,15 @@ class TestCountCooccurrences:
         assert counts.occurrences["\U0001F600"] == 1
 
 
+def norms_of(vectors):
+    return {key: vector_norm(v) for key, v in vectors.items()}
+
+
 class TestBuildAdjacency:
     def test_weight_is_cosine_times_count(self):
         # cosine({x:1}, {x:1, y:sqrt(3)}) = 1/2, count 4 -> weight 2
         vectors = {"a": {"x": 1.0}, "b": {"x": 1.0, "y": math.sqrt(3.0)}}
-        a = build_adjacency({(0, 1): 4}, vectors, ["a", "b"])
+        a = build_adjacency({(0, 1): 4}, vectors, norms_of(vectors), ["a", "b"])
         assert a[0, 1] == pytest.approx(2.0, abs=1e-12)
         assert a[1, 0] == a[0, 1]
 
@@ -107,14 +114,15 @@ class TestBuildAdjacency:
         assert vector_norm(vectors["tiny"]) < 1e-100 and vector_norm(vectors["huge"]) > 1e100
         node_ids = sorted(vectors) + ["absent"]
         pairs = {(i, j): 1 + i + 3 * j for i, j in combinations(range(len(node_ids)), 2)}
-        a = build_adjacency(pairs, vectors, node_ids)
+        a = build_adjacency(pairs, vectors, norms_of(vectors), node_ids)
         for (i, j), count in pairs.items():
             expected = cosine_similarity(vectors.get(node_ids[i], {}), vectors.get(node_ids[j], {})) * count
             assert a[i, j] == expected and a[j, i] == expected, (node_ids[i], node_ids[j])
         assert a[node_ids.index("tiny"), node_ids.index("huge")] > 0.0
 
     def test_never_cooccurring_pair_is_zero(self):
-        a = build_adjacency({}, {"a": {"x": 1.0}, "b": {"x": 1.0}}, ["a", "b"])
+        vectors = {"a": {"x": 1.0}, "b": {"x": 1.0}}
+        a = build_adjacency({}, vectors, norms_of(vectors), ["a", "b"])
         assert a[0, 1] == 0.0
 
     def test_weight_bounded_by_count(self, inventory, word_table):
@@ -241,6 +249,45 @@ class TestGraphRoundTrip:
         i = graph.node_ids.index("\U0001FAE0")
         assert not graph.attributes[i].any()
         assert graph.adjacency.sum() == 0.0  # cosine against empty vector
+
+
+class TestInventoryInputsKeptOnTheInventory:
+    """Sense vectors, norms and attribute rows come once per loaded inventory and word table."""
+
+    TEXTS = ["\U0001F600 \U0001F602 fun", "\U0001F622 \U0001F494 \U0001F600", "❤ \U0001F494 ache",
+             "\U0001F525 \U0001FAE0 hot"]
+
+    def counts(self, texts):
+        return count_cooccurrences([tokenize(t) for t in texts])
+
+    def test_repeated_builds_equal_a_fresh_inventorys_bit_for_bit(self, word_table):
+        inventory = load_emojinet(INVENTORY_PATH)
+        full = self.counts(self.TEXTS)
+        # the first build meets some nodes, the later ones add the rest
+        builds = [build_cooc_graph(c, inventory, word_table) for c in (self.counts(self.TEXTS[:1]), full, full)]
+        fresh = build_cooc_graph(full, load_emojinet(INVENTORY_PATH), word_table)
+        assert fresh.attributes.any() and fresh.adjacency.any()
+        for graph in builds[1:]:
+            assert graph.node_ids == fresh.node_ids
+            assert graph.pair_counts == fresh.pair_counts
+            assert graph.adjacency.tobytes() == fresh.adjacency.tobytes()
+            assert graph.attributes.tobytes() == fresh.attributes.tobytes()
+
+    def test_another_word_table_gets_its_own_attributes(self, word_table):
+        inventory = load_emojinet(INVENTORY_PATH)
+        counts = self.counts(self.TEXTS)
+        other = WordEmbeddingTable(word_table.ids, 2.0 * word_table.vectors + 1.0)
+        first = build_cooc_graph(counts, inventory, word_table)
+        second = build_cooc_graph(counts, inventory, other)
+        expected = build_cooc_graph(counts, load_emojinet(INVENTORY_PATH), other)
+        assert second.attributes.tobytes() == expected.attributes.tobytes()
+        assert not np.array_equal(second.attributes, first.attributes)
+        again = build_cooc_graph(counts, inventory, word_table)
+        assert again.attributes.tobytes() == first.attributes.tobytes()
+
+    def test_loaded_entries_are_read_only(self, inventory):
+        with pytest.raises(TypeError):
+            inventory.entries["\U0001FAE0"] = inventory.get("\U0001F600")
 
 
 def write_two_node_graph(directory, edges_text):

@@ -67,6 +67,26 @@ class TestLoadEmojinet:
         with pytest.raises(InventoryError, match=f"entry 1 .*{key}"):
             load_emojinet(path)
 
+    @pytest.mark.parametrize("unicode", ["U+1F1FA 1F1F8", "U+1F355 X+FE0F", "U+1F355 U+", "U+110000",
+                                         "U+1F355 U+FE0F_"])
+    def test_every_notation_part_must_be_a_code_point(self, tmp_path, unicode):
+        path = write_inventory(tmp_path, [entry("U+1F600", ["grin"]), entry(unicode, ["flag"])])
+        with pytest.raises(InventoryError, match="entry 1: bad unicode field"):
+            load_emojinet(path)
+
+    def test_notation_prefix_in_either_case(self, tmp_path):
+        store = load_emojinet(write_inventory(tmp_path, [entry("u+1f1fa U+1F1F8", ["flag"])]))
+        assert list(store.entries) == ["\U0001F1FA\U0001F1F8"]
+
+    @pytest.mark.parametrize("field, value", [("unicode", 128512), ("unicode", None),
+                                              ("keywords", ["pizza", None]), ("senses", [3])])
+    def test_non_string_field_rejected_naming_the_entry(self, tmp_path, field, value):
+        bad = entry("U+1F355", ["pizza"])
+        bad[field] = value
+        path = write_inventory(tmp_path, [entry("U+1F600", ["grin"]), bad])
+        with pytest.raises(InventoryError, match=f"entry 1.*{field} must be a.*string"):
+            load_emojinet(path)
+
     def test_other_keys_are_ignored(self, tmp_path):
         extra = dict(entry("U+1F355", ["pizza"]), images=3, related=None, category=[1])
         assert load_emojinet(write_inventory(tmp_path, [extra])).get("\U0001F355") is not None
