@@ -5,10 +5,9 @@ it contains, so a post with n unique emojis forms an n-clique. Edge weights
 multiply that pair count by the cosine similarity of the two emojis' TF-IDF
 sense vectors; node attributes are the averaged keyword word vectors.
 
-A loaded inventory is read-only, so a build keeps what it derives from the
-inventory on it: the sense vectors and their norms from the first build
-over it, and each emoji's attribute row from the first build with that
-emoji as a node, for the last word table built with.
+A loaded inventory is read-only, so the sense vectors are computed once per
+loaded inventory, and each emoji's attribute row once per inventory and word
+table (see `_inventory_inputs`).
 """
 
 from __future__ import annotations
@@ -69,17 +68,16 @@ class CoocGraph:
         return len(self.node_ids)
 
 
-def build_adjacency(pair_counts, sense_vectors, norms, node_ids) -> np.ndarray:
+def build_adjacency(pair_counts, sense_vectors, node_ids) -> np.ndarray:
     """Edge weight = cosine(sense vectors) * pair count; symmetric, zero diagonal.
 
-    `pair_counts` is keyed by node index pairs (i, j) with i < j. `norms`
-    maps an emoji to its sense vector's `vector_norm`; an emoji in neither
-    map has the empty vector.
+    `pair_counts` is keyed by node index pairs (i, j) with i < j. Each
+    node's norm is computed once, not once per pair it is in.
     """
     n = len(node_ids)
     a = np.zeros((n, n), dtype=np.float64)
     vectors = [sense_vectors.get(node, {}) for node in node_ids]
-    norms = [norms.get(node, 0.0) for node in node_ids]
+    norms = [vector_norm(v) for v in vectors]
     for (i, j), count in pair_counts.items():
         weight = cosine_with_norms(vectors[i], norms[i], vectors[j], norms[j]) * count
         a[i, j] = weight
@@ -105,18 +103,21 @@ def binarize_edges(adjacency: np.ndarray) -> np.ndarray:
 
 
 def _inventory_inputs(inventory: SenseInventory, word_table):
-    """The inventory's sense vectors, their norms, and its attribute rows for `word_table`.
+    """The inventory's TF-IDF sense vectors, and its attribute rows for `word_table`.
 
-    The rows belong to the last table asked for, matched by identity (a VectorTable is immutable).
+    Both are kept in `inventory.graph_inputs`, which only this function
+    reads: `sense_vectors` from the first build over the inventory, and
+    `rows`, each emoji's attribute row from the first build with it as a
+    node, for `word_table`, the last table built with (matched by identity;
+    a VectorTable is immutable). A loaded inventory is read-only, so
+    neither goes stale.
     """
-    cache = inventory.graph_inputs
-    if not cache:
-        sense_vectors = tfidf_sense_vectors(inventory)
-        cache.update(sense_vectors=sense_vectors,
-                     norms={key: vector_norm(v) for key, v in sense_vectors.items()})
-    if cache.get("word_table") is not word_table:
-        cache.update(word_table=word_table, rows={})
-    return cache["sense_vectors"], cache["norms"], cache["rows"]
+    kept = inventory.graph_inputs
+    if "sense_vectors" not in kept:
+        kept["sense_vectors"] = tfidf_sense_vectors(inventory)
+    if kept.get("word_table") is not word_table:
+        kept.update(word_table=word_table, rows={})
+    return kept["sense_vectors"], kept["rows"]
 
 
 def build_cooc_graph(counts: CoocCounts, inventory: SenseInventory, word_table,
@@ -127,12 +128,12 @@ def build_cooc_graph(counts: CoocCounts, inventory: SenseInventory, word_table,
     and zero-similarity (hence zero-weight) edges.
     """
     node_ids = sorted(counts.occurrences)
-    sense_vectors, norms, rows = _inventory_inputs(inventory, word_table)
+    sense_vectors, rows = _inventory_inputs(inventory, word_table)
     index = {e: i for i, e in enumerate(node_ids)}
     pair_counts = {
         tuple(sorted((index[a], index[b]))): c for (a, b), c in counts.pairs.items() if c >= min_pair_count
     }
-    adjacency = build_adjacency(pair_counts, sense_vectors, norms, node_ids)
+    adjacency = build_adjacency(pair_counts, sense_vectors, node_ids)
     dim = word_table.dimension
     attributes = np.zeros((len(node_ids), dim), dtype=np.float64)
     for emoji, i in index.items():

@@ -3,9 +3,8 @@
 Each inventory entry carries the emoji's name, shortcode, description,
 keywords, and sense definitions. Sense definitions feed the TF-IDF vectors
 that weight graph edges; keywords feed the averaged word-vector node
-attributes. A loaded inventory is read-only, so `graph.build_cooc_graph`
-keeps on it the sense vectors and their norms, computed once per
-inventory, and each node's attributes, once per inventory and word table.
+attributes. A loaded inventory is read-only, so `emofuse.graph` computes
+what it derives from an inventory once per load and keeps it there.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ class EmojiSenseEntry:
 class SenseInventory:
     """Emoji key -> entry; `entries` is a read-only view of a copy.
 
-    `graph_inputs` is where `graph.build_cooc_graph` keeps what it derives from the entries.
+    `graph_inputs` is an opaque slot that `emofuse.graph` owns; nothing else reads it.
     """
 
     entries: Mapping[str, EmojiSenseEntry] = field(default_factory=dict)

@@ -87,15 +87,11 @@ class TestCountCooccurrences:
         assert counts.occurrences["\U0001F600"] == 1
 
 
-def norms_of(vectors):
-    return {key: vector_norm(v) for key, v in vectors.items()}
-
-
 class TestBuildAdjacency:
     def test_weight_is_cosine_times_count(self):
         # cosine({x:1}, {x:1, y:sqrt(3)}) = 1/2, count 4 -> weight 2
         vectors = {"a": {"x": 1.0}, "b": {"x": 1.0, "y": math.sqrt(3.0)}}
-        a = build_adjacency({(0, 1): 4}, vectors, norms_of(vectors), ["a", "b"])
+        a = build_adjacency({(0, 1): 4}, vectors, ["a", "b"])
         assert a[0, 1] == pytest.approx(2.0, abs=1e-12)
         assert a[1, 0] == a[0, 1]
 
@@ -114,15 +110,14 @@ class TestBuildAdjacency:
         assert vector_norm(vectors["tiny"]) < 1e-100 and vector_norm(vectors["huge"]) > 1e100
         node_ids = sorted(vectors) + ["absent"]
         pairs = {(i, j): 1 + i + 3 * j for i, j in combinations(range(len(node_ids)), 2)}
-        a = build_adjacency(pairs, vectors, norms_of(vectors), node_ids)
+        a = build_adjacency(pairs, vectors, node_ids)
         for (i, j), count in pairs.items():
             expected = cosine_similarity(vectors.get(node_ids[i], {}), vectors.get(node_ids[j], {})) * count
             assert a[i, j] == expected and a[j, i] == expected, (node_ids[i], node_ids[j])
         assert a[node_ids.index("tiny"), node_ids.index("huge")] > 0.0
 
     def test_never_cooccurring_pair_is_zero(self):
-        vectors = {"a": {"x": 1.0}, "b": {"x": 1.0}}
-        a = build_adjacency({}, vectors, norms_of(vectors), ["a", "b"])
+        a = build_adjacency({}, {"a": {"x": 1.0}, "b": {"x": 1.0}}, ["a", "b"])
         assert a[0, 1] == 0.0
 
     def test_weight_bounded_by_count(self, inventory, word_table):
@@ -252,7 +247,7 @@ class TestGraphRoundTrip:
 
 
 class TestInventoryInputsKeptOnTheInventory:
-    """Sense vectors, norms and attribute rows come once per loaded inventory and word table."""
+    """Sense vectors come once per loaded inventory, attribute rows once per inventory and word table."""
 
     TEXTS = ["\U0001F600 \U0001F602 fun", "\U0001F622 \U0001F494 \U0001F600", "❤ \U0001F494 ache",
              "\U0001F525 \U0001FAE0 hot"]
