@@ -91,9 +91,9 @@ def load_emojinet(path) -> SenseInventory:
 
     Raises InventoryError for I/O problems, duplicate emoji keys, entries
     missing mandatory fields, a unicode field that is not a string of
-    code points or an emoji, or keywords/senses that are not lists of
-    strings. Other keys are ignored. Entries with empty senses load but are
-    flagged degraded.
+    code points or an emoji, a name, shortcode or description that is not a
+    string, or keywords/senses that are not lists of strings. Other keys are
+    ignored. Entries with empty senses load but are flagged degraded.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -124,14 +124,17 @@ def load_emojinet(path) -> SenseInventory:
             raise InventoryError(f"inventory entry {pos} has an empty unicode field")
         if key in entries:
             raise InventoryError(f"duplicate inventory key {key!r} at entry {pos}")
+        for text_key in ("name", "shortcode", "description"):
+            if not isinstance(item[text_key], str):
+                raise InventoryError(f"inventory entry {pos} ({key!r}): {text_key} must be a string")
         for list_key in ("keywords", "senses"):
             if not isinstance(item[list_key], list) or not all(isinstance(v, str) for v in item[list_key]):
                 raise InventoryError(f"inventory entry {pos} ({key!r}): {list_key} must be a list of strings")
         entry = EmojiSenseEntry(
             codepoints=key,
-            name=str(item["name"]),
-            shortcode=str(item["shortcode"]),
-            description=str(item["description"]),
+            name=item["name"],
+            shortcode=item["shortcode"],
+            description=item["description"],
             keywords=tuple(item["keywords"]),
             senses=tuple(item["senses"]),
         )

@@ -79,7 +79,8 @@ class TestLoadEmojinet:
         assert list(store.entries) == ["\U0001F1FA\U0001F1F8"]
 
     @pytest.mark.parametrize("field, value", [("unicode", 128512), ("unicode", None),
-                                              ("keywords", ["pizza", None]), ("senses", [3])])
+                                              ("keywords", ["pizza", None]), ("senses", [3]),
+                                              ("name", None), ("shortcode", 3), ("description", ["x"])])
     def test_non_string_field_rejected_naming_the_entry(self, tmp_path, field, value):
         bad = entry("U+1F355", ["pizza"])
         bad[field] = value
