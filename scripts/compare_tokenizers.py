@@ -1,9 +1,9 @@
-"""Check that two emofuse trees tokenize alike, and time each on six input classes.
+"""Check that two emofuse trees tokenize alike, and time each on seven input classes.
 
 Usage: python3 scripts/compare_tokenizers.py PARENT_SRC [CHANGE_SRC]
 
 Each argument is a directory that holds an `emofuse` package; CHANGE_SRC
-defaults to this checkout's `src`. Six classes of 5,000 posts are drawn
+defaults to this checkout's `src`. Seven classes of 5,000 posts are drawn
 from a fixed seed over the words of `data/toy_word_vectors.txt`:
 
   mark-free      words and single-scalar pictographs
@@ -15,6 +15,10 @@ from a fixed seed over the words of `data/toy_word_vectors.txt`:
                  sends the post to the general pattern though it holds no
                  joiner, selector or skin tone
   punctuated     capitalised, punctuated posts without emoji
+  +keycap+tag    the mark-free posts plus the keycaps 1️⃣ and #️⃣ and the
+                 tag-sequence flag 🏴󠁧󠁢󠁳󠁣󠁴󠁿 (Scotland), whose keycap mark
+                 U+20E3 and tag scalars U+E0020-E007F `_SEQUENCE_PARTS`
+                 does not list yet, so the tokenizer still mangles them
 
 Each tree tokenizes every class in its own subprocess, with that tree first
 on PYTHONPATH, once per round; the two trees alternate which runs first.
@@ -56,6 +60,9 @@ ADDED = {
     "+sigma": ("ΟΔΟΣ",),
     "routed": ("snake_case", "no\u2776"),
 }
+# Drawn after the punctuated class, so no other class depends on it.
+KEYCAP_TAG = ("1\ufe0f\u20e3", "#\ufe0f\u20e3",
+              "\U0001F3F4\U000E0067\U000E0062\U000E0073\U000E0063\U000E0074\U000E007F")
 PUNCTUATION = ("", "", "", ",", ".", "!", "?", ":", "...", "'s")
 
 # Run in each tree's subprocess: argv is the classes file and, on the first
@@ -95,19 +102,24 @@ def make_classes(words: list[str]) -> dict[str, list[str]]:
         for emoji in rng.choices(PICTOGRAPHS, k=rng.randint(1, 5)):
             tokens.insert(rng.randint(0, len(tokens)), emoji)
         base.append(tokens)
-    classes = {"mark-free": [" ".join(tokens) for tokens in base]}
-    for name, added in ADDED.items():
+
+    def with_added(added: tuple[str, ...]) -> list[str]:
         posts = []
         for tokens in base:
             tokens = list(tokens)
             for extra in added:
                 tokens.insert(rng.randint(0, len(tokens)), extra)
             posts.append(" ".join(tokens))
-        classes[name] = posts
+        return posts
+
+    classes = {"mark-free": [" ".join(tokens) for tokens in base]}
+    for name, added in ADDED.items():
+        classes[name] = with_added(added)
     classes["punctuated"] = [
         " ".join((w.capitalize() if rng.random() < 0.2 else w) + rng.choice(PUNCTUATION)
                  for w in rng.choices(words, k=rng.randint(8, 30)))
         for _ in range(POSTS)]
+    classes["+keycap+tag"] = with_added(KEYCAP_TAG)
     return classes
 
 

@@ -111,7 +111,7 @@ def load_classifier(checkpoint_path, meta_path, word_table: WordEmbeddingTable) 
     try:
         with open(meta_path, "r", encoding="utf-8") as fh:
             meta = json.load(fh)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as err:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
         raise ConfigError(f"cannot read classifier metadata {meta_path}: {err}") from err
     if not isinstance(meta, dict):
         raise ConfigError(f"classifier metadata {meta_path} is not a JSON object")

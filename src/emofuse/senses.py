@@ -102,6 +102,8 @@ def load_emojinet(path) -> SenseInventory:
         raise InventoryError(f"cannot read inventory {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise InventoryError(f"inventory {path} is not valid JSON: {err}") from err
+    except RecursionError:
+        raise InventoryError(f"inventory {path} is not valid JSON: nested too deeply") from None
     except UnicodeDecodeError as err:
         raise InventoryError(f"inventory {not_utf8(path, err)}") from None
     if not isinstance(data, list):

@@ -8,15 +8,14 @@ folded into the base emoji.
 
 `tokenize` makes no Python-level pass over characters. It lowercases the
 whole post and makes one `findall` pass with one of two regular expressions,
-both compiled at import from `_EMOJI_RANGES` and chosen by the post's shape.
-A post that holds nothing of the routing set `_MARKED` takes the plain
-pattern: a run of alphanumerics, a flag or one emoji scalar. Any other post
-takes the general one, whose alternatives are a word and an emoji run with
-its selectors, skin tones and joined scalars. The routing set is the
-joiner, the selectors and the skin tones, which only the general pattern
-reads, and ❶…➓, the alphanumeric emoji scalars, which the plain word class
-would read as word characters. Only a post that holds a joiner, a selector
-or a skin tone has its runs folded and its words stripped of them.
+chosen by the post's shape. Both, and every table, are built at import from
+`_EMOJI_RANGES`, the emoji scalars, and `_SEQUENCE_PARTS`, the joiner,
+selectors and skin tones; a sequence part is added there and nowhere else.
+The routing set `_MARKED` is derived from them: every part, plus ❶…➓, the
+alphanumeric emoji scalars the plain word class would read as words. A post
+holding none of it takes the plain pattern: a run of alphanumerics, a flag
+or one emoji scalar. Any other takes the general one, a word or an emoji
+run with its parts, and has its runs folded and its words stripped.
 
 Σ is the one scalar whose lowercase depends on its neighbours, so a post
 that holds it first has each emoji run fenced with NULs: the post then
@@ -48,8 +47,8 @@ WORD = "word"
 EMOJI = "emoji"
 
 # Emoji scalar ranges: pictographs, emoticons, transport, supplemental symbols,
-# extended pictographs, misc/dingbat symbols, arrows-and-shapes extras, and
-# regional indicators. Intentionally excludes bare digits/# (keycap bases).
+# extended pictographs, misc/dingbat symbols, arrows-and-shapes extras, and, as
+# the last row, regional indicators. Intentionally excludes bare digits/# (keycap bases).
 _EMOJI_RANGES = (
     (0x1F300, 0x1F5FF),
     (0x1F600, 0x1F64F),
@@ -61,50 +60,51 @@ _EMOJI_RANGES = (
     (0x2B00, 0x2BFF),
     (0x1F1E6, 0x1F1FF),
 )
-_ZWJ = 0x200D
-_VARIATION_SELECTORS = (0xFE0E, 0xFE0F)
-_SKIN_TONES = (0x1F3FB, 0x1F3FF)
-_REGIONAL_INDICATORS = (0x1F1E6, 0x1F1FF)
+# The parts of a sequence besides its emoji scalars: (role, first, last). A
+# modifier stays in the run of the emoji scalar before it and folds out of its
+# token; the joiner links the next emoji scalar into the run. A part outside
+# `_EMOJI_RANGES` is stray outside a run: it is stripped from a word without splitting it.
+_SEQUENCE_PARTS = (
+    ("joiner", 0x200D, 0x200D),
+    ("modifier", 0xFE0E, 0xFE0F),  # text and emoji presentation selectors
+    ("modifier", 0x1F3FB, 0x1F3FF),  # skin tones
+)
 
 
 def _char_class(*ranges: tuple[int, int], chars: str = "") -> str:
-    return "[" + chars + "".join(f"\\U{lo:08X}-\\U{hi:08X}" for lo, hi in ranges) + "]"
+    return "[" + chars + "".join(
+        f"\\U{lo:08X}" + (f"-\\U{hi:08X}" if hi > lo else "") for lo, hi in ranges) + "]"
 
 
-def _delete_table(*ranges: tuple[int, int]) -> dict[int, None]:
-    return {cp: None for lo, hi in ranges for cp in range(lo, hi + 1)}
+def _scalars(*ranges: tuple[int, int]) -> list[str]:
+    return [chr(cp) for lo, hi in ranges for cp in range(lo, hi + 1)]
 
 
-_EMOJI_SCALARS = frozenset(chr(cp) for lo, hi in _EMOJI_RANGES for cp in range(lo, hi + 1))
+_PARTS = [row[1:] for row in _SEQUENCE_PARTS]
+_JOINERS = [row[1:] for row in _SEQUENCE_PARTS if row[0] == "joiner"]
+_MODIFIERS = [row[1:] for row in _SEQUENCE_PARTS if row[0] == "modifier"]
+_STRAYS = [(lo, hi) for lo, hi in _PARTS if not any(a <= lo and hi <= b for a, b in _EMOJI_RANGES)]
 _EMOJI = _char_class(*_EMOJI_RANGES)
-_REGIONAL = _char_class(_REGIONAL_INDICATORS)
-_MODIFIER = _char_class(_VARIATION_SELECTORS, _SKIN_TONES)
-_STRAY = _char_class((_ZWJ, _ZWJ), _VARIATION_SELECTORS)
+_REGIONAL = _char_class(_EMOJI_RANGES[-1])
 # A flag is exactly two regional indicators; any other emoji scalar takes the
-# variation selectors, skin tones and ZWJ-joined emoji scalars that follow it.
-_RUN = f"{_REGIONAL}{_REGIONAL}|{_EMOJI}(?:{_MODIFIER}|{chr(_ZWJ)}{_EMOJI})*"
+# modifiers and joined emoji scalars that follow it.
+_RUN = f"{_REGIONAL}{_REGIONAL}|{_EMOJI}(?:{_char_class(*_MODIFIERS)}|{_char_class(*_JOINERS)}{_EMOJI})*"
 # The capturing group makes `split` alternate text, run, text, ..., text.
 _EMOJI_RUN = re.compile(f"({_RUN})")
 # CPython's `\w` is `str.isalnum()` plus "_", so `[^\W_]` is an
 # alphanumeric. A word character is an alphanumeric outside the emoji
-# scalars (❶…➓ are alphanumeric); a stray joiner or selector between two of
-# them does not split the word.
-_ALNUM_EMOJI = "".join(sorted(c for c in _EMOJI_SCALARS if c.isalnum()))
+# scalars (❶…➓ are alphanumeric); stray parts between two do not split a word.
+_ALNUM_EMOJI = "".join(c for c in _scalars(*_EMOJI_RANGES) if c.isalnum())
 _WORD_CHAR = f"[^\\W_{_ALNUM_EMOJI}]"
-_TOKEN = re.compile(f"{_WORD_CHAR}+(?:{_STRAY}+{_WORD_CHAR}+)*|{_RUN}")
-# Only a post that holds a joiner, a selector or a skin tone has runs to fold
-# or words to strip. A post that holds none of them, nor ❶…➓, takes
-# `_PLAIN`: each of its emoji runs is a flag or one scalar, and each of its
-# alphanumerics is a word character.
-_MARKED = re.compile(
-    _char_class((_ZWJ, _ZWJ), _VARIATION_SELECTORS, _SKIN_TONES, chars=_ALNUM_EMOJI)
-)
+_TOKEN = re.compile(f"{_WORD_CHAR}+(?:{_char_class(*_STRAYS)}+{_WORD_CHAR}+)*|{_RUN}")
+# A post with no sequence part and no ❶…➓ has no run to fold and no word to
+# strip; it takes `_PLAIN`, where each emoji run is a flag or one scalar.
+_MARKED = re.compile(_char_class(*_PARTS, chars=_ALNUM_EMOJI))
 _PLAIN = re.compile(f"[^\\W_]+|{_REGIONAL}{_REGIONAL}|{_EMOJI}")
-_FOLD = _delete_table(_VARIATION_SELECTORS, _SKIN_TONES)
-# EMOJI for each scalar that starts an emoji surface: an emoji scalar, or
-# the joiner left in front once a leading skin tone folds away. Any other
-# scalar starts a word.
-_EMOJI_FIRST = dict.fromkeys([*_EMOJI_SCALARS, chr(_ZWJ)], EMOJI)
+_FOLD = dict.fromkeys(map(ord, _scalars(*_MODIFIERS)))
+_STRIP = dict.fromkeys(map(ord, _scalars(*_STRAYS)))
+# EMOJI for each scalar an emoji surface can start with, the joiner included.
+_EMOJI_FIRST = dict.fromkeys(_scalars(*_EMOJI_RANGES, *_JOINERS), EMOJI)
 _first = itemgetter(0)
 
 
@@ -172,13 +172,13 @@ def tokenize(text: str) -> TokenSequence:
         return TokenSequence(tuple(_PLAIN.findall(text.lower())))
     kept = []
     for s in _TOKEN.findall(text.lower()):
-        if s[0] in _EMOJI_SCALARS:
+        if s[0] in _EMOJI_FIRST:
             if len(s) > 1 or ord(s) in _FOLD:  # a lone skin tone folds to nothing
                 s = s.translate(_FOLD)
                 if not s:
                     continue
-        else:
-            s = s.replace("\u200d", "").replace("\ufe0e", "").replace("\ufe0f", "")
+        elif not s.isalnum():  # a word is all alphanumerics unless it holds a stray part
+            s = s.translate(_STRIP)
         kept.append(s)
     return TokenSequence(tuple(kept))
 
@@ -225,8 +225,8 @@ def load_labeled_dataset(path) -> tuple[list[RawPost], list[tuple[int, str]]]:
                 saw_content = True
                 try:
                     obj = json.loads(line)
-                except json.JSONDecodeError as err:
-                    errors.append((line_no, f"invalid JSON: {err.msg}"))
+                except (json.JSONDecodeError, RecursionError) as err:  # or nested too deeply
+                    errors.append((line_no, f"invalid JSON: {getattr(err, 'msg', err)}"))
                     continue
                 if not isinstance(obj, dict) or "text" not in obj or "label" not in obj:
                     errors.append((line_no, 'expected object with "text" and "label"'))

@@ -242,7 +242,9 @@ def edge_auc(scores: np.ndarray, a_bin: np.ndarray, rng) -> float:
     """ROC AUC of positive edges against an equal count of sampled non-edges.
 
     Candidates are unordered off-diagonal pairs; self-loops are excluded.
-    Ties in score contribute half.
+    Ties in score contribute half, and a NaN score neither wins nor ties.
+    Binary search in the sorted negatives gives the pairwise counts in
+    O(P log P).
     """
     n = a_bin.shape[0]
     iu = np.triu_indices(n, k=1)
@@ -253,7 +255,9 @@ def edge_auc(scores: np.ndarray, a_bin: np.ndarray, rng) -> float:
     if pos.size == 0 or neg_pool.size == 0:
         raise TrainingError("AUC undefined: need both positive and negative pairs")
     take = min(pos.size, neg_pool.size)
-    neg = neg_pool[rng.choice(neg_pool.size, size=take, replace=False)]
-    greater = (pos[:, None] > neg[None, :]).sum()
-    equal = (pos[:, None] == neg[None, :]).sum()
+    neg = np.sort(neg_pool[rng.choice(neg_pool.size, size=take, replace=False)])
+    scored = pos[~np.isnan(pos)]
+    below = np.searchsorted(neg, scored, side="left")
+    greater = below.sum()
+    equal = (np.searchsorted(neg, scored, side="right") - below).sum()
     return (greater + 0.5 * equal) / (pos.size * take)

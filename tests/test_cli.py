@@ -312,6 +312,7 @@ class TestCliPipeline:
         '{"config": {}, "emoji_ids": [1, 2]}',
         '{"config": {}, "emoji_ids": ["a", "a"]}',
         '{"config": {"kernel_sizes": 5}, "emoji_ids": []}',
+        pytest.param("[" * 200_000, id="nested-too-deeply"),
     ])
     def test_bad_classifier_metadata_exits_1_naming_the_file(self, workspace, capsys, meta):
         assert cli_main(["build-graph", "--config", "run.cfg"]) == 0

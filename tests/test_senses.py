@@ -96,6 +96,13 @@ class TestLoadEmojinet:
         with pytest.raises(InventoryError):
             load_emojinet(tmp_path / "missing.json")
 
+    def test_nesting_too_deep_to_parse_names_the_file(self, tmp_path):
+        path = tmp_path / "inventory.json"
+        path.write_text("[" * 200_000, encoding="utf-8")
+        with pytest.raises(InventoryError, match="nested too deeply") as err:
+            load_emojinet(path)
+        assert str(path) in str(err.value)
+
 
 def test_non_utf8_inventory_names_the_file_and_byte(tmp_path):
     path = tmp_path / "inventory.json"

@@ -1,14 +1,17 @@
 import gc
+import random
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from emofuse import tokenization
 from emofuse.exceptions import CorpusError, EmofuseError
 from emofuse.tokenization import (
     _EMOJI_RANGES,
     _MARKED,
     _PLAIN,
+    _SEQUENCE_PARTS,
     _TOKEN,
     _WORD_CHAR,
     EMOJI,
@@ -240,15 +243,30 @@ def test_lowercase_keeps_what_one_pass_relies_on():
     assert in_context == [0x03A3]
 
 
-def test_marked_holds_every_scalar_the_plain_pattern_reads_apart():
+def sequence_forms():
+    """Every form the tables build: each range scalar alone and followed by
+    each sequence part, every lone part, every flag, and sampled joined
+    pairs, bare and carrying a part before the joiner."""
+    scalars = [chr(cp) for lo, hi in _EMOJI_RANGES for cp in range(lo, hi + 1)]
+    parts = [chr(cp) for _, lo, hi in _SEQUENCE_PARTS for cp in range(lo, hi + 1)]
+    joiners = [chr(cp) for role, lo, hi in _SEQUENCE_PARTS if role == "joiner"
+               for cp in range(lo, hi + 1)]
+    indicators = [chr(cp) for cp in range(REGIONAL_INDICATORS[0], REGIONAL_INDICATORS[1] + 1)]
+    flags = [a + b for a in indicators for b in indicators]
+    rng = random.Random(51)
+    joined = [rng.choice(scalars) + rng.choice(["", *parts]) + joiner + rng.choice(scalars)
+              for joiner in joiners for _ in range(1500)]
+    return [*scalars, *(s + p for s in scalars for p in parts), *parts, *flags, *joined]
+
+
+def test_both_paths_read_every_sequence_form_alike(monkeypatch):
     # An unmarked post is tokenized by runs of alphanumerics and single-scalar
     # emoji runs, so `_MARKED` must hold every scalar where an alphanumeric
-    # and the word class part, and every joiner, selector and skin tone; and
-    # since the post is lowercased after the test, no scalar may lowercase
-    # into one of them.
+    # and the word class part, and every sequence part; and since the post is
+    # lowercased after the test, no scalar may lowercase into one of them.
     every = "".join(map(chr, range(0x110000)))
     parted = {c for c in every if c.isalnum()} ^ set(re.findall(_WORD_CHAR, every))
-    marks = {chr(cp) for cp in SKIN_TONES | VARIATION_SELECTORS | {ZWJ}}
+    marks = {chr(cp) for _, lo, hi in _SEQUENCE_PARTS for cp in range(lo, hi + 1)}
     marked = set(_MARKED.findall(every))
     assert "\u2776" in parted
     assert parted | marks <= marked
@@ -257,6 +275,14 @@ def test_marked_holds_every_scalar_the_plain_pattern_reads_apart():
     # Both patterns read every unmarked scalar alike, alone or beside the next.
     for text in (unmarked, " ".join(unmarked)):
         assert _PLAIN.findall(text) == _TOKEN.findall(text)
+    # Each form alone, glued to words and spaced from them tokenizes as the
+    # oracle does, routed by `_MARKED` and with every post sent to the
+    # general pattern.
+    texts = [t for form in sequence_forms() for t in (form, f"ok{form}ok", f"ok {form} ok")]
+    expected = [reference_tokenize(t) for t in texts]
+    assert [[tuple(t) for t in tokenize(t)] for t in texts] == expected
+    monkeypatch.setattr(tokenization, "_MARKED", re.compile(""))
+    assert [[tuple(t) for t in tokenize(t)] for t in texts] == expected
 
 
 def test_sequence_keeps_no_tracked_object_per_token():
@@ -316,6 +342,13 @@ class TestLoadLabeledDataset:
         path.write_text('not json\n{"text": "ok", "label": 0}\n', encoding="utf-8")
         posts, errors = load_labeled_dataset(path)
         assert len(posts) == 1 and errors[0][0] == 1
+
+    def test_nesting_too_deep_to_parse_is_a_malformed_line(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"text": "ok", "label": 0}\n' + "[" * 200_000 + "\n", encoding="utf-8")
+        posts, errors = load_labeled_dataset(path)
+        assert len(posts) == 1
+        assert [(line, message.startswith("invalid JSON: ")) for line, message in errors] == [(2, True)]
 
     def test_all_lines_bad_raises(self, tmp_path):
         path = tmp_path / "data.jsonl"

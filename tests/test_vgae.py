@@ -486,3 +486,32 @@ class TestEdgeAuc:
     def test_needs_both_classes(self):
         with pytest.raises(TrainingError):
             edge_auc(np.zeros((2, 2)), np.ones((2, 2)), np.random.default_rng(0))
+
+    @staticmethod
+    def pairwise_auc(scores, a_bin, rng):
+        # The quadratic all-pairs count `edge_auc` replaced, as an oracle.
+        iu = np.triu_indices(a_bin.shape[0], k=1)
+        pos = scores[iu][a_bin[iu] > 0]
+        neg_pool = scores[iu][a_bin[iu] == 0]
+        take = min(pos.size, neg_pool.size)
+        neg = neg_pool[rng.choice(neg_pool.size, size=take, replace=False)]
+        greater = (pos[:, None] > neg[None, :]).sum()
+        equal = (pos[:, None] == neg[None, :]).sum()
+        return (greater + 0.5 * equal) / (pos.size * take)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_the_pairwise_count_bit_for_bit(self, seed):
+        # Scores on a coarse grid tie often, within and across the classes;
+        # some seeds also hold NaN scores, which the pairwise count never
+        # counts as a win or a tie.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(6, 60))
+        scores = np.round(rng.random((n, n)), int(rng.integers(0, 3)))
+        if seed % 4 == 0:
+            scores[rng.random((n, n)) < 0.05] = np.nan
+        a_bin = (rng.random((n, n)) < rng.uniform(0.05, 0.6)).astype(float)
+        a_bin[0, 1], a_bin[0, 2] = 1.0, 0.0  # both classes in every draw
+        a_bin = np.maximum(np.triu(a_bin, 1), np.triu(a_bin, 1).T)
+        got = edge_auc(scores, a_bin, np.random.default_rng(seed))
+        want = self.pairwise_auc(scores, a_bin, np.random.default_rng(seed))
+        assert got == want
