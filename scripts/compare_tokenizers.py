@@ -23,8 +23,10 @@ from a fixed seed over the words of `data/toy_word_vectors.txt`:
 Each tree tokenizes every class in its own subprocess, with that tree first
 on PYTHONPATH, once per round; the two trees alternate which runs first.
 A run times each class as the best of REPEATS passes. One line per class
-gives each tree's median µs/post over the rounds, the change's speed-up
-and whether both trees emitted the same kinds and surfaces for every post;
+gives each tree's median µs/post over the ROUNDS rounds and its first and
+third quartiles, the change's speed-up of the medians, in how many rounds
+the change was faster than the parent run beside it, and whether both
+trees emitted the same kinds and surfaces for every post;
 the exit status is 1 on any token difference. Kinds and surfaces are read
 by iterating each sequence, so the two trees may store them differently.
 
@@ -32,8 +34,8 @@ The subprocess rounds are noisy on a shared 2-core VM. Two runs comparing a
 tree that reads kinds off surfaces with one that stores them read
 0.95-1.46x and 0.67-0.93x per class, while an interleaved in-process A/B
 of the same two trees over the same classes read 1.10-1.29x, faster in
-17-20 of 20 rounds in every class. Read the speed-up column as a coarse
-check, and the token column as the result.
+17-20 of 20 rounds in every class. Read the speed-up column together with
+the quartiles and the win count, and the token column as the result.
 """
 
 from __future__ import annotations
@@ -46,10 +48,12 @@ import subprocess
 import sys
 import tempfile
 
+from spread import quartiles, wins
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED = 7
 POSTS = 5000
-ROUNDS = 5
+ROUNDS = 10
 REPEATS = 3
 # single-scalar pictographs, skin tones (U+1F3FB..U+1F3FF) left out
 PICTOGRAPHS = [chr(cp) for lo, hi in ((0x1F300, 0x1F3FA), (0x1F400, 0x1F5FF), (0x1F600, 0x1F64F))
@@ -155,12 +159,15 @@ def main(argv) -> int:
             with open(path, encoding="utf-8") as fh:
                 tokens.append(json.load(fh))
     equal = True
-    print(f"{'class':<12} {'parent µs/post':>15} {'change µs/post':>15} {'speed-up':>9}  tokens")
+    print(f"{'class':<12} {'parent µs/post':>15} {'parent IQR':>13} {'change µs/post':>15} {'change IQR':>13} "
+          f"{'speed-up':>9} {'wins':>6}  tokens")
     for name in classes:
-        parent, change = (statistics.median(run[name] for run in timings[k]) for k in (0, 1))
+        times = [[run[name] for run in timings[k]] for k in (0, 1)]
+        parent, change = (statistics.median(t) for t in times)
         same = tokens[0][name] == tokens[1][name]
         equal = equal and same
-        print(f"{name:<12} {parent:>15.2f} {change:>15.2f} {parent / change:>8.2f}x  "
+        print(f"{name:<12} {parent:>15.2f} {quartiles(times[0], 2):>13} {change:>15.2f} "
+              f"{quartiles(times[1], 2):>13} {parent / change:>8.2f}x {wins(*times):>6}  "
               f"{'equal' if same else 'DIFFER'}")
     print("tokens equal in every class" if equal else "tokens differ")
     return 0 if equal else 1

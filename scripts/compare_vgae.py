@@ -14,8 +14,10 @@ and epoch sizes, seeded with SEED; the two trees alternate which runs first.
 A run's time per epoch is the median gap between consecutive epoch log
 records, so setup before the first epoch is left out; its minor page faults
 per call are the median over the calls of `resource.getrusage` around each.
-One line per graph gives each tree's median over the rounds, the change's
-speed-up, and whether both trees gave bit-equal loss histories and
+One line per graph gives each tree's median over the rounds, the first and
+third quartiles of each tree's ms/epoch, the change's speed-up of the
+medians, in how many rounds the change was faster than the parent run
+beside it, and whether both trees gave bit-equal loss histories and
 embeddings; the exit status is 1 on any difference.
 """
 
@@ -29,6 +31,8 @@ import sys
 import tempfile
 
 import numpy as np
+
+from spread import quartiles, wins
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "bench"), os.path.join(ROOT, "src")]
@@ -121,8 +125,9 @@ def main(argv) -> int:
         if not os.path.isfile(os.path.join(tree, "emofuse", "__init__.py")):
             sys.exit(f"{tree} holds no emofuse package")
     equal = True
-    print(f"{'graph':<17} {'nodes':>5} {'parent ms/epoch':>16} {'change ms/epoch':>16} {'speed-up':>9} "
-          f"{'parent faults':>14} {'change faults':>14}  history  embeddings")
+    print(f"{'graph':<17} {'nodes':>5} {'parent ms/epoch':>16} {'parent IQR':>15} {'change ms/epoch':>16} "
+          f"{'change IQR':>15} {'speed-up':>9} {'wins':>5} {'parent faults':>14} {'change faults':>14}  "
+          f"history  embeddings")
     with tempfile.TemporaryDirectory() as tmp:
         for name, (graph_dir, nodes) in build_graphs(tmp).items():
             runs: list[list[dict[str, float]]] = [[], []]
@@ -132,9 +137,11 @@ def main(argv) -> int:
                     runs[k].append(run_tree(trees[k], graph_dir, WORKLOADS[name].vgae, outs[k]))
             history, embeddings = same_outputs(outs)
             equal = equal and history and embeddings
-            ms, faults = ([statistics.median(run[key] for run in runs[k]) for k in (0, 1)]
-                          for key in ("epoch_ms", "faults"))
-            print(f"{name:<17} {nodes:>5} {ms[0]:>16.3f} {ms[1]:>16.3f} {ms[0] / ms[1]:>8.2f}x "
+            times = [[run["epoch_ms"] for run in runs[k]] for k in (0, 1)]
+            ms = [statistics.median(t) for t in times]
+            faults = [statistics.median(run["faults"] for run in runs[k]) for k in (0, 1)]
+            print(f"{name:<17} {nodes:>5} {ms[0]:>16.3f} {quartiles(times[0], 3):>15} {ms[1]:>16.3f} "
+                  f"{quartiles(times[1], 3):>15} {ms[0] / ms[1]:>8.2f}x {wins(*times):>5} "
                   f"{faults[0]:>14.0f} {faults[1]:>14.0f}  {'equal' if history else 'DIFFER':<7}  "
                   f"{'equal' if embeddings else 'DIFFER'}", flush=True)
     print("histories and embeddings bit-equal on every graph" if equal else "outputs differ")

@@ -53,7 +53,7 @@ import struct
 
 import numpy as np
 
-from .exceptions import CheckpointError, ConfigError, ShapeError
+from .exceptions import CheckpointError, ConfigError, ShapeError, reading
 
 
 class Tensor:
@@ -625,12 +625,12 @@ def save_tensors(path, tensors):
 def load_tensors(path):
     """Read a container written by save_tensors; returns name -> float64 array.
 
-    A file that is not such a container, ends early, or holds a nan or inf
-    value raises CheckpointError naming the file (and the tensor). No read
-    asks for more bytes than the file has left, so a corrupt size field
-    cannot trigger a huge allocation.
+    A file that cannot be read, is not such a container, ends early, or
+    holds a nan or inf value raises CheckpointError naming the file (and the
+    tensor). No read asks for more bytes than the file has left, so a
+    corrupt size field cannot trigger a huge allocation.
     """
-    with open(path, "rb") as fh:
+    with reading(path, CheckpointError, "tensor container", binary=True) as fh:
         left = os.fstat(fh.fileno()).st_size
 
         def read(size):

@@ -21,7 +21,7 @@ import numpy as np
 from .autodiff import load_parameters, load_tensors, named_parameters, save_tensors
 from .clustering import cluster_similarity, write_similarity_tsv
 from .config import RunConfig, apply_overrides, config_from_dict, load_config
-from .exceptions import ConfigError, CorpusError, EmofuseError
+from .exceptions import ConfigError, CorpusError, EmofuseError, read_json
 from .graph import build_cooc_graph, count_cooccurrences, load_graph, save_graph
 from .model import SentimentModel
 from .pipeline import evaluate, train_classifier, write_csv
@@ -108,11 +108,7 @@ def cmd_train_classifier(config: RunConfig) -> int:
 
 def load_classifier(checkpoint_path, meta_path, word_table: WordEmbeddingTable) -> SentimentModel:
     """Rebuild a trained model from its tensor container and metadata echo."""
-    try:
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
-        raise ConfigError(f"cannot read classifier metadata {meta_path}: {err}") from err
+    meta = read_json(meta_path, ConfigError, "classifier metadata")
     if not isinstance(meta, dict):
         raise ConfigError(f"classifier metadata {meta_path} is not a JSON object")
     if not isinstance(meta.get("config"), dict):

@@ -12,9 +12,8 @@ import math
 from dataclasses import dataclass, fields, asdict
 
 from .attention import ABLATIONS
-from .exceptions import ConfigError
+from .exceptions import ConfigError, reading
 from .text_encoder import PE_BASE
-from .tokenization import not_utf8
 from .vgae import VgaeConfig
 
 # Retired keys that older checkpoint metadata echoes: `min_count` (None) is
@@ -117,16 +116,11 @@ def apply_overrides(config: RunConfig, assignments) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     config = RunConfig()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                stripped = line.split("#", 1)[0].strip()
-                if stripped:
-                    _assign(config, stripped, f"{path}:{line_no}: ")
-    except OSError as err:
-        raise ConfigError(f"cannot read config {path}: {err}") from err
-    except UnicodeDecodeError as err:
-        raise ConfigError(f"config {not_utf8(path, err)}") from None
+    with reading(path, ConfigError, "config") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            stripped = line.split("#", 1)[0].strip()
+            if stripped:
+                _assign(config, stripped, f"{path}:{line_no}: ")
     return config
 
 

@@ -22,7 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .exceptions import CorpusError
+from .exceptions import CorpusError, reading
 from .senses import SenseInventory, cosine_with_norms, node_attribute, tfidf_sense_vectors, vector_norm
 from .tokenization import TokenSequence
 from .vectors import read_vector_table, write_vector_table
@@ -180,32 +180,29 @@ def load_graph(directory) -> CoocGraph:
     pair_counts: dict[tuple[int, int], int] = {}
     first_line: dict[tuple[int, int], int] = {}  # edge -> the line it is on
     edges_path = os.path.join(directory, EDGES_FILE)
-    try:
-        with open(edges_path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                where = f"{edges_path}:{line_no}"
-                parts = line.rstrip("\n").split("\t")
-                if len(parts) != 4:
-                    raise CorpusError(f"{where}: expected 4 tab-separated fields")
-                try:
-                    i, j, count, weight = int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
-                except ValueError:
-                    raise CorpusError(f"{where}: expected integers i, j, pair_count and a weight") from None
-                if not 0 <= i < j < n:
-                    raise CorpusError(f"{where}: edge ({i}, {j}) needs 0 <= i < j < {n}")
-                first = first_line.setdefault((i, j), line_no)
-                if first != line_no:
-                    raise CorpusError(f"{where}: edge ({i}, {j}) repeats line {first}")
-                if count < 0:
-                    raise CorpusError(f"{where}: pair count {count} is negative")
-                if not (math.isfinite(weight) and weight >= 0.0):
-                    raise CorpusError(f"{where}: weight {weight} is not a finite non-negative number")
-                pair_counts[(i, j)] = count
-                adjacency[i, j] = weight
-                adjacency[j, i] = weight
-    except (OSError, UnicodeDecodeError) as err:
-        raise CorpusError(f"cannot read graph edges {edges_path}: {err}") from err
+    with reading(edges_path, CorpusError, "graph edges") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            where = f"{edges_path}:{line_no}"
+            parts = line.rstrip("\n").split("\t")
+            if len(parts) != 4:
+                raise CorpusError(f"{where}: expected 4 tab-separated fields")
+            try:
+                i, j, count, weight = int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
+            except ValueError:
+                raise CorpusError(f"{where}: expected integers i, j, pair_count and a weight") from None
+            if not 0 <= i < j < n:
+                raise CorpusError(f"{where}: edge ({i}, {j}) needs 0 <= i < j < {n}")
+            first = first_line.setdefault((i, j), line_no)
+            if first != line_no:
+                raise CorpusError(f"{where}: edge ({i}, {j}) repeats line {first}")
+            if count < 0:
+                raise CorpusError(f"{where}: pair count {count} is negative")
+            if not (math.isfinite(weight) and weight >= 0.0):
+                raise CorpusError(f"{where}: weight {weight} is not a finite non-negative number")
+            pair_counts[(i, j)] = count
+            adjacency[i, j] = weight
+            adjacency[j, i] = weight
     return CoocGraph(node_ids=node_ids, pair_counts=pair_counts,
                      adjacency=adjacency, attributes=attributes)

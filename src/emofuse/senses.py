@@ -9,7 +9,6 @@ what it derives from an inventory once per load and keeps it there.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import re
@@ -19,8 +18,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .exceptions import InventoryError
-from .tokenization import fold_emoji, not_utf8, tokenize, WORD
+from .exceptions import InventoryError, read_json
+from .tokenization import fold_emoji, tokenize, WORD
 
 logger = logging.getLogger("emofuse")
 
@@ -89,49 +88,40 @@ def _parse_codepoints(value: str) -> str:
 def load_emojinet(path) -> SenseInventory:
     """Load a JSON array of sense-inventory entries keyed by emoji.
 
-    Raises InventoryError for I/O problems, duplicate emoji keys, entries
-    missing mandatory fields, a unicode field that is not a string of
-    code points or an emoji, a name, shortcode or description that is not a
-    string, or keywords/senses that are not lists of strings. Other keys are
-    ignored. Entries with empty senses load but are flagged degraded.
+    Raises InventoryError naming the file for a file `read_json` refuses,
+    duplicate emoji keys, entries missing mandatory fields, a unicode field
+    that is not a string of code points or an emoji, a name, shortcode or
+    description that is not a string, or keywords/senses that are not lists
+    of strings. Other keys are ignored. Entries with empty senses load but are flagged degraded.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as err:
-        raise InventoryError(f"cannot read inventory {path}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise InventoryError(f"inventory {path} is not valid JSON: {err}") from err
-    except RecursionError:
-        raise InventoryError(f"inventory {path} is not valid JSON: nested too deeply") from None
-    except UnicodeDecodeError as err:
-        raise InventoryError(f"inventory {not_utf8(path, err)}") from None
+    data = read_json(path, InventoryError, "inventory")
     if not isinstance(data, list):
         raise InventoryError(f"inventory {path} must be a JSON array of entries")
     entries: dict[str, EmojiSenseEntry] = {}
     for pos, item in enumerate(data):
         if not isinstance(item, dict):
-            raise InventoryError(f"inventory entry {pos} is not an object")
+            raise InventoryError(f"{path}: inventory entry {pos} is not an object")
         missing = [k for k in _MANDATORY_KEYS if k not in item]
         if missing:
-            raise InventoryError(f"inventory entry {pos} missing keys: {', '.join(missing)}")
+            raise InventoryError(f"{path}: inventory entry {pos} missing keys: {', '.join(missing)}")
         unicode = item["unicode"]
         if not isinstance(unicode, str):
-            raise InventoryError(f"inventory entry {pos}: unicode must be a string")
+            raise InventoryError(f"{path}: inventory entry {pos}: unicode must be a string")
         try:
             key = _parse_codepoints(unicode)
         except ValueError as err:
-            raise InventoryError(f"inventory entry {pos}: bad unicode field {unicode!r}: {err}") from None
+            raise InventoryError(f"{path}: inventory entry {pos}: bad unicode field {unicode!r}: {err}") from None
         if not key:
-            raise InventoryError(f"inventory entry {pos} has an empty unicode field")
+            raise InventoryError(f"{path}: inventory entry {pos} has an empty unicode field")
         if key in entries:
-            raise InventoryError(f"duplicate inventory key {key!r} at entry {pos}")
+            raise InventoryError(f"{path}: duplicate inventory key {key!r} at entry {pos}")
         for text_key in ("name", "shortcode", "description"):
             if not isinstance(item[text_key], str):
-                raise InventoryError(f"inventory entry {pos} ({key!r}): {text_key} must be a string")
+                raise InventoryError(f"{path}: inventory entry {pos} ({key!r}): {text_key} must be a string")
         for list_key in ("keywords", "senses"):
             if not isinstance(item[list_key], list) or not all(isinstance(v, str) for v in item[list_key]):
-                raise InventoryError(f"inventory entry {pos} ({key!r}): {list_key} must be a list of strings")
+                raise InventoryError(f"{path}: inventory entry {pos} ({key!r}): "
+                                     f"{list_key} must be a list of strings")
         entry = EmojiSenseEntry(
             codepoints=key,
             name=item["name"],

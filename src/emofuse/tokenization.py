@@ -27,6 +27,10 @@ a joiner; an emoji run does once its leading skin tone folds away, as
 "\U0001F3FB\u200d\U0001F600" folds to "\u200d\U0001F600". A `Token` is a
 named tuple; a `TokenSequence` holds one tuple per post, the surfaces, and
 makes the tokens when it is read.
+
+Both corpus loaders open their file through `exceptions.reading`: a file
+that cannot be read, or is not UTF-8 text, raises CorpusError naming it and
+the offset of its first bad byte.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from itertools import count, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
-from .exceptions import CorpusError
+from .exceptions import CorpusError, reading
 
 logger = logging.getLogger("emofuse")
 
@@ -190,56 +194,35 @@ def split_modalities(seq: Iterable[Token]) -> tuple[list[Token], list[Token]]:
     return words, emojis
 
 
-def not_utf8(path, err: UnicodeDecodeError) -> str:
-    """Say where `path` stops being UTF-8, as a byte offset into the file.
-
-    A text-mode read reports offsets within its buffer, so the file is
-    decoded again whole to find the first bad byte.
-    """
-    try:
-        with open(path, "rb") as fh:
-            fh.read().decode("utf-8")
-    except UnicodeDecodeError as whole:
-        err = whole
-    except OSError:
-        pass
-    return f"{path} is not UTF-8 text: byte {err.start}: {err.reason}"
-
-
 def load_labeled_dataset(path) -> tuple[list[RawPost], list[tuple[int, str]]]:
     """Read a JSON-lines corpus of {"text": ..., "label": ...} objects.
 
     Returns the posts in file order plus a list of (line_number, message)
-    for malformed lines. Raises CorpusError on I/O failure or when a
-    nonempty file yields no valid post at all.
+    for malformed lines. Raises CorpusError on a file `reading` refuses or
+    when a nonempty file yields no valid post at all.
     """
     posts: list[RawPost] = []
     errors: list[tuple[int, str]] = []
     saw_content = False
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                saw_content = True
-                try:
-                    obj = json.loads(line)
-                except (json.JSONDecodeError, RecursionError) as err:  # or nested too deeply
-                    errors.append((line_no, f"invalid JSON: {getattr(err, 'msg', err)}"))
-                    continue
-                if not isinstance(obj, dict) or "text" not in obj or "label" not in obj:
-                    errors.append((line_no, 'expected object with "text" and "label"'))
-                    continue
-                text, label = obj["text"], obj["label"]
-                if not isinstance(text, str) or not isinstance(label, int) or isinstance(label, bool) or label < 0:
-                    errors.append((line_no, "text must be a string and label a non-negative integer"))
-                    continue
-                posts.append(RawPost(text=text, label=label))
-    except OSError as err:
-        raise CorpusError(f"cannot read labeled corpus {path}: {err}") from err
-    except UnicodeDecodeError as err:
-        raise CorpusError(not_utf8(path, err)) from None
+    with reading(path, CorpusError, "labeled corpus") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            saw_content = True
+            try:
+                obj = json.loads(line)
+            except (json.JSONDecodeError, RecursionError) as err:  # or nested too deeply
+                errors.append((line_no, f"invalid JSON: {getattr(err, 'msg', err)}"))
+                continue
+            if not isinstance(obj, dict) or "text" not in obj or "label" not in obj:
+                errors.append((line_no, 'expected object with "text" and "label"'))
+                continue
+            text, label = obj["text"], obj["label"]
+            if not isinstance(text, str) or not isinstance(label, int) or isinstance(label, bool) or label < 0:
+                errors.append((line_no, "text must be a string and label a non-negative integer"))
+                continue
+            posts.append(RawPost(text=text, label=label))
     if saw_content and not posts:
         raise CorpusError(f"no valid posts in {path} ({len(errors)} malformed lines)")
     for line_no, message in errors:
@@ -249,13 +232,8 @@ def load_labeled_dataset(path) -> tuple[list[RawPost], list[tuple[int, str]]]:
 
 def load_unlabeled_corpus(path) -> Iterator[str]:
     """Yield one post per nonempty line of a plain-text corpus."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    yield line
-    except OSError as err:
-        raise CorpusError(f"cannot read corpus {path}: {err}") from err
-    except UnicodeDecodeError as err:
-        raise CorpusError(not_utf8(path, err)) from None
+    with reading(path, CorpusError, "corpus") as fh:
+        for line in fh:
+            line = line.strip()
+            if line:
+                yield line

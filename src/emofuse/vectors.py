@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from .exceptions import CorpusError
+from .exceptions import CorpusError, reading
 
 
 def read_vector_table(path) -> tuple[list[str], np.ndarray]:
@@ -29,24 +29,22 @@ def read_vector_table(path) -> tuple[list[str], np.ndarray]:
     (a malformed row, or a field only Python's `float` accepts, such as `1_0`),
     the table is read again row by row, which names the first bad line.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                count, dim = (int(field) for field in fh.readline().split())
-            except ValueError:
-                raise CorpusError(f"{path}: line 1: header must be '<count> <dimension>'") from None
-            if count < 0 or dim < 0:
-                raise CorpusError(f"{path}: line 1: header count {count} or dimension {dim} is negative")
-            rows_at = fh.tell()
-            table = _read_rows_at_once(fh, count, dim)
-            if table is None:
-                fh.seek(rows_at)
-                table = _read_rows(fh, path, count, dim)
-            for line_no, line in enumerate(fh, count + 2):
-                if line.strip():
-                    raise CorpusError(f"{path}: line {line_no} is a row past the header's count of {count}")
-    except (OSError, UnicodeDecodeError) as err:
-        raise CorpusError(f"cannot read vector table {path}: {err}") from err
+    with reading(path, CorpusError, "vector table") as fh:
+        header = fh.readline()  # read outside the try: a UnicodeDecodeError is a ValueError
+        try:
+            count, dim = (int(field) for field in header.split())
+        except ValueError:
+            raise CorpusError(f"{path}: line 1: header must be '<count> <dimension>'") from None
+        if count < 0 or dim < 0:
+            raise CorpusError(f"{path}: line 1: header count {count} or dimension {dim} is negative")
+        rows_at = fh.tell()
+        table = _read_rows_at_once(fh, count, dim)
+        if table is None:
+            fh.seek(rows_at)
+            table = _read_rows(fh, path, count, dim)
+        for line_no, line in enumerate(fh, count + 2):
+            if line.strip():
+                raise CorpusError(f"{path}: line {line_no} is a row past the header's count of {count}")
     ids, matrix = table
     bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if bad.size:

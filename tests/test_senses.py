@@ -88,6 +88,22 @@ class TestLoadEmojinet:
         with pytest.raises(InventoryError, match=f"entry 1.*{field} must be a.*string"):
             load_emojinet(path)
 
+    @pytest.mark.parametrize("bad", [
+        pytest.param(["grin"], id="not-an-object"),
+        pytest.param({"unicode": "U+1F355"}, id="missing-keys"),
+        pytest.param(dict(entry("U+1F355", ["pizza"]), unicode=128512), id="unicode-not-a-string"),
+        pytest.param(entry("U+1F355 X+FE0F", ["pizza"]), id="bad-unicode"),
+        pytest.param(entry("  ", ["pizza"]), id="empty-unicode"),
+        pytest.param(entry("U+1F600", ["again"]), id="duplicate-key"),
+        pytest.param(dict(entry("U+1F355", ["pizza"]), name=None), id="text-field-not-a-string"),
+        pytest.param(entry("U+1F355", [3]), id="list-field-not-strings"),
+    ])
+    def test_every_entry_error_names_the_file(self, tmp_path, bad):
+        path = write_inventory(tmp_path, [entry("U+1F600", ["grin"]), bad])
+        with pytest.raises(InventoryError, match="entry 1") as err:
+            load_emojinet(path)
+        assert str(err.value).startswith(f"{path}: ")
+
     def test_other_keys_are_ignored(self, tmp_path):
         extra = dict(entry("U+1F355", ["pizza"]), images=3, related=None, category=[1])
         assert load_emojinet(write_inventory(tmp_path, [extra])).get("\U0001F355") is not None

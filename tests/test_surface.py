@@ -4,7 +4,8 @@ Every top-level function of every module of the package must be used
 somewhere in the package outside its own definition, be exported in
 `emofuse.__all__`, or be listed below with the reason it stays. Only
 `autodiff.node` gives a tensor parents and a backward rule. No layer
-defaults its `Segments` layout: each takes the one its caller passes.
+defaults its `Segments` layout: each takes the one its caller passes. Only
+`exceptions.reading` opens a file for reading.
 """
 
 import ast
@@ -122,3 +123,29 @@ def test_every_layer_takes_its_layout_from_its_caller():
     names = {getattr(node, field) for tree in trees.values() for node in ast.walk(tree)
              for field in ("name", "id", "attr") if isinstance(getattr(node, field, None), str)}
     assert "EncodedText" not in names
+
+
+def reads(tree, scope=""):
+    """(scope, source) of every `open(...)` call whose mode reads: none given, or one with no w, a or x.
+
+    A mode that is not a string literal counts as a read, since it cannot be told apart.
+    """
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from reads(child, f"{scope}.{child.name}" if scope else child.name)
+            continue
+        if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "open":
+            modes = child.args[1:2] + [k.value for k in child.keywords if k.arg == "mode"]
+            mode = modes[0] if modes else ast.Constant("r")
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str) and set(mode.value) & set("wax")):
+                yield scope, ast.unparse(child)
+        yield from reads(child, scope)
+
+
+def test_every_input_file_is_opened_by_exceptions_reading():
+    """One place turns a read failure into a loader's typed error naming the file and the bad byte."""
+    found = [(f"{path.stem}.{scope}", call) for path in sorted(PACKAGE.glob("*.py"))
+             for scope, call in reads(ast.parse(path.read_text(encoding="utf-8")))]
+    stray = [f"{scope}: {call}" for scope, call in found if scope != "exceptions.reading"]
+    assert stray == [], f"files opened for reading outside exceptions.reading: {stray}"
+    assert len(found) == 3  # text, binary, and the whole-file decode that finds the bad byte

@@ -361,29 +361,6 @@ class TestLoadLabeledDataset:
             load_labeled_dataset(tmp_path / "nope.jsonl")
 
 
-class TestNonUtf8Corpora:
-    """A file that is not UTF-8 raises CorpusError naming the file and the first bad byte."""
-
-    @pytest.mark.parametrize("load", [load_labeled_dataset, lambda p: list(load_unlabeled_corpus(p))],
-                             ids=["labeled", "unlabeled"])
-    def test_utf16_byte_order_mark(self, tmp_path, load):
-        path = tmp_path / "posts.txt"
-        path.write_bytes(b"\xff\xfe" + "hi".encode("utf-16-le"))
-        with pytest.raises(CorpusError, match="byte 0") as err:
-            load(path)
-        assert str(path) in str(err.value)
-
-    @pytest.mark.parametrize("load", [load_labeled_dataset, lambda p: list(load_unlabeled_corpus(p))],
-                             ids=["labeled", "unlabeled"])
-    def test_offset_counts_from_the_start_of_the_file(self, tmp_path, load):
-        path = tmp_path / "posts.txt"
-        line = '{"text": "café \U0001F600", "label": 1}\n'.encode("utf-8")
-        head = line * 1000  # past any read buffer
-        path.write_bytes(head + b'{"text": "\xc3(", "label": 0}\n')
-        with pytest.raises(CorpusError, match=f"byte {len(head) + 10}"):
-            load(path)
-
-
 @given(st.one_of(st.text(max_size=60), st.binary(max_size=60)))
 def test_labeled_corpus_fuzz_raises_only_typed_errors(tmp_path_factory, content):
     path = tmp_path_factory.mktemp("fuzz_labeled") / "posts.jsonl"
