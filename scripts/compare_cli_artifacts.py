@@ -3,13 +3,21 @@
 Usage: python3 scripts/compare_cli_artifacts.py PARENT_SRC [CHANGE_SRC]
 
 Each argument is a directory that holds an `emofuse` package; CHANGE_SRC
-defaults to this checkout's `src`. The inputs of acceptance criterion 8
-(`tests/test_acceptance._populate_cli_dir`) are written once and copied
-into one run directory per tree, so both trees read the same paths and echo
-the same ones into `classifier_meta.json` and `eval_report.json`. Criterion
-8's six subcommands then run in each directory, with that tree first on
-PYTHONPATH and OPENBLAS_NUM_THREADS=1. One line is printed per file of
-`graph/` and `out/`; the exit status is 1 on any difference or missing file.
+defaults to this checkout's `src`. Two passes each write their inputs once
+and copy them into one run directory per tree, so both trees read the same
+paths and echo the same ones into `classifier_meta.json` and
+`eval_report.json`:
+
+- criterion-8: the inputs of acceptance criterion 8
+  (`tests/test_acceptance._populate_cli_dir`), a 40-post corpus over 4 emojis;
+- graph-paper: the same, but with `unlabeled_corpus` and `inventory` taken
+  from the benchmark's generator (bench/generate.py) for the graph-paper
+  workload and seed 7, a graph of about 320 nodes and 12,000 pairs.
+
+Criterion 8's six subcommands then run in each directory, with that tree
+first on PYTHONPATH and OPENBLAS_NUM_THREADS=1. One line is printed per pass
+and file of `graph/` and `out/`; the exit status is 1 on any difference or
+missing file.
 """
 
 from __future__ import annotations
@@ -21,9 +29,12 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "tests"), os.path.join(ROOT, "src")]
+sys.path[:0] = [os.path.join(ROOT, "tests"), os.path.join(ROOT, "bench"), os.path.join(ROOT, "src")]
 
-from test_acceptance import _populate_cli_dir  # noqa: E402
+import generate  # noqa: E402  (bench/generate.py)
+from conftest import WORD_VECTORS_PATH  # noqa: E402
+from test_acceptance import CLI_CONFIG, _populate_cli_dir  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
 # criterion 8's pipeline, in its order
 SUBCOMMANDS = [
@@ -31,6 +42,20 @@ SUBCOMMANDS = [
     ("export-embeddings", "--set", "checkpoint=out/vgae.ntc", "--set", "embeddings=out/exported.txt"),
 ]
 ARTIFACT_DIRS = ("graph", "out")
+SEED = 7
+
+
+def populate_graph_paper(inputs: str) -> None:
+    """Criterion 8's inputs with the graph-paper workload's corpus and inventory for SEED."""
+    _populate_cli_dir(inputs)
+    beside = os.path.join(os.path.dirname(inputs), "generated")  # so that the run directories do not copy it
+    generated = generate.make_inputs(WORKLOADS["graph-paper"], SEED, beside, os.path.join(ROOT, "data"))
+    shutil.copyfile(generated.unlabeled_path, os.path.join(inputs, "unlabeled.txt"))
+    with open(os.path.join(inputs, "run.cfg"), "w", encoding="utf-8") as fh:
+        fh.write(CLI_CONFIG.format(inventory=generated.inventory_path, vectors=WORD_VECTORS_PATH))
+
+
+PASSES = {"criterion-8": _populate_cli_dir, "graph-paper": populate_graph_paper}
 
 
 def run_pipeline(tree: str, cwd: str) -> None:
@@ -43,7 +68,7 @@ def run_pipeline(tree: str, cwd: str) -> None:
             sys.exit(f"{tree}: {subcommand[0]} exited {result.returncode}:\n{result.stderr}")
 
 
-def compare(parent: str, change: str) -> bool:
+def compare(pass_name: str, parent: str, change: str) -> bool:
     """Print one line per artifact; True when every one is present in both and byte-equal."""
     equal = True
     for rel_dir in ARTIFACT_DIRS:
@@ -57,7 +82,7 @@ def compare(parent: str, change: str) -> bool:
                 with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
                     status = "equal" if a.read() == b.read() else "DIFFERS"
             equal = equal and status == "equal"
-            print(f"{status:>17}  {rel_dir}/{name}")
+            print(f"{status:>17}  {pass_name:<11}  {rel_dir}/{name}", flush=True)
     return equal
 
 
@@ -68,18 +93,20 @@ def main(argv) -> int:
     for tree in trees:
         if not os.path.isfile(os.path.join(tree, "emofuse", "__init__.py")):
             sys.exit(f"{tree} holds no emofuse package")
-    with tempfile.TemporaryDirectory() as tmp:
-        inputs = os.path.join(tmp, "inputs")
-        os.mkdir(inputs)
-        _populate_cli_dir(inputs)
-        runs = []
-        for label, tree in zip(("parent", "change"), trees):
-            run = os.path.join(tmp, label)
-            shutil.copytree(inputs, run)
-            run_pipeline(tree, run)
-            runs.append(run)
-        equal = compare(*runs)
-    print("all artifacts byte-equal" if equal else "artifacts differ")
+    equal = True
+    for pass_name, populate in PASSES.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            inputs = os.path.join(tmp, "inputs")
+            os.mkdir(inputs)
+            populate(inputs)
+            runs = []
+            for label, tree in zip(("parent", "change"), trees):
+                run = os.path.join(tmp, label)
+                shutil.copytree(inputs, run)
+                run_pipeline(tree, run)
+                runs.append(run)
+            equal = compare(pass_name, *runs) and equal
+    print("all artifacts byte-equal on every pass" if equal else "artifacts differ")
     return 0 if equal else 1
 
 

@@ -23,7 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from .exceptions import CorpusError, reading
-from .senses import SenseInventory, cosine_with_norms, node_attribute, tfidf_sense_vectors, vector_norm
+from .senses import SenseInventory, node_attribute, tfidf_sense_vectors
 from .tokenization import TokenSequence
 from .vectors import read_vector_table, write_vector_table
 
@@ -71,15 +71,23 @@ class CoocGraph:
 def build_adjacency(pair_counts, sense_vectors, node_ids) -> np.ndarray:
     """Edge weight = cosine(sense vectors) * pair count; symmetric, zero diagonal.
 
-    `pair_counts` is keyed by node index pairs (i, j) with i < j. Each
-    node's norm is computed once, not once per pair it is in.
+    The one place an edge weight is computed. `pair_counts` is keyed by node
+    index pairs (i, j) with i < j. Each node's norm is computed once; a pair
+    with an empty vector keeps weight 0. A nonzero TF-IDF weight over K
+    entries is at least ln(K/(K-1)) > 1/K, so no square of one underflows.
     """
     n = len(node_ids)
     a = np.zeros((n, n), dtype=np.float64)
     vectors = [sense_vectors.get(node, {}) for node in node_ids]
-    norms = [vector_norm(v) for v in vectors]
+    norms = [math.sqrt(sum(w * w for w in v.values())) for v in vectors]
     for (i, j), count in pair_counts.items():
-        weight = cosine_with_norms(vectors[i], norms[i], vectors[j], norms[j]) * count
+        if not (norms[i] and norms[j]):
+            continue
+        short, long = vectors[i], vectors[j]
+        if len(long) < len(short):
+            short, long = long, short
+        dot = sum(w * long[t] for t, w in short.items() if t in long)
+        weight = dot / (norms[i] * norms[j]) * count
         a[i, j] = weight
         a[j, i] = weight
     return a

@@ -169,33 +169,6 @@ def tfidf_sense_vectors(inventory: SenseInventory) -> dict[str, dict[str, float]
     return vectors
 
 
-def vector_norm(vector: dict[str, float]) -> float:
-    """Euclidean norm of a sparse vector."""
-    return math.sqrt(sum(w * w for w in vector.values()))
-
-
-def cosine_similarity(a: dict[str, float], b: dict[str, float]) -> float:
-    """Cosine of two sparse non-negative vectors; 0 when either norm is 0."""
-    return cosine_with_norms(a, vector_norm(a), b, vector_norm(b))
-
-
-def cosine_with_norms(a: dict[str, float], norm_a: float, b: dict[str, float], norm_b: float) -> float:
-    """`cosine_similarity` of `a` and `b` given their `vector_norm`s, which a caller may reuse."""
-    if not a or not b:
-        return 0.0
-    if len(b) < len(a):
-        a, b = b, a  # the norms enter only as a product, so they need no swap
-    dot = sum(w * b[t] for t, w in a.items() if t in b)
-    if 1e-100 < norm_a < 1e100 and 1e-100 < norm_b < 1e100:
-        return dot / (norm_a * norm_b)
-    # squares of weights this small lose precision (or this large overflow):
-    # divide each vector by its largest weight and compute again
-    top_a, top_b = max(a.values()), max(b.values())
-    if top_a == 0.0 or top_b == 0.0:
-        return 0.0
-    return cosine_similarity({t: w / top_a for t, w in a.items()}, {t: w / top_b for t, w in b.items()})
-
-
 def node_attribute(entry: EmojiSenseEntry, word_table) -> np.ndarray:
     """Mean word vector over the entry's keyword words; zeros when none are known."""
     found = []

@@ -17,7 +17,7 @@ from emofuse.graph import (
     normalize_adjacency,
     save_graph,
 )
-from emofuse.senses import cosine_similarity, load_emojinet, vector_norm
+from emofuse.senses import load_emojinet
 from emofuse.text_encoder import WordEmbeddingTable
 from emofuse.tokenization import tokenize
 
@@ -87,6 +87,18 @@ class TestCountCooccurrences:
         assert counts.occurrences["\U0001F600"] == 1
 
 
+def one_pair_weight(a, b, count):
+    """build_adjacency's weight for one pair of nodes with sense vectors `a` and `b`."""
+    return build_adjacency({(0, 1): count}, {"p": a, "q": b}, ["p", "q"])[0, 1]
+
+
+tfidf_vec = st.dictionaries(
+    st.sampled_from(list("abcdef")),
+    st.floats(min_value=1e-6, max_value=1e4),  # TF-IDF's range: ln(K/(K-1)) up to count * ln K
+    max_size=6,
+)
+
+
 class TestBuildAdjacency:
     def test_weight_is_cosine_times_count(self):
         # cosine({x:1}, {x:1, y:sqrt(3)}) = 1/2, count 4 -> weight 2
@@ -95,26 +107,50 @@ class TestBuildAdjacency:
         assert a[0, 1] == pytest.approx(2.0, abs=1e-12)
         assert a[1, 0] == a[0, 1]
 
+    @pytest.mark.parametrize("a, b, weight", [
+        pytest.param({"x": 2.0, "y": 1.0}, {"x": 2.0, "y": 1.0}, 3.0, id="identical"),
+        pytest.param({"x": 1.0}, {"y": 1.0}, 0.0, id="disjoint"),
+        # dot 1, norms sqrt(2) and 1; the dot product runs over the shorter vector, second or first
+        pytest.param({"x": 1.0, "y": 1.0}, {"x": 1.0}, 3.0 / math.sqrt(2.0), id="overlap"),
+        pytest.param({"x": 1.0}, {"x": 1.0, "y": 1.0}, 3.0 / math.sqrt(2.0), id="overlap-first-shorter"),
+        pytest.param({}, {"x": 1.0}, 0.0, id="empty-first"),
+        pytest.param({"x": 1.0}, {}, 0.0, id="empty-second"),
+    ])
+    def test_one_pair_weight_is_cosine_times_count(self, a, b, weight):
+        assert one_pair_weight(a, b, count=3) == pytest.approx(weight, abs=1e-12)
+
+    @given(tfidf_vec, tfidf_vec)
+    def test_weight_symmetric_in_node_order_and_bounded_by_count(self, a, b):
+        ab, ba = one_pair_weight(a, b, count=1), one_pair_weight(b, a, count=1)
+        assert ab == pytest.approx(ba, abs=1e-12)
+        assert 0.0 <= ab <= 1.0 + 1e-12
+
     def test_every_weight_is_cosine_times_count_bit_for_bit(self):
-        # TF-IDF-like weights, where another way to sum the norms would differ
-        # in the last bit for some pairs
+        # TF-IDF-like weights, where another way to sum the norms or the dot
+        # product would differ in the last bit for some pairs
         rng = np.random.default_rng(0)
         vectors = {}
         for k in range(10):
             terms = rng.choice(list("abcdefgh"), size=int(rng.integers(1, 7)), replace=False)
             vectors[f"v{k}"] = {str(t): float(rng.integers(1, 4)) * math.log(rng.uniform(1.5, 9.0))
                                 for t in terms}
-        vectors.update(tiny={"a": 3e-160, "b": 1e-160, "c": 7e-161}, huge={"a": 2e160, "d": 5e159},
-                       empty={})
-        # these norms fall outside (1e-100, 1e100), so the rescaling branch runs
-        assert vector_norm(vectors["tiny"]) < 1e-100 and vector_norm(vectors["huge"]) > 1e100
+        vectors["empty"] = {}
         node_ids = sorted(vectors) + ["absent"]
         pairs = {(i, j): 1 + i + 3 * j for i, j in combinations(range(len(node_ids)), 2)}
         a = build_adjacency(pairs, vectors, node_ids)
         for (i, j), count in pairs.items():
-            expected = cosine_similarity(vectors.get(node_ids[i], {}), vectors.get(node_ids[j], {})) * count
+            # the oracle's order: each norm over its vector's own order, the
+            # dot product over the shorter vector (node i's on a tie)
+            u, v = vectors.get(node_ids[i], {}), vectors.get(node_ids[j], {})
+            norm_u = math.sqrt(sum(w * w for w in u.values()))
+            norm_v = math.sqrt(sum(w * w for w in v.values()))
+            short, long = (v, u) if len(v) < len(u) else (u, v)
+            dot = 0.0
+            for term, weight in short.items():
+                if term in long:
+                    dot += weight * long[term]
+            expected = dot / (norm_u * norm_v) * count if u and v else 0.0
             assert a[i, j] == expected and a[j, i] == expected, (node_ids[i], node_ids[j])
-        assert a[node_ids.index("tiny"), node_ids.index("huge")] > 0.0
 
     def test_never_cooccurring_pair_is_zero(self):
         a = build_adjacency({}, {"a": {"x": 1.0}, "b": {"x": 1.0}}, ["a", "b"])

@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import given, strategies as st
 
 from emofuse.exceptions import InventoryError
 from emofuse.senses import (
-    cosine_similarity,
+    EmojiSenseEntry,
+    SenseInventory,
     load_emojinet,
     node_attribute,
     tfidf_sense_vectors,
@@ -108,24 +109,12 @@ class TestLoadEmojinet:
         extra = dict(entry("U+1F355", ["pizza"]), images=3, related=None, category=[1])
         assert load_emojinet(write_inventory(tmp_path, [extra])).get("\U0001F355") is not None
 
-    def test_missing_file_raises(self, tmp_path):
-        with pytest.raises(InventoryError):
-            load_emojinet(tmp_path / "missing.json")
-
     def test_nesting_too_deep_to_parse_names_the_file(self, tmp_path):
         path = tmp_path / "inventory.json"
         path.write_text("[" * 200_000, encoding="utf-8")
         with pytest.raises(InventoryError, match="nested too deeply") as err:
             load_emojinet(path)
         assert str(path) in str(err.value)
-
-
-def test_non_utf8_inventory_names_the_file_and_byte(tmp_path):
-    path = tmp_path / "inventory.json"
-    path.write_bytes(b"\xff\xfe[\x00]\x00")
-    with pytest.raises(InventoryError, match="byte 0") as err:
-        load_emojinet(path)
-    assert str(path) in str(err.value)
 
 
 class TestTfidf:
@@ -174,36 +163,22 @@ class TestTfidf:
         assert forward == reordered
 
 
-class TestCosine:
-    def test_identical_vectors(self):
-        v = {"x": 2.0, "y": 1.0}
-        assert cosine_similarity(v, v) == pytest.approx(1.0, abs=1e-12)
-
-    def test_disjoint_supports(self):
-        assert cosine_similarity({"x": 1.0}, {"y": 1.0}) == 0.0
-
-    def test_hand_computed_overlap(self):
-        # dot = 1, norms 1 and sqrt(2)
-        got = cosine_similarity({"x": 1.0, "y": 1.0}, {"x": 1.0})
-        assert got == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
-
-    def test_zero_vector(self):
-        assert cosine_similarity({}, {"x": 1.0}) == 0.0
+sense_docs = st.lists(st.lists(st.sampled_from(["joy", "sad", "fire", "rain", "love"]), max_size=6),
+                      min_size=2, max_size=8)
 
 
-sparse_vec = st.dictionaries(
-    st.sampled_from(list("abcdef")),
-    st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
-    max_size=6,
-)
-
-
-@given(sparse_vec, sparse_vec)
-@example({"a": 1.0}, {"a": 8.801570390044162e-159})  # the square of b's weight is subnormal
-def test_cosine_symmetric_and_bounded(a, b):
-    ab, ba = cosine_similarity(a, b), cosine_similarity(b, a)
-    assert ab == pytest.approx(ba, abs=1e-12)
-    assert -1e-12 <= ab <= 1.0 + 1e-12
+@given(sense_docs)
+def test_every_tfidf_weight_is_at_least_ln_k_over_k_minus_1(docs):
+    # a term in d of K documents weighs count * ln(K/d) with 1 <= d <= K-1 (terms in all K drop
+    # out), so no weight is below ln(K/(K-1)) > 1/K: no sense vector's norm is near underflow
+    entries = {f"e{k}": EmojiSenseEntry(codepoints=f"e{k}", name="n", shortcode=":c:", description="d",
+                                        keywords=("k",), senses=(" ".join(doc),))
+               for k, doc in enumerate(docs)}
+    total = len(docs)
+    floor = math.log(total / (total - 1))
+    assert floor > 1.0 / total
+    for vector in tfidf_sense_vectors(SenseInventory(entries)).values():
+        assert all(weight >= floor for weight in vector.values())
 
 
 class TestNodeAttribute:

@@ -356,10 +356,6 @@ class TestLoadLabeledDataset:
         with pytest.raises(CorpusError):
             load_labeled_dataset(path)
 
-    def test_missing_file_raises(self, tmp_path):
-        with pytest.raises(CorpusError):
-            load_labeled_dataset(tmp_path / "nope.jsonl")
-
 
 @given(st.one_of(st.text(max_size=60), st.binary(max_size=60)))
 def test_labeled_corpus_fuzz_raises_only_typed_errors(tmp_path_factory, content):
