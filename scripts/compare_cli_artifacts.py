@@ -3,7 +3,7 @@
 Usage: python3 scripts/compare_cli_artifacts.py PARENT_SRC [CHANGE_SRC]
 
 Each argument is a directory that holds an `emofuse` package; CHANGE_SRC
-defaults to this checkout's `src`. Two passes each write their inputs once
+defaults to this checkout's `src`. Three passes each write their inputs once
 and copy them into one run directory per tree, so both trees read the same
 paths and echo the same ones into `classifier_meta.json` and
 `eval_report.json`:
@@ -12,7 +12,10 @@ paths and echo the same ones into `classifier_meta.json` and
   (`tests/test_acceptance._populate_cli_dir`), a 40-post corpus over 4 emojis;
 - graph-paper: the same, but with `unlabeled_corpus` and `inventory` taken
   from the benchmark's generator (bench/generate.py) for the graph-paper
-  workload and seed 7, a graph of about 320 nodes and 12,000 pairs.
+  workload and seed 7, a graph of about 320 nodes and 12,000 pairs;
+- ablation-T: criterion 8's inputs with `ablation = T` appended to `run.cfg`,
+  the wiring that reads the raw emoji rows, so its checkpoint stores
+  `proj_emoji` but no `unit_emoji`.
 
 Criterion 8's six subcommands then run in each directory, with that tree
 first on PYTHONPATH and OPENBLAS_NUM_THREADS=1. One line is printed per pass
@@ -55,7 +58,15 @@ def populate_graph_paper(inputs: str) -> None:
         fh.write(CLI_CONFIG.format(inventory=generated.inventory_path, vectors=WORD_VECTORS_PATH))
 
 
-PASSES = {"criterion-8": _populate_cli_dir, "graph-paper": populate_graph_paper}
+def populate_ablation_t(inputs: str) -> None:
+    """Criterion 8's inputs, training the `T` wiring."""
+    _populate_cli_dir(inputs)
+    with open(os.path.join(inputs, "run.cfg"), "a", encoding="utf-8") as fh:
+        fh.write("ablation = T\n")
+
+
+PASSES = {"criterion-8": _populate_cli_dir, "graph-paper": populate_graph_paper,
+          "ablation-T": populate_ablation_t}
 
 
 def run_pipeline(tree: str, cwd: str) -> None:

@@ -91,13 +91,12 @@ def cmd_train_classifier(config: RunConfig) -> int:
     table = WordEmbeddingTable.load(config.word_vectors)
     embeddings = EmojiEmbeddings.load(config.embeddings)
     rng = np.random.default_rng(config.seed)
-    model = SentimentModel(config, table, embeddings, rng)
+    try:
+        model = SentimentModel(config, table, embeddings, rng)
+    except ConfigError as err:
+        raise ConfigError(f"{config.embeddings}: {err}") from None
     history = train_classifier(model, posts, rng)
-    checkpoint = _out_path(config, CLASSIFIER_CHECKPOINT)
-    save_tensors(checkpoint, model.state_tensors())
-    meta = {"config": config.as_dict(), "emoji_ids": model.emoji_table.ids}
-    with open(_meta_path(checkpoint), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True, ensure_ascii=False)
+    save_classifier(model, _out_path(config, CLASSIFIER_CHECKPOINT))
     write_csv(_out_path(config, "train_history.csv"), ("epoch", "loss", "accuracy"),
               [(s.epoch, s.loss, s.accuracy) for s in history])
     final = history[-1] if history else None
@@ -106,8 +105,19 @@ def cmd_train_classifier(config: RunConfig) -> int:
     return 0
 
 
-def load_classifier(checkpoint_path, meta_path, word_table: WordEmbeddingTable) -> SentimentModel:
-    """Rebuild a trained model from its tensor container and metadata echo."""
+def save_classifier(model: SentimentModel, checkpoint: str):
+    """Write the model's tensors to `checkpoint` and its config and emoji ids to the metadata beside it."""
+    tensors = {name: p.data for name, p in named_parameters(model.params)}
+    tensors["emoji_matrix"] = model.emoji_table.vectors
+    save_tensors(checkpoint, tensors)
+    meta = {"config": model.config.as_dict(), "emoji_ids": model.emoji_table.ids}
+    with open(_meta_path(checkpoint), "w", encoding="utf-8") as fh:
+        json.dump(meta, fh, indent=2, sort_keys=True, ensure_ascii=False)
+
+
+def load_classifier(checkpoint, word_table: WordEmbeddingTable) -> SentimentModel:
+    """Rebuild a trained model from its tensor container and the metadata beside it."""
+    meta_path = _meta_path(checkpoint)
     meta = read_json(meta_path, ConfigError, "classifier metadata")
     if not isinstance(meta, dict):
         raise ConfigError(f"classifier metadata {meta_path} is not a JSON object")
@@ -122,20 +132,24 @@ def load_classifier(checkpoint_path, meta_path, word_table: WordEmbeddingTable) 
         config = config_from_dict(meta["config"]).validate()
     except ConfigError as err:
         raise ConfigError(f"classifier metadata {meta_path}: {err}") from None
-    tensors = load_tensors(checkpoint_path)
+    tensors = load_tensors(checkpoint)
     matrix = tensors.get("emoji_matrix")
     if matrix is None or matrix.ndim != 2 or matrix.shape[0] != len(ids):
-        raise ConfigError(f"checkpoint {checkpoint_path} has no emoji matrix matching its id list")
-    model = SentimentModel(config, word_table, EmojiEmbeddings(ids=ids, vectors=matrix),
-                           np.random.default_rng(config.seed))
-    model.load_state(tensors, checkpoint_path)
+        raise ConfigError(f"checkpoint {checkpoint} has no emoji matrix matching its id list")
+    stored = EmojiEmbeddings(ids, matrix)
+    try:
+        model = SentimentModel(config, word_table, stored, np.random.default_rng(config.seed))
+    except ConfigError as err:
+        raise ConfigError(f"checkpoint {checkpoint}: {err}") from None
+    load_parameters(model.params, tensors, checkpoint)
+    model.emoji_table = stored  # building rescaled the saved matrix, which moves its low bits
     return model
 
 
 def cmd_evaluate(config: RunConfig) -> int:
     checkpoint = config.checkpoint or _out_path(config, CLASSIFIER_CHECKPOINT)
     table = WordEmbeddingTable.load(config.word_vectors)
-    model = load_classifier(checkpoint, _meta_path(checkpoint), table)
+    model = load_classifier(checkpoint, table)
     posts, _ = load_labeled_dataset(config.test_data)
     report = evaluate(model, posts)
     text = report.to_json()

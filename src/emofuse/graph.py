@@ -49,10 +49,8 @@ def count_cooccurrences(posts: Iterable[TokenSequence]) -> CoocCounts:
     for seq in posts:
         counts.posts += 1
         unique = sorted(seq.unique_emojis())
-        for emoji in unique:
-            counts.occurrences[emoji] += 1
-        for a, b in combinations(unique, 2):
-            counts.pairs[(a, b)] += 1
+        counts.occurrences.update(unique)
+        counts.pairs.update(combinations(unique, 2))
     return counts
 
 

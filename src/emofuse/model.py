@@ -7,7 +7,8 @@ gradient is computed for them and the optimizer never sees them.
 There is one forward path, over a chunk of posts whose word rows and emoji
 rows are each packed into one matrix; a single post is a one-post chunk.
 The config's `ablation` selects one row of `attention.ABLATIONS`; the model
-allocates, trains and checkpoints only the tensors that wiring reads.
+allocates and trains only the tensors that wiring reads, so a checkpoint
+stores only those.
 """
 
 from __future__ import annotations
@@ -134,21 +135,3 @@ class SentimentModel:
 
     def predict(self, seq: TokenSequence) -> int:
         return int(self.forward_logits([seq]).data.argmax())
-
-    # --- persistence ---------------------------------------------------------
-
-    def state_tensors(self) -> dict[str, np.ndarray]:
-        tensors = {name: p.data for name, p in ad.named_parameters(self.params)}
-        tensors["emoji_matrix"] = self.emoji_table.vectors
-        return tensors
-
-    def load_state(self, tensors: dict[str, np.ndarray], source: str):
-        """Load `state_tensors` output; `source` names the file in errors."""
-        matrix = tensors.get("emoji_matrix")
-        expected = self.emoji_table.vectors.shape
-        if matrix is not None and matrix.shape != expected:
-            raise ConfigError(f"{source}: tensor emoji_matrix has shape {matrix.shape}, expected {expected}")
-        ad.load_parameters(self.params, tensors, source)
-        if matrix is not None:
-            self.emoji_table = EmojiEmbeddings(self.emoji_table.ids, matrix.copy())
-

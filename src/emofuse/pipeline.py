@@ -65,8 +65,6 @@ class EvalReport:
 
 def _check_labels(posts: list[RawPost], num_classes: int):
     for i, post in enumerate(posts):
-        if post.label is None:
-            raise TrainingError(f"post {i} has no label")
         if not 0 <= post.label < num_classes:
             raise TrainingError(f"post {i} label {post.label} out of range for {num_classes} classes")
 

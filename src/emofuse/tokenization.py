@@ -156,7 +156,7 @@ class TokenSequence:
 @dataclass(frozen=True)
 class RawPost:
     text: str
-    label: int | None = None
+    label: int
 
 
 def tokenize(text: str) -> TokenSequence:

@@ -138,8 +138,20 @@ class TestCliErrors:
         (workspace / "odd.txt").write_text("1 5\n\U0001F600 1 2 3 4 5\n", encoding="utf-8")
         code = cli_main(["train-classifier", "--config", "run.cfg", "--set", "embeddings=odd.txt"])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: the emoji table has odd dimension 5")
+        assert capsys.readouterr().err.startswith("error: odd.txt: the emoji table has odd dimension 5")
         assert not (workspace / "out" / "classifier.ntc").exists()
+
+    def test_odd_emoji_matrix_in_a_checkpoint_exits_1_naming_the_file(self, workspace, capsys):
+        for command in ("build-graph", "train-vgae", "train-classifier"):
+            assert cli_main([command, "--config", "run.cfg"]) == 0
+        path = workspace / "out" / "classifier.ntc"
+        tensors = load_tensors(path)
+        tensors["emoji_matrix"] = tensors["emoji_matrix"][:, :5]  # same row count as the id list
+        save_tensors(path, tensors)
+        capsys.readouterr()
+        assert cli_main(["evaluate", "--config", "run.cfg"]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: checkpoint {path.relative_to(workspace)}: the emoji table has odd dimension 5")
 
     def test_cluster_viz_on_a_corpus_without_two_embedded_emojis_names_it(self, workspace, capsys):
         assert cli_main(["build-graph", "--config", "run.cfg"]) == 0

@@ -9,7 +9,7 @@ from conftest import make_emoji_labeled_posts
 from emofuse.attention import ABLATIONS, FusionWiring
 from emofuse import autodiff as ad
 from emofuse.autodiff import load_tensors, named_parameters, save_tensors
-from emofuse.cli import load_classifier
+from emofuse.cli import load_classifier, save_classifier
 from emofuse.config import RunConfig, apply_overrides, config_from_dict, load_config
 from emofuse.exceptions import ConfigError, TrainingError
 from emofuse import pipeline
@@ -122,7 +122,7 @@ class TestConfig:
         meta.write_text(json.dumps({"config": {**stored, "emoji_reads_fused_text": False},
                                     "emoji_ids": ["\U0001F600"]}), encoding="utf-8")
         with pytest.raises(ConfigError, match="emoji_reads_fused_text") as err:
-            load_classifier(tmp_path / "missing.ntc", meta, None)
+            load_classifier(tmp_path / "classifier.ntc", None)
         assert str(meta) in str(err.value)
 
 
@@ -314,49 +314,43 @@ class TestEvaluate:
 
 
 class TestModelPersistence:
-    def test_state_round_trip(self, word_table):
+    def test_state_round_trip(self, word_table, tmp_path):
         posts = make_emoji_labeled_posts(6, seed=5)
         config = tiny_config(epochs=1)
         model = SentimentModel(config, word_table, tiny_embeddings(), np.random.default_rng(4))
         train_classifier(model, posts, np.random.default_rng(4))
-        state = model.state_tensors()
-        clone = SentimentModel(config, word_table, tiny_embeddings(), np.random.default_rng(99))
-        clone.load_state(state, "state")
+        save_classifier(model, tmp_path / "classifier.ntc")
+        clone = load_classifier(tmp_path / "classifier.ntc", word_table)
         seq = tokenize(posts[0].text)
         np.testing.assert_array_equal(model.forward_logits([seq]).data,
                                       clone.forward_logits([seq]).data)
 
-    def test_loaded_model_trains_on_in_its_arena(self, word_table, tmp_path):
+    def test_loaded_model_trains_on_as_the_saved_one(self, word_table, tmp_path):
         config = tiny_config(epochs=1)
         posts = make_emoji_labeled_posts(6, seed=7)
+        model = SentimentModel(config, word_table, tiny_embeddings(), np.random.default_rng(5))
+        train_classifier(model, posts, np.random.default_rng(5))
+        save_classifier(model, tmp_path / "classifier.ntc")
+        loaded = load_classifier(tmp_path / "classifier.ntc", word_table)
         runs = []
-        for run in range(2):
-            model = SentimentModel(config, word_table, tiny_embeddings(), np.random.default_rng(5))
-            keys = list(model.state_tensors())
-            params = [t for _, t in named_parameters(model.params)]
-            train_classifier(model, posts, np.random.default_rng(5))
-            arena = ad.pack_parameters(params)  # training packed them: no new buffer
-            path = tmp_path / f"run{run}.ntc"
-            save_tensors(path, model.state_tensors())
-            train_classifier(model, posts, np.random.default_rng(6))
-            model.load_state(load_tensors(path), str(path))
-            assert all(t.data.base is arena for t in params)  # written in place
-            np.testing.assert_array_equal(arena, np.concatenate(
-                [value.reshape(-1) for name, value in load_tensors(path).items() if name != "emoji_matrix"]))
-            history = train_classifier(model, posts, np.random.default_rng(6))
-            assert all(t.data.base is arena for t in params)
-            assert list(model.state_tensors()) == keys
-            runs.append(([(h.loss, h.accuracy) for h in history], arena.tobytes()))
+        for name, trained in (("saved", model), ("loaded", loaded)):
+            history = train_classifier(trained, posts, np.random.default_rng(6))
+            path = tmp_path / name / "classifier.ntc"
+            path.parent.mkdir()
+            save_classifier(trained, path)
+            runs.append(([(h.loss, h.accuracy) for h in history], path.read_bytes(),
+                         path.with_name("classifier_meta.json").read_bytes()))
         assert runs[0] == runs[1]
 
-    def test_missing_tensor_rejected(self, word_table):
-        config = tiny_config()
-        model = SentimentModel(config, word_table, tiny_embeddings(), np.random.default_rng(0))
-        state = model.state_tensors()
-        state.pop("cnn.dense_w")
-        clone = SentimentModel(config, word_table, tiny_embeddings(), np.random.default_rng(1))
+    def test_missing_tensor_rejected(self, word_table, tmp_path):
+        model = SentimentModel(tiny_config(), word_table, tiny_embeddings(), np.random.default_rng(0))
+        path = tmp_path / "classifier.ntc"
+        save_classifier(model, path)
+        tensors = load_tensors(path)
+        tensors.pop("cnn.dense_w")
+        save_tensors(path, tensors)
         with pytest.raises(ConfigError, match="missing"):
-            clone.load_state(state, "state")
+            load_classifier(path, word_table)
 
     def test_emoji_only_post_is_classifiable(self, word_table):
         model = SentimentModel(tiny_config(), word_table, tiny_embeddings(),
@@ -458,69 +452,80 @@ class TestParameterRegistry:
             offset += tensor.data.size
         assert offset == state.data.size == state.m.size == state.v.size
         names = [name for name, _ in walked]
-        save_tensors(tmp_path / "c.ntc", model.state_tensors())
+        save_classifier(model, tmp_path / "c.ntc")
         assert list(load_tensors(tmp_path / "c.ntc")) == names + ["emoji_matrix"]
 
     def test_state_round_trip_reloads_the_same_bytes(self, word_table, tmp_path):
         config = tiny_config(epochs=1)
         model = SentimentModel(config, word_table, tiny_embeddings(), np.random.default_rng(4))
         train_classifier(model, make_emoji_labeled_posts(4, seed=5), np.random.default_rng(4))
-        save_tensors(tmp_path / "a.ntc", model.state_tensors())
-        clone = SentimentModel(config, word_table, tiny_embeddings(), np.random.default_rng(99))
-        clone.load_state(load_tensors(tmp_path / "a.ntc"), str(tmp_path / "a.ntc"))
-        save_tensors(tmp_path / "b.ntc", clone.state_tensors())
+        save_classifier(model, tmp_path / "a.ntc")
+        clone = load_classifier(tmp_path / "a.ntc", word_table)
+        save_classifier(clone, tmp_path / "b.ntc")
         assert (tmp_path / "a.ntc").read_bytes() == (tmp_path / "b.ntc").read_bytes()
+        assert (tmp_path / "a_meta.json").read_bytes() == (tmp_path / "b_meta.json").read_bytes()
 
     def test_checkpoint_with_proj_skip_and_retired_keys_loads_bit_identical(self, word_table, tmp_path):
         """A `full` checkpoint from before each wiring stored only its own tensors still loads."""
         config = tiny_config(epochs=1)
         model = SentimentModel(config, word_table, tiny_embeddings(), np.random.default_rng(4))
         train_classifier(model, make_emoji_labeled_posts(4, seed=5), np.random.default_rng(4))
-        state = model.state_tensors()
-        skip = np.random.default_rng(6).normal(size=(2 * config.lstm_hidden, config.fusion_dim))
-        state = {**state, "fusion.proj_skip": skip}  # unused by `full`, stored all the same
         path, meta = tmp_path / "classifier.ntc", tmp_path / "classifier_meta.json"
-        save_tensors(path, state)
+        save_classifier(model, path)
+        skip = np.random.default_rng(6).normal(size=(2 * config.lstm_hidden, config.fusion_dim))
+        # unused by `full`, stored all the same
+        save_tensors(path, {**load_tensors(path), "fusion.proj_skip": skip})
         echo = {**config.as_dict(), "pe_base": 1000.0, "emoji_reads_fused_text": True}
         meta.write_text(json.dumps({"config": echo, "emoji_ids": model.emoji_table.ids}), encoding="utf-8")
-        loaded = load_classifier(path, meta, word_table)
+        loaded = load_classifier(path, word_table)
         assert loaded.params.fusion.proj_skip is None
         seqs = [tokenize(text) for text in CHUNK_TEXTS]
         np.testing.assert_array_equal(loaded.forward_logits(seqs).data, model.forward_logits(seqs).data)
 
+    @pytest.mark.parametrize("ablation", ABLATIONS)
+    def test_every_wiring_survives_a_save_and_a_load(self, word_table, tmp_path, ablation):
+        model = SentimentModel(tiny_config(epochs=1, ablation=ablation), word_table, tiny_embeddings(),
+                               np.random.default_rng(4))
+        train_classifier(model, make_emoji_labeled_posts(4, seed=5), np.random.default_rng(4))
+        save_classifier(model, tmp_path / "a.ntc")
+        loaded = load_classifier(tmp_path / "a.ntc", word_table)
+        seqs = [tokenize(text) for text in CHUNK_TEXTS]
+        np.testing.assert_array_equal(loaded.forward_logits(seqs).data, model.forward_logits(seqs).data)
+        save_classifier(loaded, tmp_path / "b.ntc")
+        for name in ("{}.ntc", "{}_meta.json"):
+            assert (tmp_path / name.format("a")).read_bytes() == (tmp_path / name.format("b")).read_bytes()
+
     def test_parent_format_checkpoint_names_a_missing_key(self, word_table, tmp_path):
         config = tiny_config(kernel_sizes=(3,))
         model = SentimentModel(config, word_table, tiny_embeddings(), np.random.default_rng(0))
+        path = tmp_path / "classifier.ntc"
+        save_classifier(model, path)
         state = {parent_format_key(name, config.kernel_sizes): value
-                 for name, value in per_width_state(model.state_tensors(), config.kernel_sizes).items()}
+                 for name, value in per_width_state(load_tensors(path), config.kernel_sizes).items()}
         assert "cnn.ch0.k3.kernels" in state and "encoder.lstm1.fwd.wx" in state
-        path, meta = tmp_path / "classifier.ntc", tmp_path / "classifier_meta.json"
         save_tensors(path, state)
-        meta.write_text(json.dumps({"config": config.as_dict(), "emoji_ids": model.emoji_table.ids}),
-                        encoding="utf-8")
         with pytest.raises(ConfigError, match="missing tensor encoder.layer1.forward.w_x") as err:
-            load_classifier(path, meta, word_table)
+            load_classifier(path, word_table)
         assert str(path) in str(err.value)
 
     def test_per_width_conv_checkpoint_names_the_merged_key(self, word_table, tmp_path):
         config = tiny_config(kernel_sizes=(2, 3))
         model = SentimentModel(config, word_table, tiny_embeddings(), np.random.default_rng(0))
-        state = per_width_state(model.state_tensors(), config.kernel_sizes)
+        path = tmp_path / "classifier.ntc"
+        save_classifier(model, path)
+        state = per_width_state(load_tensors(path), config.kernel_sizes)
         assert state["cnn.banks.0.1.kernels"].shape == (config.filters, 3, config.fusion_dim)
-        path, meta = tmp_path / "classifier.ntc", tmp_path / "classifier_meta.json"
         save_tensors(path, state)
-        meta.write_text(json.dumps({"config": config.as_dict(), "emoji_ids": model.emoji_table.ids}),
-                        encoding="utf-8")
         with pytest.raises(ConfigError, match=r"missing tensor cnn\.banks\.0\.kernels") as err:
-            load_classifier(path, meta, word_table)
+            load_classifier(path, word_table)
         assert str(path) in str(err.value)
 
     def test_shape_mismatch_names_the_tensor_and_loads_nothing(self, word_table):
         model = SentimentModel(tiny_config(), word_table, tiny_embeddings(), np.random.default_rng(0))
         before = {name: t.data.copy() for name, t in named_parameters(model.params)}
-        state = {name: np.zeros_like(value) for name, value in model.state_tensors().items()}
+        state = {name: np.zeros_like(value) for name, value in before.items()}
         state["fusion.unit_cross.wq"] = np.zeros((2, 2))
         with pytest.raises(ConfigError, match=r"run\.ntc: tensor fusion\.unit_cross\.wq has shape"):
-            model.load_state(state, "run.ntc")
+            ad.load_parameters(model.params, state, "run.ntc")
         for name, tensor in named_parameters(model.params):
             np.testing.assert_array_equal(tensor.data, before[name])

@@ -50,7 +50,7 @@ TEXT_LOADERS = {
                   "[" + ", ".join(inventory_entry(i) for i in range(100)), b', {"name": "caf\xc3("}]'),
     "config": ("run.cfg", ConfigError, load_config, "seed = 1  # café \U0001F600\n" * 1000, b"# caf\xc3(\n"),
     "classifier-metadata": ("classifier_meta.json", ConfigError,
-                            lambda path: load_classifier(path.with_name("classifier.ntc"), path, None),
+                            lambda path: load_classifier(path.with_name("classifier.ntc"), None),
                             '{"config": {}, "emoji_ids": [' + '"café \U0001F600", ' * 1000, b'"caf\xc3("]}'),
 }
 LOADERS = {**{name: case[:3] for name, case in TEXT_LOADERS.items()},
