@@ -9,6 +9,9 @@ text encoder, attention fusion, convolutional classifier). The CLI in
 Importing the package before numpy pins OpenBLAS to one thread, unless
 OPENBLAS_NUM_THREADS is already set: some matrix products give other bits
 at another thread count, so byte-identical reruns need a fixed one.
+Training runs matrix products on up to two Python threads (a backward
+rule's input and weight gradients, when both are large), each product one
+OpenBLAS call of that count, so the bits do not depend on the pairing.
 """
 
 import os

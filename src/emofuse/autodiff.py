@@ -15,9 +15,14 @@ result joins the tape only when some input requires a gradient, and is a
 constant with no parents otherwise. ``Tensor(...)`` builds only leaves and
 constants.
 
-The engine is deliberately single-threaded and allocation-heavy: precision
-and determinism come before speed. Identical seeds give bit-identical
-trajectories. A leaf's gradient is added into its ``grad`` as soon as a
+The engine is allocation-heavy: precision and determinism come before
+speed. Identical seeds give bit-identical trajectories. Python runs on one
+thread, with one exception: a backward rule whose two products (the input
+and the weight gradient of ``linear`` or ``textcnn.conv_pool``) each reach
+``PAIR_WORK`` multiply-adds runs them at once through ``both``, one on a
+worker thread started on first use. Each product is the same numpy call,
+one OpenBLAS call, either way, so the bits do not depend on the pairing.
+A leaf's gradient is added into its ``grad`` as soon as a
 rule returns it, so no second copy of the parameter gradients waits on the
 tape. ``linear`` and ``layer_norm`` fold a layer's bias, relu or residual
 into one node. A chunk of posts is packed along the rows of one matrix and
@@ -45,11 +50,13 @@ buffer made a paper-dims training call 7-15% slower.
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import functools
 import math
 import os
 import struct
+import threading
 
 import numpy as np
 
@@ -229,6 +236,49 @@ def layer_norm(a, gain, bias, residual) -> Tensor:
     return node(data, (a, gain, bias, residual), bw)
 
 
+# A pair of products of at least this many multiply-adds each runs on two
+# threads; below it, handing one to the worker costs more than it saves (on
+# a 2-vCPU VM a lone pair read 0.8-1.1x at 2^20 and 1.2-1.5x at 2^22).
+PAIR_WORK = 1 << 22
+_worker = None  # the one worker thread `both` hands products to, started on first use
+_worker_lock = threading.Lock()
+
+
+def _forget_worker():
+    # a forked child has no copy of the parent's worker thread
+    global _worker, _worker_lock
+    _worker = None
+    _worker_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX; elsewhere there is no fork
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def both(first, second, work):
+    """(first(), second()); on two threads when `work` is at least PAIR_WORK.
+
+    `work` is the multiply-adds of each call. `first` runs on a worker
+    thread while `second` runs here. Each is a numpy product, which
+    releases the GIL, so its result has the bits it would have alone. If
+    `second` raises, `first` is still waited for; an error of `first` is
+    raised when nothing else is. `first` must not call `both`.
+    """
+    if work < PAIR_WORK:
+        return first(), second()
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            _worker = concurrent.futures.ThreadPoolExecutor(1, thread_name_prefix="emofuse-both")
+        future = _worker.submit(first)
+    try:
+        b = second()
+    except BaseException:
+        future.exception()  # wait; the error raised here supersedes any of first's
+        raise
+    return future.result(), b
+
+
 def linear(x, w, b=None, relu=False) -> Tensor:
     """x @ w, plus the bias row b, then relu if asked: one node.
 
@@ -255,22 +305,29 @@ def linear(x, w, b=None, relu=False) -> Tensor:
     if len(blocks) == 1:
         data = x.data @ w.data
         def products(g):  # the gradients of x and of w
-            return [g @ w.data.T if x.requires_grad else None,
-                    x.data.T @ g if w.requires_grad else None]
+            return list(both(lambda: g @ w.data.T if x.requires_grad else None,
+                             lambda: x.data.T @ g if w.requires_grad else None,
+                             g.size * w.data.shape[0] if x.requires_grad and w.requires_grad else 0))
     else:
         data = blocks[0].data @ w.data[:starts[1]]
         for t, lo, hi in zip(blocks[1:], starts[1:], starts[2:]):
             data += t.data @ w.data[lo:hi]
         def products(g):  # the gradient of each block, then of w
-            out = [g @ w.data[lo:hi].T if t.requires_grad else None
-                   for t, lo, hi in zip(blocks, starts, starts[1:])]
-            gw = None
-            if w.requires_grad:
+            def block_grads():
+                return [g @ w.data[lo:hi].T if t.requires_grad else None
+                        for t, lo, hi in zip(blocks, starts, starts[1:])]
+
+            def weight_grad():
+                if not w.requires_grad:
+                    return None
                 gw = np.empty_like(w.data)
                 for t, lo, hi in zip(blocks, starts, starts[1:]):
                     np.matmul(t.data.T, g, out=gw[lo:hi])
-            out.append(gw)
-            return out
+                return gw
+
+            paired = w.requires_grad and any(t.requires_grad for t in blocks)
+            out, gw = both(block_grads, weight_grad, g.size * w.data.shape[0] if paired else 0)
+            return [*out, gw]
     parents = (*blocks, w)
     if b is not None:
         b = as_tensor(b)

@@ -131,13 +131,16 @@ def conv_pool(x: Tensor, bank: ConvBank, widths, segments: ad.Segments) -> Tenso
         dy = np.zeros((total, columns))
         dy[(rows.reshape(per_tap)[:, tap_width] + tap_shift[:, None]).reshape(segments.count, -1),
            np.arange(columns)] = g.reshape(per_tap)[:, tap_width].reshape(segments.count, -1)
-        gx = None
-        if x.requires_grad:
+        def input_grad():
+            if not x.requires_grad:
+                return None
             gxp = dy @ kernels.data.T
-            gx = gxp if dest is None else gxp[dest]
-        return (gx,
-                padded().T @ dy if kernels.requires_grad else None,
-                g.sum(axis=0) if bias.requires_grad else None)
+            return gxp if dest is None else gxp[dest]
+
+        paired = x.requires_grad and kernels.requires_grad
+        gx, gk = ad.both(input_grad, lambda: padded().T @ dy if kernels.requires_grad else None,
+                         dy.size * depth if paired else 0)
+        return (gx, gk, g.sum(axis=0) if bias.requires_grad else None)
 
     return ad.node(data, (x, kernels, bias), bw)
 
